@@ -308,12 +308,11 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 let addr = Address::new(page.base.raw() + (off - rec_size) as u64);
                 let hash = crate::hash_key(&key);
                 match inner.index.find_or_create_tag(hash, None) {
-                    CreateOutcome::Found(slot) => {
-                        let cur = slot.load();
+                    CreateOutcome::Found(mut slot) => {
                         // Records scan in address order: the newest record in
                         // [t1, t2) for this tag wins.
-                        if cur.address() < addr {
-                            let _ = slot.cas_address(cur, addr);
+                        if slot.observed().address() < addr {
+                            let _ = slot.cas_address(addr);
                         }
                     }
                     CreateOutcome::Created(created) => {

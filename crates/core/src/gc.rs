@@ -12,10 +12,10 @@
 //!   above it, checked by tracing the chain (with blocking device reads for
 //!   the cold part — compaction is a maintenance path).
 
-use crate::record::{RecordHeader, RecordRef, DELTA_BIT, INVALID_BIT};
+use crate::record::{RecordHeader, RecordRef, INVALID_BIT};
+use crate::session::WriteKind;
 use crate::{hash_key, FasterKv, Functions, Session};
 use faster_hlog::LogScanner;
-use faster_index::CreateOutcome;
 use faster_util::{Address, Pod};
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
@@ -96,7 +96,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         let inner = &self.inner;
         let hash = hash_key(key);
         let slot = inner.index.find_tag(hash, Some(session.guard()))?;
-        let mut addr = slot.load().address();
+        let mut addr = slot.observed().address();
         let mut fallbacks: Vec<Address> = Vec::new();
         loop {
             if crate::read_cache::is_rc(addr) {
@@ -162,41 +162,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     }
 
     /// Re-appends `(key, value)` at the tail iff the entry is unchanged
-    /// since the liveness check (otherwise a newer update owns the key).
+    /// since the probe; a lost CAS means a fresh update superseded the old
+    /// record anyway, so dropping it is correct.
     fn copy_to_tail(&self, key: &K, value: &V, header: RecordHeader, session: &Session<K, V, F>) -> bool {
-        let inner = &self.inner;
-        let hash = hash_key(key);
-        match inner.index.find_or_create_tag(hash, Some(session.guard())) {
-            CreateOutcome::Found(slot) => {
-                let entry = slot.load();
-                let addr = inner.log.allocate(RecordRef::<K, V>::size() as u32, session.guard());
-                let p = inner.log.get(addr).expect("fresh allocation resident");
-                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                let bits = if header.is_delta() { DELTA_BIT } else { 0 };
-                rec.init_header(RecordHeader::new(entry.address()).with(bits));
-                rec.init_key(key);
-                unsafe { *rec.value_mut() = *value };
-                if slot.cas_address(entry, addr).is_ok() {
-                    true
-                } else {
-                    rec.set_bits(INVALID_BIT);
-                    inner.log.note_dead_bytes(RecordRef::<K, V>::size() as u64);
-                    // Entry changed: a fresh update supersedes the old record
-                    // anyway, so dropping it is correct.
-                    false
-                }
-            }
-            CreateOutcome::Created(created) => {
-                let addr = inner.log.allocate(RecordRef::<K, V>::size() as u32, session.guard());
-                let p = inner.log.get(addr).expect("fresh allocation resident");
-                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                let bits = if header.is_delta() { DELTA_BIT } else { 0 };
-                rec.init_header(RecordHeader::new(Address::INVALID).with(bits));
-                rec.init_key(key);
-                unsafe { *rec.value_mut() = *value };
-                created.finalize(addr);
-                true
-            }
-        }
+        let at = self.inner.index.find_or_create_tag(hash_key(key), Some(session.guard()));
+        session.publish(at, key, WriteKind::Roll { delta: header.is_delta() }, |v| *v = *value)
     }
 }

@@ -195,7 +195,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
         let inner = &self.store.inner;
         let hash = hash_key(key);
         let slot = inner.index.find_tag(hash, Some(self.guard()))?;
-        let found = self.find(key, slot.load().address());
+        let found = self.find(key, slot.observed().address());
         let r = found.map(|n| {
             let node = unsafe { &*n };
             // Everything is mutable in the in-memory store: concurrent read.
@@ -224,7 +224,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
         let mut heads = Vec::with_capacity(keys.len());
         for &hash in &hashes {
             let head = match inner.index.find_tag(hash, Some(self.guard())) {
-                Some(slot) => slot.load().address(),
+                Some(slot) => slot.observed().address(),
                 None => Address::INVALID,
             };
             if head.is_valid() {
@@ -284,9 +284,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
         let hash = hash_key(key);
         loop {
             match inner.index.find_or_create_tag(hash, Some(self.guard())) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    if let Some(n) = self.find(key, entry.address()) {
+                CreateOutcome::Found(mut slot) => {
+                    let head = slot.observed().address();
+                    if let Some(n) = self.find(key, head) {
                         let node = unsafe { &*n };
                         let cell = unsafe {
                             &*(node.value.get() as *const crate::functions::ValueCell<V>)
@@ -294,10 +294,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
                         inner.functions.concurrent_writer(key, value, cell);
                         break;
                     }
-                    let node = self.alloc_node(key, entry.address());
+                    let node = self.alloc_node(key, head);
                     let f = &inner.functions;
                     f.single_writer(key, value, unsafe { &mut *(*node).value.get() });
-                    if slot.cas_address(entry, addr_of(node)).is_err() {
+                    if slot.cas_address(addr_of(node)).is_err() {
                         // Lost the race: free our unpublished node and retry.
                         drop(unsafe { Box::from_raw(node) });
                         continue;
@@ -328,9 +328,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
         let hash = hash_key(key);
         loop {
             match inner.index.find_or_create_tag(hash, Some(self.guard())) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    if let Some(n) = self.find(key, entry.address()) {
+                CreateOutcome::Found(mut slot) => {
+                    let head = slot.observed().address();
+                    if let Some(n) = self.find(key, head) {
                         let node = unsafe { &*n };
                         let cell = unsafe {
                             &*(node.value.get() as *const crate::functions::ValueCell<V>)
@@ -338,10 +338,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
                         inner.functions.in_place_updater(key, input, cell);
                         break;
                     }
-                    let node = self.alloc_node(key, entry.address());
+                    let node = self.alloc_node(key, head);
                     let f = &inner.functions;
                     f.initial_updater(key, input, unsafe { &mut *(*node).value.get() });
-                    if slot.cas_address(entry, addr_of(node)).is_err() {
+                    if slot.cas_address(addr_of(node)).is_err() {
                         drop(unsafe { Box::from_raw(node) });
                         continue;
                     }
@@ -379,7 +379,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
                 self.maybe_refresh();
                 return false;
             };
-            let mut cur = slot.load().address();
+            let mut cur = slot.observed().address();
             while cur.is_valid() {
                 let n = self.node(cur);
                 let node = unsafe { &*n };
@@ -409,13 +409,12 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
         let victim_addr = addr_of(victim);
         let next = Address::new(unsafe { (*victim).prev() });
         'unlink: loop {
-            let Some(slot) = inner.index.find_tag(hash, Some(self.guard())) else {
+            let Some(mut slot) = inner.index.find_tag(hash, Some(self.guard())) else {
                 break; // entry vanished entirely; victim unreachable
             };
-            let entry = slot.load();
             // Walk to the victim, tracking the predecessor.
             let mut pred: Option<*mut Node<K, V>> = None;
-            let mut cur = entry.address();
+            let mut cur = slot.observed().address();
             while cur.is_valid() && cur != victim_addr {
                 let node = unsafe { &*self.node(cur) };
                 pred = Some(self.node(cur));
@@ -428,9 +427,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> InMemSession<K, V, F> {
                 None => {
                     // Head record: repoint (or clear) the bucket entry.
                     let ok = if next.is_valid() {
-                        slot.cas_address(entry, next).is_ok()
+                        slot.cas_address(next).is_ok()
                     } else {
-                        slot.cas_delete(entry).is_ok()
+                        slot.cas_delete().is_ok()
                     };
                     if ok {
                         break;

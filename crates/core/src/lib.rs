@@ -57,8 +57,6 @@ pub use functions::{BlindKv, CountStore, Functions, ValueCell};
 pub use health::{HealthReason, StoreError, StoreHealth};
 pub use inmem::{InMemKv, InMemSession};
 pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
-#[allow(deprecated)]
-pub use session::{BatchOutcome, CompletedOp, ReadResult, RmwResult};
 pub use varlen::{VarKv, VarValue};
 
 /// The documented public surface in one import: the store and its config
@@ -488,11 +486,10 @@ fn restore_evicted_entries<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
             continue;
         }
         let hash = hash_key(&rec.key());
-        if let Some(slot) = inner.index.find_tag(hash, None) {
-            let cur = slot.load();
-            if cur.address() == read_cache::rc_tag(Address::new(addr)) {
+        if let Some(mut slot) = inner.index.find_tag(hash, None) {
+            if slot.observed().address() == read_cache::rc_tag(Address::new(addr)) {
                 // prev holds the primary-log address of the cached record.
-                let _ = slot.cas_address(cur, header.prev());
+                let _ = slot.cas_address(header.prev());
             }
         }
         addr += rec_size;

@@ -28,7 +28,7 @@ use crate::health::{HealthReason, StoreError};
 use crate::{hash_key, FasterKv};
 use faster_epoch::EpochGuard;
 use faster_hlog::{ReadSpan, Region};
-use faster_index::{CreateOutcome, EntrySlot, HashBucketEntry};
+use faster_index::CreateOutcome;
 use faster_metrics::{SessionHub, SessionRecorder, Timer};
 use faster_storage::{CompletionRing, Cqe, Sqe};
 use faster_util::{Address, KeyHash, Pod};
@@ -128,38 +128,6 @@ pub struct Completion<O> {
     pub result: OpResult<O>,
 }
 
-// ------------------------------------------------------------------ legacy
-// One-PR compatibility shims for the pre-unification result types. Nothing
-// in the workspace uses them; external callers get a deprecation nudge
-// toward the `OpResult` surface and the shims disappear next release.
-
-/// Result of a read (legacy surface).
-#[deprecated(since = "0.2.0", note = "use the unified `OpResult` returned by `Session::read`")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadResult<O> {
-    Found(O),
-    NotFound,
-    Pending(u64),
-}
-
-/// Result of an RMW (legacy surface).
-#[deprecated(since = "0.2.0", note = "use the unified `OpResult` returned by `Session::rmw`")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RmwResult {
-    Done,
-    Pending(u64),
-}
-
-/// A completed formerly-pending operation (legacy surface).
-#[deprecated(since = "0.2.0", note = "use `Completion` from `Session::complete_pending`")]
-#[derive(Debug)]
-#[allow(deprecated)]
-pub enum CompletedOp<O> {
-    Read { id: u64, result: Option<O> },
-    Rmw { id: u64 },
-    Failed { id: u64, error: faster_storage::IoError },
-}
-
 /// Bounded retry budget for transiently failed I/O (device errors, not
 /// GC truncation). Retries pace themselves with [`faster_util::Backoff`];
 /// past the budget the op completes as `Err(OpError::Io)`.
@@ -186,18 +154,23 @@ impl<K, V, I> BatchOp<K, V, I> {
     }
 }
 
-/// Per-op result of [`Session::execute_batch`] (legacy surface).
-#[deprecated(
-    since = "0.2.0",
-    note = "`Session::execute_batch` now returns positional `OpResult`s directly"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(deprecated)]
-pub enum BatchOutcome<O> {
-    Read(ReadResult<O>),
-    Upsert,
-    Rmw(RmwResult),
-    Delete,
+/// What a record handed to [`Session::publish`] is: the kind fixes its
+/// header bits, the write-identity bucket it counts into, the records it
+/// leaves dead, and its WAL redo record.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteKind {
+    /// First live version under its entry (fresh key, or a key re-created
+    /// over a tombstone or an exhausted chain).
+    Append,
+    /// Supersedes an older version of the key (read-copy-update).
+    Rcu,
+    /// CRDT partial value (§6.3).
+    Delta,
+    /// Deletion marker (§5.3).
+    Tombstone,
+    /// Compaction rolling a live base or delta record to the tail
+    /// (Appendix C): not a mutation — no write counter, no WAL record.
+    Roll { delta: bool },
 }
 
 enum PendingKind {
@@ -304,10 +277,6 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     wal_notices: RefCell<std::collections::HashSet<u64>>,
     /// Resolved WAL notices awaiting pickup by [`Session::take_wal_notice`].
     wal_notice_results: RefCell<HashMap<u64, Result<(), faster_storage::IoError>>>,
-    /// Completions drained while a caller was parked in
-    /// [`Session::wait_wal_durable_ring`]; handed back by the next
-    /// `complete_pending`.
-    done_backlog: RefCell<Vec<Completion<F::Output>>>,
 }
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
@@ -333,7 +302,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             wal_error: RefCell::new(None),
             wal_notices: RefCell::new(std::collections::HashSet::new()),
             wal_notice_results: RefCell::new(HashMap::new()),
-            done_backlog: RefCell::new(Vec::new()),
         }
     }
 
@@ -505,7 +473,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             start_at
         } else {
             match inner.index.find_tag(hash, Some(&self.guard)) {
-                Some(slot) => slot.load().address(),
+                Some(slot) => slot.observed().address(),
                 None => return self.finish_read(key, input, acc),
             }
         };
@@ -548,7 +516,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                         // the entry. Refresh (drives the trigger) + restart.
                         self.refresh();
                         addr = match inner.index.find_tag(hash, Some(&self.guard)) {
-                            Some(slot) => slot.load().address(),
+                            Some(slot) => slot.observed().address(),
                             None => return self.finish_read(key, input, acc),
                         };
                         continue;
@@ -677,11 +645,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         }
     }
 
-    /// Highest WAL LSN this session has appended (0 = none, or no WAL).
-    pub fn wal_last_lsn(&self) -> u64 {
-        self.wal_lsn.get()
-    }
-
     /// Blocks until every mutation this session has issued is group-commit
     /// durable in the WAL. `Err` means some mutation was **never acked** —
     /// either its append was refused or its group's flush barrier failed;
@@ -724,13 +687,12 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
 
     /// Registers a ring-routed durability notice for everything this session
     /// has appended (DESIGN.md §10 follow-on): when the WAL group covering
-    /// [`Session::wal_last_lsn`] commits (or the log fails), a CQE bearing
+    /// the session's last append commits (or the log fails), a CQE bearing
     /// the returned id lands in this session's completion ring — the same
     /// ring `complete_pending` reaps — so a pipelined caller can park once
     /// for disk reads *and* durability acks. Returns `None` when there is
     /// nothing to wait for (no WAL, or no append yet). Resolve the notice
-    /// with [`Session::take_wal_notice`] after a `complete_pending` pass, or
-    /// park directly with [`Session::wait_wal_durable_ring`].
+    /// with [`Session::take_wal_notice`] after a `complete_pending` pass.
     pub fn notify_wal_durable(&self) -> Option<u64> {
         let wal = self.store.inner.wal.get()?;
         if self.wal_lsn.get() == 0 {
@@ -743,39 +705,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Takes the resolved result of a durability notice registered with
-    /// [`Session::notify_wal_durable`], if its CQE has been reaped (by
-    /// `complete_pending` or `wait_wal_durable_ring`). `None` = still in
-    /// flight.
+    /// [`Session::notify_wal_durable`], if `complete_pending` has reaped its
+    /// CQE. `None` = still in flight.
     pub fn take_wal_notice(&self, id: u64) -> Option<Result<(), faster_storage::IoError>> {
         self.wal_notice_results.borrow_mut().remove(&id)
-    }
-
-    /// Like [`Session::wait_wal_durable`], but parks on the session's
-    /// completion ring instead of the WAL condvar, driving any outstanding
-    /// I/O continuations while it waits (their completions are handed to the
-    /// next [`Session::complete_pending`] call). This is the ack path for a
-    /// pipelined front-end: no thread burns a condvar slot per connection.
-    pub fn wait_wal_durable_ring(&self) -> Result<(), faster_storage::IoError> {
-        if let Some(e) = self.wal_error.borrow().as_ref() {
-            return Err(e.clone());
-        }
-        let Some(id) = self.notify_wal_durable() else { return Ok(()) };
-        loop {
-            self.submit_queued();
-            let mut done = Vec::new();
-            self.reap_and_run(&mut done);
-            if !done.is_empty() {
-                self.done_backlog.borrow_mut().append(&mut done);
-            }
-            if let Some(r) = self.take_wal_notice(id) {
-                if r.is_err() {
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                }
-                return r;
-            }
-            self.refresh();
-            self.ring.wait_nonempty(RING_WAIT);
-        }
     }
 
     /// Installs `waker` as the ring's push hook: every CQE pushed into this
@@ -820,116 +753,42 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         Ok(Outcome::Done)
     }
 
-    /// Fallible upsert (legacy name; `upsert` itself is now fallible).
-    #[deprecated(since = "0.2.0", note = "`Session::upsert` is now fallible; call it directly")]
-    pub fn try_upsert(&self, key: &K, value: &V) -> Result<(), StoreError> {
-        match self.upsert(key, value) {
-            Ok(_) => Ok(()),
-            Err(OpError::ReadOnly(r)) => Err(StoreError::ReadOnly(r)),
-            Err(_) => unreachable!("upsert only fails ReadOnly"),
-        }
-    }
-
-    /// Fallible RMW (legacy name; `rmw` itself is now fallible).
-    #[deprecated(since = "0.2.0", note = "`Session::rmw` is now fallible; call it directly")]
-    #[allow(deprecated)]
-    pub fn try_rmw(&self, key: &K, input: &F::Input) -> Result<RmwResult, StoreError> {
-        match self.rmw(key, input) {
-            Ok(_) => Ok(RmwResult::Done),
-            Err(OpError::Pending(id)) => Ok(RmwResult::Pending(id)),
-            Err(OpError::ReadOnly(r)) => Err(StoreError::ReadOnly(r)),
-            Err(_) => unreachable!("rmw only fails Pending or ReadOnly"),
-        }
-    }
-
-    /// Fallible delete (legacy name; `delete` itself is now fallible).
-    #[deprecated(since = "0.2.0", note = "`Session::delete` is now fallible; call it directly")]
-    pub fn try_delete(&self, key: &K) -> Result<(), StoreError> {
-        match self.delete(key) {
-            Ok(_) => Ok(()),
-            Err(OpError::ReadOnly(r)) => Err(StoreError::ReadOnly(r)),
-            Err(_) => unreachable!("delete only fails ReadOnly"),
-        }
-    }
-
     /// Algorithm 3 body, shared by the scalar and batched paths (the wrapper
     /// owns stats and epoch bookkeeping).
     fn upsert_internal(&self, key: &K, hash: KeyHash, value: &V) {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
         loop {
-            let inner = &self.store.inner;
-            let f = &inner.functions;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    if is_rc(entry.address()) {
-                        // Cache records are never updated in place: write a
-                        // fresh primary record, splicing the cache copy out.
-                        let prev = self.chain_prev_for_new_record(entry.address());
-                        let (addr, rec) = self.write_record(prev, key, 0);
-                        let f = &self.store.inner.functions;
-                        f.single_writer(key, value, unsafe { rec.value_mut() });
-                        match slot.cas_address(entry, addr) {
-                            Ok(()) => {
-                                self.count_write(&self.rec.rcu);
-                                self.note_dead(1);
-                                let post = rec.read_value();
-                                self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                                return;
-                            }
-                            Err(_) => {
-                                rec.set_bits(INVALID_BIT);
-                                self.note_dead(1);
-                                continue;
-                            }
-                        }
-                    }
-                    let ro = inner.log.ipu_boundary();
-                    // Trace only the mutable suffix: anything deeper gets
-                    // shadowed by the new tail record anyway (Alg 3).
-                    if let Some(laddr) = self.find_in_memory_above(key, entry.address(), ro) {
-                        let p = inner.log.get(laddr).expect("mutable record resident");
-                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                        if !rec.header().is_tombstone() && !rec.header().is_delta() {
-                            f.concurrent_writer(key, value, rec.value_cell());
-                            self.count_write(&self.rec.in_place);
-                            // Post-image read may interleave with a racing
-                            // writer of the same cell; the WAL then orders
-                            // the two racers arbitrarily, exactly as racy
-                            // as the in-place update itself (DESIGN.md §10).
-                            let post = rec.read_value();
-                            self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                            return;
-                        }
-                    }
-                    // RCU: new record at the tail, linked to the old chain.
-                    let (addr, rec) = self.write_record(entry.address(), key, 0);
-                    let f = &self.store.inner.functions;
-                    f.single_writer(key, value, unsafe { rec.value_mut() });
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.rcu);
-                            self.note_dead(1);
-                            let post = rec.read_value();
-                            self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                            return;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            self.note_dead(1);
-                            continue; // Alg 3 line 19: retry
-                        }
+            let at = inner.index.find_or_create_tag(hash, Some(&self.guard));
+            let mut kind = WriteKind::Append;
+            if let CreateOutcome::Found(slot) = &at {
+                let head = slot.observed().address();
+                // Cache records are never updated in place (the fresh primary
+                // record splices the cache copy out). Otherwise trace only
+                // the mutable suffix: anything deeper gets shadowed by the
+                // new tail record anyway (Alg 3).
+                let mutable = if is_rc(head) {
+                    None
+                } else {
+                    self.find_in_memory_above(key, head, inner.log.ipu_boundary())
+                };
+                if let Some((_, rec)) = mutable {
+                    if !rec.header().is_tombstone() && !rec.header().is_delta() {
+                        f.concurrent_writer(key, value, rec.value_cell());
+                        self.count_write(&self.rec.in_place);
+                        // Post-image read may interleave with a racing
+                        // writer of the same cell; the WAL then orders
+                        // the two racers arbitrarily, exactly as racy
+                        // as the in-place update itself (DESIGN.md §10).
+                        let post = rec.read_value();
+                        self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
+                        return;
                     }
                 }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    let f = &self.store.inner.functions;
-                    f.single_writer(key, value, unsafe { rec.value_mut() });
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    let post = rec.read_value();
-                    self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                    return;
-                }
+                kind = WriteKind::Rcu;
+            }
+            if self.publish(at, key, kind, |v| f.single_writer(key, value, v)) {
+                return;
             }
         }
     }
@@ -957,212 +816,119 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         input: &F::Input,
         reuse_id: Option<u64>,
     ) -> OpResult<F::Output> {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
         loop {
-            let inner = &self.store.inner;
-            let f = &inner.functions;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    if is_rc(entry.address()) {
-                        // Cache hit for RMW: the old value is right here —
-                        // no I/O needed. Write the updated primary record.
-                        let rc_rec = inner
-                            .rc
-                            .as_ref()
-                            .and_then(|rc| rc.get(rc_untag(entry.address())));
-                        match rc_rec {
-                            Some(p) => {
-                                let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                                if rec.key() == *key {
-                                    let old = rec.read_value();
-                                    if self.rcu_create(&slot, entry, key, input, Some(old)) {
-                                        return Ok(Outcome::Done);
-                                    }
-                                    continue;
-                                }
-                                // Cached record is another key's: fall
-                                // through and trace from its primary prev.
+            let at = inner.index.find_or_create_tag(hash, Some(&self.guard));
+            let CreateOutcome::Found(slot) = &at else {
+                self.rcu_create(at, key, input, None);
+                return Ok(Outcome::Done);
+            };
+            let entry = slot.observed().address();
+            if is_rc(entry) {
+                // Cache hit for RMW: the old value is right here —
+                // no I/O needed. Write the updated primary record.
+                match inner.rc.as_ref().and_then(|rc| rc.get(rc_untag(entry))) {
+                    Some(p) => {
+                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
+                        if rec.key() == *key {
+                            if self.rcu_create(at, key, input, Some(rec.read_value())) {
+                                return Ok(Outcome::Done);
                             }
-                            None => {
-                                // Evicted: let the hook restore the entry.
-                                self.refresh();
-                                continue;
-                            }
+                            continue;
                         }
+                        // Cached record is another key's: fall
+                        // through and trace from its primary prev.
                     }
-                    let head = inner.log.head_address();
-                    let chain_head = self.chain_prev_for_new_record(entry.address());
-                    match self.find_in_memory_above(key, chain_head, head) {
-                        Some(laddr) => {
-                            let p = inner.log.get(laddr).expect("resident");
-                            let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                            let h = rec.header();
-                            if h.is_tombstone() {
-                                // Deleted: re-create from the initial value.
-                                if self.rcu_create(&slot, entry, key, input, None) {
-                                    return Ok(Outcome::Done);
-                                }
-                                continue;
-                            }
-                            match inner.log.classify(laddr) {
-                                Region::Mutable => {
-                                    f.in_place_updater(key, input, rec.value_cell());
-                                    self.count_write(&self.rec.in_place);
-                                    let post = rec.read_value();
-                                    self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                                    return Ok(Outcome::Done);
-                                }
-                                Region::Fuzzy => {
-                                    if f.is_mergeable() {
-                                        // CRDT: append a delta (§6.3).
-                                        if self.append_delta(&slot, entry, key, input) {
-                                            return Ok(Outcome::Done);
-                                        }
-                                        continue;
-                                    }
-                                    // Defer: pending list, retried later.
-                                    self.rec.fuzzy_pending.inc();
-                                    return Err(OpError::Pending(
-                                        self.queue_fuzzy_retry(key, hash, input, reuse_id),
-                                    ));
-                                }
-                                Region::ReadOnly => {
-                                    if h.is_delta() {
-                                        // RCU of a delta would double-count:
-                                        // append a fresh delta instead.
-                                        debug_assert!(f.is_mergeable());
-                                        if self.append_delta(&slot, entry, key, input) {
-                                            return Ok(Outcome::Done);
-                                        }
-                                        continue;
-                                    }
-                                    // Copy to tail with the updated value.
-                                    let old = rec.read_value();
-                                    if self.rcu_create(&slot, entry, key, input, Some(old)) {
-                                        return Ok(Outcome::Done);
-                                    }
-                                    continue;
-                                }
-                                Region::OnDisk => unreachable!("resident record"),
-                            }
-                        }
-                        None => {
-                            // Not in memory. Distinguish "chain continues on
-                            // disk" from "chain ends".
-                            let disk = self.first_below(key, chain_head, head);
-                            match disk {
-                                Some(daddr) => {
-                                    if f.is_mergeable() {
-                                        // CRDT: no need to read the old value.
-                                        if self.append_delta(&slot, entry, key, input) {
-                                            return Ok(Outcome::Done);
-                                        }
-                                        continue;
-                                    }
-                                    return Err(OpError::Pending(self.issue_rmw_io(
-                                        key,
-                                        hash,
-                                        input,
-                                        daddr,
-                                        entry.address(),
-                                        reuse_id,
-                                    )));
-                                }
-                                None => {
-                                    // Absent: create from the initial value.
-                                    if self.rcu_create(&slot, entry, key, input, None) {
-                                        return Ok(Outcome::Done);
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
+                    None => {
+                        // Evicted: let the hook restore the entry.
+                        self.refresh();
+                        continue;
                     }
                 }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    let f = &self.store.inner.functions;
-                    f.initial_updater(key, input, unsafe { rec.value_mut() });
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    let post = rec.read_value();
-                    self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                    return Ok(Outcome::Done);
+            }
+            let head = inner.log.head_address();
+            let chain_head = self.chain_prev_for_new_record(entry);
+            let published = match self.find_in_memory_above(key, chain_head, head) {
+                Some((_, rec)) if rec.header().is_tombstone() => {
+                    // Deleted: re-create from the initial value.
+                    self.rcu_create(at, key, input, None)
                 }
+                Some((laddr, rec)) => match inner.log.classify(laddr) {
+                    Region::Mutable => {
+                        f.in_place_updater(key, input, rec.value_cell());
+                        self.count_write(&self.rec.in_place);
+                        let post = rec.read_value();
+                        self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
+                        return Ok(Outcome::Done);
+                    }
+                    // CRDT: append a delta (§6.3).
+                    Region::Fuzzy if f.is_mergeable() => self.append_delta(at, key, input),
+                    Region::Fuzzy => {
+                        // Defer: pending list, retried later.
+                        self.rec.fuzzy_pending.inc();
+                        return Err(OpError::Pending(
+                            self.queue_fuzzy_retry(key, hash, input, reuse_id),
+                        ));
+                    }
+                    // `rec` was resolved under this un-refreshed guard, so
+                    // its frame cannot be recycled even if `head` has since
+                    // moved past `laddr`: an `OnDisk` address here is just
+                    // an immutable resident record.
+                    Region::ReadOnly | Region::OnDisk if rec.header().is_delta() => {
+                        // RCU of a delta would double-count:
+                        // append a fresh delta instead.
+                        debug_assert!(f.is_mergeable());
+                        self.append_delta(at, key, input)
+                    }
+                    // Copy to tail with the updated value.
+                    Region::ReadOnly | Region::OnDisk => {
+                        self.rcu_create(at, key, input, Some(rec.read_value()))
+                    }
+                },
+                // Not in memory. Distinguish "chain continues on disk"
+                // from "chain ends".
+                None => match self.first_below(key, chain_head, head) {
+                    // CRDT: no need to read the old value.
+                    Some(_) if f.is_mergeable() => self.append_delta(at, key, input),
+                    Some(daddr) => {
+                        return Err(OpError::Pending(
+                            self.issue_rmw_io(key, hash, input, daddr, entry, reuse_id),
+                        ));
+                    }
+                    // Absent: create from the initial value.
+                    None => self.rcu_create(at, key, input, None),
+                },
+            };
+            if published {
+                return Ok(Outcome::Done);
             }
         }
     }
 
-    /// Creates the RCU/initial record and CASes the index (Alg 4
-    /// CREATE_RECORD). Returns false if the CAS lost (caller retries).
+    /// Publishes the RMW result record (Alg 4 CREATE_RECORD): a copy-update
+    /// of `old`, or the initial value when the key has no live version.
+    /// Returns false if the CAS lost (caller retries).
     fn rcu_create(
         &self,
-        slot: &EntrySlot<'_>,
-        entry: HashBucketEntry,
+        at: CreateOutcome<'_>,
         key: &K,
         input: &F::Input,
         old: Option<V>,
     ) -> bool {
-        // A tagged (read-cache) chain head must not be embedded in a durable
-        // record header: splice past it to its primary address.
-        let prev = self.chain_prev_for_new_record(entry.address());
-        let (addr, rec) = self.write_record(prev, key, 0);
         let f = &self.store.inner.functions;
-        let had_old = old.is_some();
         match old {
-            Some(old) => f.copy_updater(key, input, &old, unsafe { rec.value_mut() }),
-            None => f.initial_updater(key, input, unsafe { rec.value_mut() }),
-        }
-        match slot.cas_address(entry, addr) {
-            Ok(()) => {
-                // With an old value this is a read-copy-update; without one
-                // it (re-)creates the key from the initial value.
-                self.count_write(if had_old { &self.rec.rcu } else { &self.rec.appends });
-                if had_old {
-                    self.note_dead(1);
-                }
-                let post = rec.read_value();
-                self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
-                true
+            Some(old) => {
+                self.publish(at, key, WriteKind::Rcu, |v| f.copy_updater(key, input, &old, v))
             }
-            Err(_) => {
-                rec.set_bits(INVALID_BIT);
-                self.note_dead(1);
-                false
-            }
+            None => self.publish(at, key, WriteKind::Append, |v| f.initial_updater(key, input, v)),
         }
     }
 
-    /// Creates a CRDT delta record (partial value from the identity) at the
-    /// tail (§6.3).
-    fn append_delta(
-        &self,
-        slot: &EntrySlot<'_>,
-        entry: HashBucketEntry,
-        key: &K,
-        input: &F::Input,
-    ) -> bool {
-        let prev = self.chain_prev_for_new_record(entry.address());
-        let (addr, rec) = self.write_record(prev, key, DELTA_BIT);
+    /// Publishes a CRDT delta record (partial value from the identity, §6.3).
+    fn append_delta(&self, at: CreateOutcome<'_>, key: &K, input: &F::Input) -> bool {
         let f = &self.store.inner.functions;
-        let identity = f.identity();
-        f.copy_updater(key, input, &identity, unsafe { rec.value_mut() });
-        match slot.cas_address(entry, addr) {
-            Ok(()) => {
-                self.count_write(&self.rec.appends);
-                self.rec.deltas.inc();
-                // The delta record is exclusively ours (fresh tail record),
-                // so the logged partial is exact.
-                let partial = rec.read_value();
-                self.wal_log(crate::walrec::KIND_DELTA, key, Some(&partial));
-                true
-            }
-            Err(_) => {
-                rec.set_bits(INVALID_BIT);
-                self.note_dead(1);
-                false
-            }
-        }
+        self.publish(at, key, WriteKind::Delta, |v| f.copy_updater(key, input, &f.identity(), v))
     }
 
     // ============================================================== DELETE
@@ -1183,39 +949,18 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
 
     /// Tombstone append, shared by the scalar and batched paths.
     fn delete_internal(&self, key: &K, hash: KeyHash) {
-        loop {
-            let inner = &self.store.inner;
-            match inner.index.find_tag(hash, Some(&self.guard)) {
-                None => break, // nothing to delete
-                Some(slot) => {
-                    let entry = slot.load();
-                    let prev = self.chain_prev_for_new_record(entry.address());
-                    if !is_rc(entry.address())
-                        && (!entry.address().is_valid()
-                            || entry.address() < inner.log.begin_address())
-                    {
-                        // GC'd chain: drop the dangling entry (Appendix C).
-                        let _ = slot.cas_delete(entry);
-                        break;
-                    }
-                    let (addr, rec) = self.write_record(prev, key, TOMBSTONE_BIT);
-                    // Tombstones carry no value; zeroed frame bytes suffice.
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.appends);
-                            // The shadowed version plus the tombstone itself
-                            // are both reclaimable by compaction.
-                            self.note_dead(2);
-                            self.wal_log(crate::walrec::KIND_DELETE, key, None);
-                            break;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            self.note_dead(1);
-                            continue;
-                        }
-                    }
-                }
+        let inner = &self.store.inner;
+        // Nothing to delete once the tag has no entry.
+        while let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) {
+            let head = slot.observed().address();
+            if !is_rc(head) && (!head.is_valid() || head < inner.log.begin_address()) {
+                // GC'd chain: drop the dangling entry (Appendix C).
+                let _ = slot.cas_delete();
+                break;
+            }
+            // Tombstones carry no value; zeroed frame bytes suffice.
+            if self.publish(CreateOutcome::Found(slot), key, WriteKind::Tombstone, |_| {}) {
+                break;
             }
         }
     }
@@ -1259,7 +1004,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         let mut heads: Vec<Address> = Vec::with_capacity(keys.len());
         for &hash in &hashes {
             let head = match inner.index.find_tag(hash, Some(&self.guard)) {
-                Some(slot) => slot.load().address(),
+                Some(slot) => slot.observed().address(),
                 None => Address::INVALID,
             };
             if is_rc(head) {
@@ -1431,7 +1176,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else {
             return out;
         };
-        let mut addr = slot.load().address();
+        let mut addr = slot.observed().address();
         let mut fallbacks: Vec<Address> = Vec::new();
         while out.len() < limit {
             if is_rc(addr) {
@@ -1533,9 +1278,8 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         if rc_log.classify(rc_untag(tagged)) == Region::Mutable {
             return; // young enough already
         }
-        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return };
-        let cur = slot.load();
-        if cur.address() != tagged {
+        let Some(mut slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return };
+        if slot.observed().address() != tagged {
             return; // chain moved on
         }
         let addr = rc_log.allocate(RecordRef::<K, V>::size() as u32, &self.guard);
@@ -1544,7 +1288,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         new_rec.init_header(RecordHeader::new(rec.header().prev()));
         new_rec.init_key(key);
         unsafe { *new_rec.value_mut() = rec.read_value() };
-        if slot.cas_address(cur, rc_tag(addr)).is_ok() {
+        if slot.cas_address(rc_tag(addr)).is_ok() {
             inner.metrics.read_cache.promotions.inc();
         }
     }
@@ -1554,9 +1298,8 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     fn try_cache_insert(&self, key: &K, hash: KeyHash, value: &V, primary: Address) {
         let inner = &self.store.inner;
         let Some(rc_log) = inner.rc.as_ref() else { return };
-        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return };
-        let cur = slot.load();
-        if cur.address() != primary {
+        let Some(mut slot) = inner.index.find_tag(hash, Some(&self.guard)) else { return };
+        if slot.observed().address() != primary {
             return; // only cache chain heads: anything else would hide
                     // newer records of other keys
         }
@@ -1566,9 +1309,72 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         rec.init_header(RecordHeader::new(primary));
         rec.init_key(key);
         unsafe { *rec.value_mut() = *value };
-        if slot.cas_address(cur, rc_tag(addr)).is_ok() {
+        if slot.cas_address(rc_tag(addr)).is_ok() {
             inner.metrics.read_cache.inserts.inc();
         }
+    }
+
+    /// The one place a record becomes reachable (Alg 3/4 CREATE_RECORD,
+    /// §5.3): allocate at the tail with `prev` = the chain head the probe
+    /// observed (spliced past a read-cache tag), let `fill` write the value,
+    /// then CAS the probed slot from that observation — or finalize a fresh
+    /// tentative entry, which cannot lose. A lost CAS marks the orphan
+    /// record invalid and returns false: the caller re-probes and retries
+    /// (Alg 3 line 19). A won publish counts the write, reports the records
+    /// it made dead, and logs the post-image, all per `kind`.
+    #[inline]
+    pub(crate) fn publish(
+        &self,
+        at: CreateOutcome<'_>,
+        key: &K,
+        kind: WriteKind,
+        fill: impl FnOnce(&mut V),
+    ) -> bool {
+        use crate::walrec::{KIND_DELETE, KIND_DELTA, KIND_PUT};
+        let bits = match kind {
+            WriteKind::Delta | WriteKind::Roll { delta: true } => DELTA_BIT,
+            WriteKind::Tombstone => TOMBSTONE_BIT,
+            WriteKind::Append | WriteKind::Rcu | WriteKind::Roll { delta: false } => 0,
+        };
+        let prev = match &at {
+            CreateOutcome::Found(slot) => self.chain_prev_for_new_record(slot.observed().address()),
+            CreateOutcome::Created(_) => Address::INVALID,
+        };
+        let (addr, rec) = self.write_record(prev, key, bits);
+        // Safety: the record is exclusively ours until published below.
+        fill(unsafe { rec.value_mut() });
+        match at {
+            CreateOutcome::Found(mut slot) => {
+                if slot.cas_address(addr).is_err() {
+                    rec.set_bits(INVALID_BIT);
+                    self.note_dead(1);
+                    return false;
+                }
+            }
+            CreateOutcome::Created(created) => drop(created.finalize(addr)),
+        }
+        let (bucket, dead, wal_kind) = match kind {
+            WriteKind::Append => (&self.rec.appends, 0, KIND_PUT),
+            WriteKind::Rcu => (&self.rec.rcu, 1, KIND_PUT),
+            WriteKind::Delta => (&self.rec.appends, 0, KIND_DELTA),
+            // The shadowed version plus the tombstone itself are both
+            // reclaimable by compaction.
+            WriteKind::Tombstone => (&self.rec.appends, 2, KIND_DELETE),
+            WriteKind::Roll { .. } => return true,
+        };
+        self.count_write(bucket);
+        if kind == WriteKind::Delta {
+            self.rec.deltas.inc();
+        }
+        if dead > 0 {
+            self.note_dead(dead);
+        }
+        // Read after the publish: a racing in-place writer may already be
+        // in the image, and the WAL then orders the racers arbitrarily —
+        // exactly as racy as the in-place update itself (DESIGN.md §10).
+        let post = rec.read_value();
+        self.wal_log(wal_kind, key, (kind != WriteKind::Tombstone).then_some(&post));
+        true
     }
 
     /// Allocates and initializes a record (header + key) at the tail.
@@ -1584,9 +1390,17 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Walks the in-memory chain from `from`, returning the first record
-    /// matching `key` at an address `>= floor`. Merge records are followed
-    /// (both prongs are at/below the disk boundary by construction).
-    fn find_in_memory_above(&self, key: &K, from: Address, floor: Address) -> Option<Address> {
+    /// matching `key` at an address `>= floor` — address *and* resolved
+    /// record, so callers classify what they hold instead of looking the
+    /// address up again against a `head` that may have moved (the pointer
+    /// stays valid until this session refreshes, §4). Merge records are
+    /// followed (both prongs are at/below the disk boundary by construction).
+    fn find_in_memory_above(
+        &self,
+        key: &K,
+        from: Address,
+        floor: Address,
+    ) -> Option<(Address, RecordRef<K, V>)> {
         let inner = &self.store.inner;
         let mut addr = from;
         while addr.is_valid() && addr >= floor && addr >= inner.log.begin_address() {
@@ -1594,7 +1408,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
             let h = rec.header();
             if !h.is_invalid() && !h.is_merge() && rec.key() == *key {
-                return Some(addr);
+                return Some((addr, rec));
             }
             addr = h.prev();
         }
@@ -1682,7 +1496,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// queue fresh SQEs, which go out before the pass parks — the device is
     /// never idle while the session waits.
     pub fn complete_pending(&self, wait: bool) -> Vec<Completion<F::Output>> {
-        let mut done = std::mem::take(&mut *self.done_backlog.borrow_mut());
+        let mut done = Vec::new();
         if self.outstanding.get() == 0 && self.wal_notices.borrow().is_empty() {
             // Nothing outstanding: nothing queued, nothing parked, nothing
             // in flight (every counted op is one of those), and no WAL
@@ -2008,37 +1822,19 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// again (index changed underneath: full restart, Alg 4 line 32).
     fn rmw_complete(&self, op: PendingOp<K, V, F::Input>, old: Option<V>) -> Option<u64> {
         let inner = &self.store.inner;
-        match inner.index.find_or_create_tag(op.hash, Some(&self.guard)) {
-            CreateOutcome::Found(slot) => {
-                let entry = slot.load();
-                if entry.address() != op.entry_addr {
-                    // The chain changed while we were reading: restart.
-                    drop(slot);
-                    return match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-                        Ok(_) => Some(op.id),
-                        Err(_) => None, // requeued pending under the same id
-                    };
-                }
-                if self.rcu_create(&slot, entry, &op.key, &op.input, old) {
-                    Some(op.id)
-                } else {
-                    match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-                        Ok(_) => Some(op.id),
-                        Err(_) => None, // requeued pending under the same id
-                    }
-                }
-            }
-            CreateOutcome::Created(created) => {
-                // Entry vanished (deleted) meanwhile: fresh initial record.
-                let (addr, rec) = self.write_record(Address::INVALID, &op.key, 0);
-                let f = &self.store.inner.functions;
-                f.initial_updater(&op.key, &op.input, unsafe { rec.value_mut() });
-                created.finalize(addr);
-                self.count_write(&self.rec.appends);
-                let post = rec.read_value();
-                self.wal_log(crate::walrec::KIND_PUT, &op.key, Some(&post));
-                Some(op.id)
-            }
+        let applied = match inner.index.find_or_create_tag(op.hash, Some(&self.guard)) {
+            // The chain changed while we were reading: restart.
+            CreateOutcome::Found(slot) if slot.observed().address() != op.entry_addr => false,
+            found @ CreateOutcome::Found(_) => self.rcu_create(found, &op.key, &op.input, old),
+            // Entry vanished (deleted) meanwhile: fresh initial record.
+            created => self.rcu_create(created, &op.key, &op.input, None),
+        };
+        if applied {
+            return Some(op.id);
+        }
+        match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
+            Ok(_) => Some(op.id),
+            Err(_) => None, // requeued pending under the same id
         }
     }
 
@@ -2063,71 +1859,34 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// original operation produced. Idempotent, so records double-covered
     /// by a fuzzy checkpoint converge to the same state.
     fn replay_put(&self, key: &K, value: &V) {
+        let index = &self.store.inner.index;
         let hash = hash_key(key);
-        loop {
-            let inner = &self.store.inner;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    let prev = self.chain_prev_for_new_record(entry.address());
-                    let (addr, rec) = self.write_record(prev, key, 0);
-                    unsafe { *rec.value_mut() = *value };
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.appends);
-                            return;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            continue;
-                        }
-                    }
-                }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    unsafe { *rec.value_mut() = *value };
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    return;
-                }
-            }
-        }
+        while !self.publish(
+            index.find_or_create_tag(hash, Some(&self.guard)),
+            key,
+            WriteKind::Append,
+            |v| *v = *value,
+        ) {}
     }
 
     /// Redo of a CRDT delta: re-appends the partial atop the key's chain,
     /// or folds it into a fresh full value when no chain exists anymore
     /// (merge with the identity is exactly the partial's contribution).
     fn replay_delta(&self, key: &K, partial: &V) {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
         let hash = hash_key(key);
         loop {
-            let inner = &self.store.inner;
-            let f = &inner.functions;
-            match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                CreateOutcome::Found(slot) => {
-                    let entry = slot.load();
-                    let prev = self.chain_prev_for_new_record(entry.address());
-                    let (addr, rec) = self.write_record(prev, key, DELTA_BIT);
-                    unsafe { *rec.value_mut() = *partial };
-                    match slot.cas_address(entry, addr) {
-                        Ok(()) => {
-                            self.count_write(&self.rec.appends);
-                            self.rec.deltas.inc();
-                            return;
-                        }
-                        Err(_) => {
-                            rec.set_bits(INVALID_BIT);
-                            continue;
-                        }
-                    }
+            let applied = match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
+                found @ CreateOutcome::Found(_) => {
+                    self.publish(found, key, WriteKind::Delta, |v| *v = *partial)
                 }
-                CreateOutcome::Created(created) => {
-                    let (addr, rec) = self.write_record(Address::INVALID, key, 0);
-                    let full = f.merge(&f.identity(), partial);
-                    unsafe { *rec.value_mut() = full };
-                    created.finalize(addr);
-                    self.count_write(&self.rec.appends);
-                    return;
-                }
+                created => self.publish(created, key, WriteKind::Append, |v| {
+                    *v = f.merge(&f.identity(), partial)
+                }),
+            };
+            if applied {
+                return;
             }
         }
     }

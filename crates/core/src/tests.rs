@@ -46,6 +46,31 @@ fn rmw_now<F: Functions<u64, u64, Input = u64, Output = u64>>(
     }
 }
 
+/// Additive RMW that is *not* mergeable: fuzzy-region and on-disk RMWs take
+/// the pending paths (a CRDT would append deltas), and lost updates show up
+/// as a wrong sum.
+#[derive(Clone, Default)]
+struct AddStore;
+impl Functions<u64, u64> for AddStore {
+    type Input = u64;
+    type Output = u64;
+    fn single_reader(&self, _k: &u64, _i: &u64, v: &u64) -> u64 {
+        *v
+    }
+    fn concurrent_reader(&self, _k: &u64, _i: &u64, v: &ValueCell<u64>) -> u64 {
+        v.as_atomic_u64().load(Ordering::Relaxed)
+    }
+    fn initial_updater(&self, _k: &u64, i: &u64, v: &mut u64) {
+        *v = *i;
+    }
+    fn in_place_updater(&self, _k: &u64, i: &u64, v: &ValueCell<u64>) {
+        v.as_atomic_u64().fetch_add(*i, Ordering::Relaxed);
+    }
+    fn copy_updater(&self, _k: &u64, i: &u64, old: &u64, new: &mut u64) {
+        *new = old + i;
+    }
+}
+
 #[test]
 fn basic_upsert_read_delete() {
     let store = count_store(FasterKvConfig::small());
@@ -437,29 +462,6 @@ fn lost_update_anomaly_prevented() {
         .with_log(HLogConfig { page_bits: 10, buffer_pages: 32, mutable_pages: 2, io_threads: 2 })
         .with_max_sessions(16)
         .with_refresh_interval(16);
-    // NOTE: BlindKv is not mergeable, so RMW takes the pending path in the
-    // fuzzy region; we use an additive RMW to detect lost updates.
-    #[derive(Clone, Default)]
-    struct AddStore;
-    impl Functions<u64, u64> for AddStore {
-        type Input = u64;
-        type Output = u64;
-        fn single_reader(&self, _k: &u64, _i: &u64, v: &u64) -> u64 {
-            *v
-        }
-        fn concurrent_reader(&self, _k: &u64, _i: &u64, v: &ValueCell<u64>) -> u64 {
-            v.as_atomic_u64().load(Ordering::Relaxed)
-        }
-        fn initial_updater(&self, _k: &u64, i: &u64, v: &mut u64) {
-            *v = *i;
-        }
-        fn in_place_updater(&self, _k: &u64, i: &u64, v: &ValueCell<u64>) {
-            v.as_atomic_u64().fetch_add(*i, Ordering::Relaxed);
-        }
-        fn copy_updater(&self, _k: &u64, i: &u64, old: &u64, new: &mut u64) {
-            *new = old + i;
-        }
-    }
     let store: FasterKv<u64, u64, AddStore> =
         FasterKv::new(cfg, AddStore, MemDevice::new(2));
     let threads = 6u64;
@@ -496,6 +498,91 @@ fn lost_update_anomaly_prevented() {
         total += read_now(&s, k).unwrap_or(0);
     }
     assert_eq!(total, threads * per_thread, "no update may be lost (§6.2)");
+}
+
+#[test]
+fn rmw_beside_advancing_head_keeps_the_record_it_resolved() {
+    // Head-advance regression. `rmw` resolves a record at `addr >= head`
+    // under its guard; a sibling's page seal or a flush completion on the
+    // device thread may then move `head` past `addr` before the update is
+    // applied. The resolved pointer stays valid until the session refreshes,
+    // so the RMW must act on what it holds — looking `addr` up again used
+    // to panic on `expect("resident")`.
+    //
+    // A side thread appends fresh keys so the 4-page buffer seals, flushes
+    // and evicts continuously. The two threads pace each other — the main
+    // thread never runs ahead of `SIDE_PER_OP` appends per op, the side
+    // thread at most `SIDE_SLACK` (a few pages) ahead of that — so that,
+    // whatever their speeds, a revisited hot key's record has aged about
+    // one buffer: most RMWs land in the read-only pages just above `head`,
+    // the rest on either side of it, and `head` can pass a record while the
+    // main thread sits between resolving and updating it.
+    const OPS: u64 = 60_000;
+    const HOT: u64 = 128;
+    const SIDE_PER_OP: u64 = 4;
+    const SIDE_SLACK: u64 = 512;
+    /// Unpaces the side thread when the main thread leaves its loop — by
+    /// panic too, so a regression fails the test instead of hanging it.
+    struct Unpace<'a>(&'a std::sync::atomic::AtomicU64);
+    impl Drop for Unpace<'_> {
+        fn drop(&mut self) {
+            self.0.store(OPS, Ordering::Release);
+        }
+    }
+    let cfg = FasterKvConfig::small()
+        .with_index(faster_index::IndexConfig { k_bits: 10, tag_bits: 15, max_resize_chunks: 4 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 })
+        .with_max_sessions(8)
+        .with_refresh_interval(32);
+    let store: FasterKv<u64, u64, AddStore> = FasterKv::new(cfg, AddStore, MemDevice::new(2));
+    let ops = std::sync::atomic::AtomicU64::new(0);
+    let appended = std::sync::atomic::AtomicU64::new(0);
+    let mut oracle = vec![None; HOT as usize];
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let s = store.start_session();
+            for fresh in 0..OPS * SIDE_PER_OP {
+                while fresh >= (ops.load(Ordering::Acquire) + 1) * SIDE_PER_OP + SIDE_SLACK {
+                    // Ahead: keep the epoch moving (the main thread's pending
+                    // RMWs and evictions wait on our refresh) and let it run.
+                    s.refresh();
+                    std::thread::yield_now();
+                }
+                s.upsert(&(1 << 32 | fresh), &fresh).unwrap();
+                appended.store(fresh + 1, Ordering::Release);
+            }
+        });
+        let _unpace = Unpace(&ops);
+        let s = store.start_session();
+        let mut rng = faster_util::XorShift64::new(0x5EED);
+        for i in 0..OPS {
+            while appended.load(Ordering::Acquire) < i * SIDE_PER_OP {
+                s.refresh();
+                std::thread::yield_now();
+            }
+            let k = rng.next_below(HOT);
+            if i % 8 == 7 {
+                s.upsert(&k, &i).unwrap();
+                oracle[k as usize] = Some(i);
+            } else {
+                match s.rmw(&k, &1) {
+                    Ok(_) => {}
+                    Err(OpError::Pending(_)) => {
+                        s.complete_pending(true);
+                    }
+                    Err(e) => panic!("rmw of {k} at op {i}: {e}"),
+                }
+                oracle[k as usize] = Some(oracle[k as usize].map_or(1, |v| v + 1));
+            }
+            ops.store(i + 1, Ordering::Release);
+        }
+    });
+    let pages_evicted = store.log().head_address().raw() >> 12;
+    assert!(pages_evicted > 1000, "head must keep advancing under the RMWs: {pages_evicted} pages");
+    let s = store.start_session();
+    for (k, want) in oracle.iter().enumerate() {
+        assert_eq!(read_now(&s, k as u64), *want, "key {k}");
+    }
 }
 
 #[test]

@@ -129,21 +129,30 @@ pub struct HashIndex {
 unsafe impl Send for HashIndex {}
 unsafe impl Sync for HashIndex {}
 
-/// A reference to one live index entry, used to CAS record addresses in and
-/// out. While the slot is held during the *prepare-to-resize* phase it also
-/// pins its migration chunk, so the resizer cannot pull the bucket out from
-/// under the caller's CAS (Appendix B pin array).
+/// One live index entry *as the probe observed it* (§3.2: a find returns the
+/// entry it saw, and every later CAS is against that value). The slot has no
+/// `load` and its CAS methods take no `expected`: they compare against
+/// [`EntrySlot::observed`] by construction, so a caller cannot publish into
+/// a slot that was deleted (`EMPTY → addr`, the Fig 3a duplicate tag) or
+/// re-claimed by another tag (overwriting that tag's chain head) since the
+/// probe. `observed` is always non-empty, non-tentative and carries `tag`.
+///
+/// While the slot is held during the *prepare-to-resize* phase it also pins
+/// its migration chunk, so the resizer cannot pull the bucket out from under
+/// the caller's CAS (Appendix B pin array).
 pub struct EntrySlot<'a> {
     word: &'a AtomicU64,
     tag: u16,
+    observed: HashBucketEntry,
     _pin: Option<resize::ChunkPin>,
 }
 
 impl<'a> EntrySlot<'a> {
-    /// Current entry value.
+    /// The entry this slot held when it was probed (or last successfully
+    /// CASed / re-observed through this handle).
     #[inline]
-    pub fn load(&self) -> HashBucketEntry {
-        HashBucketEntry(self.word.load(Ordering::SeqCst))
+    pub fn observed(&self) -> HashBucketEntry {
+        self.observed
     }
 
     /// The tag this slot was located under.
@@ -152,27 +161,43 @@ impl<'a> EntrySlot<'a> {
         self.tag
     }
 
-    /// Atomically replaces `expected` with `new`; on failure returns the
-    /// entry found instead.
+    /// Refreshes `observed` from the word — the only way to do so — and only
+    /// if the slot still holds a visible entry for this tag. `false` means
+    /// the entry was deleted or the slot re-claimed: re-probe.
     #[inline]
-    pub fn cas(&self, expected: HashBucketEntry, new: HashBucketEntry) -> Result<(), HashBucketEntry> {
+    pub fn reobserve(&mut self) -> bool {
+        let e = HashBucketEntry(self.word.load(Ordering::SeqCst));
+        let same = !e.is_empty() && !e.is_tentative() && e.tag() == self.tag;
+        if same {
+            self.observed = e;
+        }
+        same
+    }
+
+    /// CAS the slot from `observed` to point at `addr` (tag preserved); on
+    /// failure returns the entry found instead.
+    #[inline]
+    pub fn cas_address(&mut self, addr: Address) -> Result<(), HashBucketEntry> {
+        let new = HashBucketEntry::new(addr, self.tag, false);
+        self.cas(new)?;
+        self.observed = new;
+        Ok(())
+    }
+
+    /// Deletes the entry (CAS from `observed` to the empty slot), as in §3.2
+    /// "Finding and Deleting an Entry". Consumes the handle: an emptied slot
+    /// is no longer this tag's.
+    #[inline]
+    pub fn cas_delete(self) -> Result<(), HashBucketEntry> {
+        self.cas(HashBucketEntry::EMPTY)
+    }
+
+    #[inline]
+    fn cas(&self, new: HashBucketEntry) -> Result<(), HashBucketEntry> {
         self.word
-            .compare_exchange(expected.0, new.0, Ordering::SeqCst, Ordering::SeqCst)
+            .compare_exchange(self.observed.0, new.0, Ordering::SeqCst, Ordering::SeqCst)
             .map(|_| ())
             .map_err(HashBucketEntry)
-    }
-
-    /// CAS the slot to point at `addr` (tag preserved), expecting `expected`.
-    #[inline]
-    pub fn cas_address(&self, expected: HashBucketEntry, addr: Address) -> Result<(), HashBucketEntry> {
-        self.cas(expected, HashBucketEntry::new(addr, self.tag, false))
-    }
-
-    /// Deletes the entry (CAS to the empty slot), as in §3.2 "Finding and
-    /// Deleting an Entry".
-    #[inline]
-    pub fn cas_delete(&self, expected: HashBucketEntry) -> Result<(), HashBucketEntry> {
-        self.cas(expected, HashBucketEntry::EMPTY)
     }
 }
 
@@ -193,7 +218,8 @@ pub struct CreatedEntry<'a> {
 }
 
 impl<'a> CreatedEntry<'a> {
-    /// Publishes the entry with `addr` and returns the now-visible slot.
+    /// Publishes the entry with `addr` and returns the now-visible slot,
+    /// whose `observed` is the entry just stored.
     ///
     /// Migration skips tentative entries (`collect_entries`), so a tentative
     /// claim that straddles a resize could be published into an
@@ -205,10 +231,10 @@ impl<'a> CreatedEntry<'a> {
     /// still the active one and, if not, re-publish through the current
     /// routing state (see `republish_displaced`).
     pub fn finalize(mut self, addr: Address) -> EntrySlot<'a> {
-        let slot = self.slot.take().expect("finalize called once");
+        let mut slot = self.slot.take().expect("finalize called once");
         debug_assert!(addr.is_valid());
-        slot.word
-            .store(HashBucketEntry::new(addr, slot.tag, false).0, Ordering::SeqCst);
+        slot.observed = HashBucketEntry::new(addr, slot.tag, false);
+        slot.word.store(slot.observed.0, Ordering::SeqCst);
         if slot._pin.is_some() || std::ptr::eq(self.index.active_array_ptr(), self.array) {
             // Safe: either no resize moved the table since the claim, or the
             // claim holds a chunk pin — then the chunk cannot freeze until
@@ -541,7 +567,7 @@ impl HashIndex {
                     // Single shard lookup for the pair: this is the read
                     // hot path, where two separate adds measurably cost.
                     self.metrics.probes.add_two(1, &self.metrics.probe_steps, steps);
-                    return Some(EntrySlot { word, tag, _pin: pin });
+                    return Some(EntrySlot { word, tag, observed: e, _pin: pin });
                 }
             }
             match bucket.overflow() {
@@ -593,7 +619,7 @@ impl HashIndex {
                             continue 'retry;
                         }
                         self.metrics.probe_steps.add(steps);
-                        return CreateOutcome::Found(EntrySlot { word, tag, _pin: pin });
+                        return CreateOutcome::Found(EntrySlot { word, tag, observed: e, _pin: pin });
                     }
                 }
                 match bucket.overflow() {
@@ -648,7 +674,7 @@ impl HashIndex {
             // No duplicate: the claim stands. The caller finalizes with the
             // record address (clearing the tentative bit), or drops to abort.
             return CreateOutcome::Created(CreatedEntry {
-                slot: Some(EntrySlot { word, tag, _pin: pin.take() }),
+                slot: Some(EntrySlot { word, tag, observed: tentative, _pin: pin.take() }),
                 index: self,
                 array,
                 hash,
@@ -724,9 +750,8 @@ impl HashIndex {
         drop(displaced);
         loop {
             match self.find_or_create_tag(hash, None) {
-                CreateOutcome::Found(slot) => {
-                    let cur = slot.load();
-                    if cur.address() == addr {
+                CreateOutcome::Found(mut slot) => {
+                    if slot.observed().address() == addr {
                         return slot;
                     }
                     // Another guardless inserter of the same (offset, tag)
@@ -736,7 +761,7 @@ impl HashIndex {
                     // allocated but unreachable as a chain head — acceptable
                     // for the supported guardless users (single-threaded
                     // recovery/restore paths), documented in DESIGN.md.
-                    if slot.cas(cur, HashBucketEntry::new(addr, slot.tag(), false)).is_ok() {
+                    if slot.cas_address(addr).is_ok() {
                         return slot;
                     }
                 }

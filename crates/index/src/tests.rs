@@ -18,15 +18,36 @@ fn insert(index: &HashIndex, hash: KeyHash, addr: Address) {
         CreateOutcome::Created(c) => {
             c.finalize(addr);
         }
-        CreateOutcome::Found(slot) => {
-            let cur = slot.load();
-            slot.cas_address(cur, addr).expect("single-threaded update");
+        CreateOutcome::Found(mut slot) => {
+            slot.cas_address(addr).expect("single-threaded update");
         }
     }
 }
 
 fn lookup(index: &HashIndex, hash: KeyHash) -> Option<Address> {
-    index.find_tag(hash, None).map(|s| s.load().address())
+    index.find_tag(hash, None).map(|s| s.observed().address())
+}
+
+/// Every `(bucket, tag)` with an entry, asserting the §3.2 invariant on the
+/// way: at quiescence nothing is tentative and no pair appears twice.
+fn visible_tags(index: &HashIndex) -> Vec<(usize, u16)> {
+    let mut seen = Vec::new();
+    let arr = index.active_array();
+    for i in 0..arr.len() {
+        let mut bucket = Some(arr.bucket(i));
+        while let Some(b) = bucket {
+            for j in 0..ENTRIES_PER_BUCKET {
+                let e = b.load_entry(j);
+                if !e.is_empty() {
+                    assert!(!e.is_tentative(), "no tentative entries after quiescence");
+                    assert!(!seen.contains(&(i, e.tag())), "duplicate (bucket {i}, tag {})", e.tag());
+                    seen.push((i, e.tag()));
+                }
+            }
+            bucket = b.overflow();
+        }
+    }
+    seen
 }
 
 #[test]
@@ -36,9 +57,7 @@ fn insert_find_delete() {
     assert!(lookup(&index, h).is_none());
     insert(&index, h, Address::new(4096));
     assert_eq!(lookup(&index, h), Some(Address::new(4096)));
-    let slot = index.find_tag(h, None).unwrap();
-    let e = slot.load();
-    slot.cas_delete(e).unwrap();
+    index.find_tag(h, None).unwrap().cas_delete().unwrap();
     assert!(lookup(&index, h).is_none());
     assert_eq!(index.count_entries(), 0);
 }
@@ -48,13 +67,18 @@ fn update_address_via_cas() {
     let index = small_index();
     let h = KeyHash::of_u64(7);
     insert(&index, h, Address::new(100));
-    let slot = index.find_tag(h, None).unwrap();
-    let old = slot.load();
-    slot.cas_address(old, Address::new(200)).unwrap();
+    let mut slot = index.find_tag(h, None).unwrap();
+    let mut stale = index.find_tag(h, None).unwrap();
+    slot.cas_address(Address::new(200)).unwrap();
     assert_eq!(lookup(&index, h), Some(Address::new(200)));
-    // Stale CAS fails and reports the current entry.
-    let err = slot.cas_address(old, Address::new(300)).unwrap_err();
+    assert_eq!(slot.observed().address(), Address::new(200), "a won CAS is the new observation");
+    // A CAS from an older observation fails and reports the current entry.
+    let err = stale.cas_address(Address::new(300)).unwrap_err();
     assert_eq!(err.address(), Address::new(200));
+    assert_eq!(stale.observed().address(), Address::new(100), "a lost CAS refreshes nothing");
+    assert!(stale.reobserve());
+    stale.cas_address(Address::new(300)).unwrap();
+    assert_eq!(lookup(&index, h), Some(Address::new(300)));
 }
 
 #[test]
@@ -137,10 +161,9 @@ fn unique_tag_invariant_under_concurrent_inserts() {
                     CreateOutcome::Created(c) => {
                         c.finalize(Address::new(64 + t as u64));
                     }
-                    CreateOutcome::Found(slot) => {
-                        let cur = slot.load();
+                    CreateOutcome::Found(mut slot) => {
                         // racing updates are fine; ignore failures
-                        let _ = slot.cas_address(cur, Address::new(64 + t as u64));
+                        let _ = slot.cas_address(Address::new(64 + t as u64));
                     }
                 }
             }
@@ -149,22 +172,7 @@ fn unique_tag_invariant_under_concurrent_inserts() {
     for h in handles {
         h.join().unwrap();
     }
-    // Verify invariant: scan raw buckets for duplicate (bucket, tag).
-    let mut seen = std::collections::HashSet::new();
-    let arr = index.active_array();
-    for i in 0..arr.len() {
-        let mut bucket = Some(arr.bucket(i));
-        while let Some(b) = bucket {
-            for j in 0..ENTRIES_PER_BUCKET {
-                let e = b.load_entry(j);
-                if !e.is_empty() {
-                    assert!(!e.is_tentative(), "no tentative entries after quiescence");
-                    assert!(seen.insert((i, e.tag())), "duplicate (bucket {i}, tag {})", e.tag());
-                }
-            }
-            bucket = b.overflow();
-        }
-    }
+    visible_tags(&index);
 }
 
 #[test]
@@ -175,14 +183,16 @@ fn concurrent_insert_delete_churn_keeps_invariant() {
         IndexConfig { k_bits: 1, tag_bits: 2, max_resize_chunks: 1 },
         Epoch::new(64),
     ));
-    let stop = StdArc::new(std::sync::atomic::AtomicBool::new(false));
+    let threads = 6;
+    let barrier = StdArc::new(Barrier::new(threads));
     let mut handles = Vec::new();
-    for t in 0..6 {
+    for t in 0..threads as u64 {
         let index = index.clone();
-        let stop = stop.clone();
+        let barrier = barrier.clone();
         handles.push(std::thread::spawn(move || {
             let mut rng = faster_util::XorShift64::new(t + 1);
-            while !stop.load(StdOrdering::Relaxed) {
+            barrier.wait();
+            for _ in 0..50_000 {
                 let k = rng.next_below(64);
                 let h = KeyHash::of_u64(k);
                 if rng.next_below(2) == 0 {
@@ -190,37 +200,74 @@ fn concurrent_insert_delete_churn_keeps_invariant() {
                         CreateOutcome::Created(c) => {
                             c.finalize(Address::new(64 + k));
                         }
-                        CreateOutcome::Found(slot) => {
-                            let cur = slot.load();
-                            let _ = slot.cas_address(cur, Address::new(64 + k));
+                        CreateOutcome::Found(mut slot) => {
+                            let _ = slot.cas_address(Address::new(64 + k));
                         }
                     }
                 } else if let Some(slot) = index.find_tag(h, None) {
-                    let cur = slot.load();
-                    let _ = slot.cas_delete(cur);
+                    let _ = slot.cas_delete();
                 }
             }
         }));
     }
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    stop.store(true, StdOrdering::Relaxed);
     for h in handles {
         h.join().unwrap();
     }
-    let mut seen = std::collections::HashSet::new();
-    let arr = index.active_array();
-    for i in 0..arr.len() {
-        let mut bucket = Some(arr.bucket(i));
-        while let Some(b) = bucket {
-            for j in 0..ENTRIES_PER_BUCKET {
-                let e = b.load_entry(j);
-                if !e.is_empty() && !e.is_tentative() {
-                    assert!(seen.insert((i, e.tag())), "duplicate (bucket {i}, tag {})", e.tag());
-                }
-            }
-            bucket = b.overflow();
-        }
-    }
+    visible_tags(&index);
+}
+
+/// Two hashes that share a bucket of a `k_bits = 1` index under different tags.
+fn same_bucket_two_tags() -> (KeyHash, KeyHash) {
+    let a = KeyHash::of_u64(0);
+    let b = (1u64..)
+        .map(KeyHash::of_u64)
+        .find(|b| b.bucket_index(1) == a.bucket_index(1) && b.tag(1, 15) != a.tag(1, 15))
+        .unwrap();
+    (a, b)
+}
+
+#[test]
+fn stale_slot_cannot_publish_into_deleted_entry() {
+    // Fig 3a without threads: a probe's slot outlives a delete of its entry.
+    // A CAS from the slot must lose — `EMPTY -> addr` would publish a
+    // visible entry without the tentative protocol.
+    let index = HashIndex::new(
+        IndexConfig { k_bits: 1, tag_bits: 15, max_resize_chunks: 1 },
+        Epoch::new(8),
+    );
+    let (h, _) = same_bucket_two_tags();
+    insert(&index, h, Address::new(100));
+    let mut a = index.find_tag(h, None).unwrap();
+    index.find_tag(h, None).unwrap().cas_delete().unwrap();
+    assert!(a.cas_address(Address::new(200)).unwrap_err().is_empty());
+    assert!(!a.reobserve());
+    assert_eq!(a.observed().address(), Address::new(100));
+    assert!(lookup(&index, h).is_none());
+    assert!(visible_tags(&index).is_empty());
+}
+
+#[test]
+fn stale_slot_cannot_overwrite_reclaimed_entry() {
+    // Same, but another tag of the bucket claims the freed word before the
+    // stale CAS: winning it would replace that tag's chain head.
+    let index = HashIndex::new(
+        IndexConfig { k_bits: 1, tag_bits: 15, max_resize_chunks: 1 },
+        Epoch::new(8),
+    );
+    let (h, other) = same_bucket_two_tags();
+    insert(&index, h, Address::new(100));
+    let mut a = index.find_tag(h, None).unwrap();
+    index.find_tag(h, None).unwrap().cas_delete().unwrap();
+    let claimed = match index.find_or_create_tag(other, None) {
+        CreateOutcome::Created(c) => c.finalize(Address::new(300)),
+        CreateOutcome::Found(_) => panic!("fresh tag"),
+    };
+    assert!(std::ptr::eq(a.word, claimed.word), "the freed word is the one re-claimed");
+    assert_eq!(a.cas_address(Address::new(200)).unwrap_err(), claimed.observed());
+    assert!(!a.reobserve());
+    assert_eq!(lookup(&index, other), Some(Address::new(300)));
+    assert!(lookup(&index, h).is_none());
+    assert_eq!(visible_tags(&index), vec![(other.bucket_index(1), other.tag(1, 15))]);
 }
 
 // ---------------------------------------------------------------- resize --
@@ -270,7 +317,7 @@ impl RecordAccess for MockRecords {
 fn chain_addresses(index: &HashIndex, access: &MockRecords, hash: KeyHash) -> Vec<Address> {
     let mut out = Vec::new();
     if let Some(slot) = index.find_tag(hash, None) {
-        let mut cur = slot.load().address();
+        let mut cur = slot.observed().address();
         while cur.is_valid() {
             out.push(cur);
             match access.record_hash(cur) {
@@ -327,10 +374,9 @@ fn grow_splits_shared_chains() {
                 access.add(addr, h, Address::INVALID);
                 c.finalize(addr);
             }
-            CreateOutcome::Found(slot) => {
-                let cur = slot.load();
-                access.add(addr, h, cur.address());
-                slot.cas_address(cur, addr).unwrap();
+            CreateOutcome::Found(mut slot) => {
+                access.add(addr, h, slot.observed().address());
+                slot.cas_address(addr).unwrap();
             }
         }
     }
@@ -367,7 +413,7 @@ fn grow_disk_tail_reachable_from_both_children() {
     assert!(index.grow(access.clone(), None));
     // The true child entry must reach the disk record.
     let slot = index.find_tag(h, None).expect("entry after grow");
-    assert_eq!(slot.load().address(), disk_addr);
+    assert_eq!(slot.observed().address(), disk_addr);
 }
 
 #[test]
@@ -592,7 +638,7 @@ fn find_tags_matches_scalar_probes() {
     index.find_tags(&hashes, None, &mut slots);
     assert_eq!(slots.len(), hashes.len());
     for (h, slot) in hashes.iter().zip(&slots) {
-        let got = slot.as_ref().map(|s| s.load().address());
+        let got = slot.as_ref().map(|s| s.observed().address());
         assert_eq!(got, lookup(&index, *h));
     }
 }
@@ -664,7 +710,7 @@ fn guardless_tentative_straddling_resizes_is_republished() {
     let addr = Address::new(1 << 20);
     access.add(addr, hash, Address::INVALID);
     let slot = created.finalize(addr);
-    assert_eq!(slot.load().address(), addr, "republished slot reflects the record");
+    assert_eq!(slot.observed().address(), addr, "republished slot reflects the record");
     drop(slot);
     assert!(
         chain_addresses(&index, &access, hash).contains(&addr),

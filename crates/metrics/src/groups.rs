@@ -159,7 +159,7 @@ pub struct SessionRecorder {
     pub io_completed: Cell64,
     /// Pending ops re-issued after a transient I/O failure.
     pub io_retries: Cell64,
-    /// Pending ops surfaced as `CompletedOp::Failed` after retry exhaustion.
+    /// Pending ops surfaced as `Err(OpError::Io)` after retry exhaustion.
     pub io_failed: Cell64,
 }
 

@@ -75,10 +75,9 @@ fn upsert(index: &HashIndex, recs: &MemRecords, key: u64) -> Address {
     let hash = KeyHash::of_u64(key);
     loop {
         match index.find_or_create_tag(hash, None) {
-            CreateOutcome::Found(slot) => {
-                let cur = slot.load();
-                let addr = recs.alloc(hash, cur.address());
-                if slot.cas_address(cur, addr).is_ok() {
+            CreateOutcome::Found(mut slot) => {
+                let addr = recs.alloc(hash, slot.observed().address());
+                if slot.cas_address(addr).is_ok() {
                     return addr;
                 }
             }
@@ -96,7 +95,7 @@ fn assert_reachable(index: &HashIndex, recs: &MemRecords, key: u64, addr: Addres
     let slot = index
         .find_tag(hash, None)
         .unwrap_or_else(|| panic!("{ctx}: no index entry for key {key}"));
-    let chain = recs.chain(slot.load().address());
+    let chain = recs.chain(slot.observed().address());
     assert!(
         chain.contains(&addr),
         "{ctx}: key {key} record {addr:?} unreachable (chain {chain:?})"
@@ -189,12 +188,11 @@ fn run_case(seed: u64) -> Vec<usize> {
                                 pending = Some((key, created));
                                 Step::Progress
                             }
-                            CreateOutcome::Found(slot) => {
+                            CreateOutcome::Found(mut slot) => {
                                 // Tag collision with an earlier key: treat as
                                 // a plain upsert instead.
-                                let cur = slot.load();
-                                let addr = recs.alloc(hash, cur.address());
-                                slot.cas_address(cur, addr).expect("single-threaded step");
+                                let addr = recs.alloc(hash, slot.observed().address());
+                                slot.cas_address(addr).expect("single-threaded step");
                                 committed.borrow_mut().insert(key, addr);
                                 Step::Progress
                             }

@@ -193,7 +193,7 @@ pub fn run_crash_recovery_case(
             }
         }
         // Pending I/O against the crashed device must drain (bounded
-        // retries turn persistent failures into `CompletedOp::Failed`),
+        // retries turn persistent failures into `Err(OpError::Io)`),
         // never hang.
         session.complete_pending(true);
     }

@@ -27,15 +27,13 @@ proptest! {
                 let addr = 64 + key * 8;
                 match index.find_or_create_tag(h, None) {
                     CreateOutcome::Created(c) => { c.finalize(Address::new(addr)); }
-                    CreateOutcome::Found(slot) => {
-                        let cur = slot.load();
-                        slot.cas_address(cur, Address::new(addr)).unwrap();
+                    CreateOutcome::Found(mut slot) => {
+                        slot.cas_address(Address::new(addr)).unwrap();
                     }
                 }
                 model.insert(class, addr);
             } else if let Some(slot) = index.find_tag(h, None) {
-                let cur = slot.load();
-                slot.cas_delete(cur).unwrap();
+                slot.cas_delete().unwrap();
                 model.remove(&class);
             } else {
                 prop_assert!(!model.contains_key(&class));
@@ -45,7 +43,7 @@ proptest! {
         for key in 0u64..500 {
             let h = KeyHash::of_u64(key);
             let class = (h.bucket_index(3), h.tag(3, 4));
-            let got = index.find_tag(h, None).map(|s| s.load().address().raw());
+            let got = index.find_tag(h, None).map(|s| s.observed().address().raw());
             prop_assert_eq!(got, model.get(&class).copied(), "class {:?}", class);
         }
         prop_assert_eq!(index.count_entries(), model.len());
