@@ -218,11 +218,7 @@ impl MiniLsm {
             }
         }
         let base = self.next_offset.fetch_add(buf.len() as u64 + 4096, Ordering::SeqCst);
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.device.write_async(base, buf, Box::new(move |r| {
-            let _ = tx.send(r);
-        }));
-        rx.recv().expect("device alive").expect("run write");
+        self.device.write_blocking(base, buf).expect("run write");
         SortedRun { base, count: entries.len(), sparse, bloom }
     }
 
@@ -251,11 +247,7 @@ impl MiniLsm {
     }
 
     fn read_range(&self, offset: u64, len: usize) -> Option<Vec<u8>> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.device.read_async(offset, len, Box::new(move |r| {
-            let _ = tx.send(r);
-        }));
-        rx.recv().ok()?.ok()
+        self.device.read_blocking(offset, len).ok()
     }
 
     /// Size-tiered compaction: when a level holds `fanout` runs, merge them

@@ -22,18 +22,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
-fn read_raw(dev: &Arc<dyn Device>, offset: u64, len: usize) -> Vec<u8> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    dev.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-    rx.recv().unwrap().unwrap()
-}
-
-fn write_raw(dev: &Arc<dyn Device>, offset: u64, data: Vec<u8>) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    dev.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-    rx.recv().unwrap().unwrap();
-}
-
 fn main() {
     let keys_per_gen = env_u64("FASTER_BENCH_CKPT_KEYS", 50_000);
     let gens = env_u64("FASTER_BENCH_CKPT_GENS", 4).max(2);
@@ -87,10 +75,11 @@ fn main() {
         if depth > 0 {
             // Corrupt the blob that depth d-1 recovered to.
             let victim = chain[chain.len() - depth];
-            let mut blob = read_raw(&ckpt_dev, victim.blob_offset, victim.blob_len as usize);
+            let mut blob =
+                ckpt_dev.read_blocking(victim.blob_offset, victim.blob_len as usize).unwrap();
             let at = blob.len() / 2;
             blob[at] ^= 0x5A;
-            write_raw(&ckpt_dev, victim.blob_offset, blob);
+            ckpt_dev.write_blocking(victim.blob_offset, blob).unwrap();
         }
         let t = Instant::now();
         let (recovered, _mgr, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(

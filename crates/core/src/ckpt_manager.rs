@@ -60,7 +60,7 @@
 
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::{FasterKv, FasterKvConfig, Functions};
-use faster_storage::{Device, IoError};
+use faster_storage::Device;
 use faster_util::{Address, Pod};
 use std::sync::{Arc, Mutex};
 
@@ -264,9 +264,9 @@ impl CheckpointManager {
 
         let mut st = self.state.lock().unwrap();
         let offset = st.alloc_blob(blob_len, sector);
-        if let Err(e) = write_blocking(&self.device, offset, blob) {
+        if let Err(e) = self.device.write_blocking(offset, blob) {
             st.free_blob(offset, blob_len, sector);
-            return Err(e);
+            return Err(CheckpointError::Io(e));
         }
         // A failed barrier means the blob's durability is unknown: the
         // generation must not reach the manifest, and the previous chain
@@ -296,9 +296,9 @@ impl CheckpointManager {
 
         let seqno = st.seqno + 1;
         let manifest = encode_manifest(seqno, &gens);
-        if let Err(e) = write_blocking(&self.device, (seqno % 2) * MANIFEST_SLOT_SIZE, manifest) {
+        if let Err(e) = self.device.write_blocking((seqno % 2) * MANIFEST_SLOT_SIZE, manifest) {
             st.free_blob(offset, blob_len, sector);
-            return Err(e);
+            return Err(CheckpointError::Io(e));
         }
         // Until this barrier succeeds the manifest write may not be durable:
         // the commit cannot be acknowledged, so in-memory state is not
@@ -331,7 +331,7 @@ impl CheckpointManager {
         let survivors = st.generations[drop_n..].to_vec();
         let seqno = st.seqno + 1;
         let manifest = encode_manifest(seqno, &survivors);
-        write_blocking(&self.device, (seqno % 2) * MANIFEST_SLOT_SIZE, manifest)?;
+        self.device.write_blocking((seqno % 2) * MANIFEST_SLOT_SIZE, manifest)?;
         self.device.flush_barrier().map_err(CheckpointError::Io)?;
         st.seqno = seqno;
         let dropped: Vec<GenerationMeta> = st.generations.drain(..drop_n).collect();
@@ -363,7 +363,7 @@ impl CheckpointManager {
         let sector = device.sector_size() as u64;
         let mut slots: Vec<(u64, Vec<GenerationMeta>)> = Vec::new();
         for slot in 0..2u64 {
-            let bytes = match read_blocking(&device, slot * MANIFEST_SLOT_SIZE, MANIFEST_SLOT_SIZE as usize)
+            let bytes = match device.read_blocking(slot * MANIFEST_SLOT_SIZE, MANIFEST_SLOT_SIZE as usize)
             {
                 Ok(b) => b,
                 Err(_) => continue, // unreadable slot = invalid slot
@@ -652,45 +652,11 @@ fn decode_manifest(bytes: &[u8]) -> Result<(u64, Vec<GenerationMeta>), Checkpoin
 /// Reads one generation's blob and verifies it end to end: manifest
 /// checksum over the raw bytes, then full [`CheckpointData::from_bytes`].
 fn load_blob(device: &Arc<dyn Device>, meta: &GenerationMeta) -> Result<CheckpointData, CheckpointError> {
-    let bytes = read_blocking(device, meta.blob_offset, meta.blob_len as usize)?;
+    let bytes = device.read_blocking(meta.blob_offset, meta.blob_len as usize)?;
     if faster_util::hash_bytes(&bytes) != meta.blob_checksum {
         return Err(CheckpointError::ChecksumMismatch);
     }
     CheckpointData::from_bytes(&bytes)
-}
-
-fn write_blocking(device: &Arc<dyn Device>, offset: u64, data: Vec<u8>) -> Result<(), CheckpointError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    device.write_async(
-        offset,
-        data,
-        Box::new(move |r| {
-            let _ = tx.send(r);
-        }),
-    );
-    match rx.recv() {
-        Ok(r) => r.map_err(CheckpointError::Io),
-        Err(_) => Err(CheckpointError::Io(IoError::Failed("write callback dropped".into()))),
-    }
-}
-
-fn read_blocking(
-    device: &Arc<dyn Device>,
-    offset: u64,
-    len: usize,
-) -> Result<Vec<u8>, CheckpointError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    device.read_async(
-        offset,
-        len,
-        Box::new(move |r| {
-            let _ = tx.send(r);
-        }),
-    );
-    match rx.recv() {
-        Ok(r) => r.map_err(CheckpointError::Io),
-        Err(_) => Err(CheckpointError::Io(IoError::Failed("read callback dropped".into()))),
-    }
 }
 
 #[cfg(test)]
@@ -782,9 +748,9 @@ mod tests {
         mgr.commit(&d2).unwrap();
         // Smash one byte of generation 2's blob directly on the device.
         let g2 = mgr.generations().into_iter().find(|g| g.gen == 2).unwrap();
-        let mut blob = read_blocking(&dev, g2.blob_offset, g2.blob_len as usize).unwrap();
+        let mut blob = dev.read_blocking(g2.blob_offset, g2.blob_len as usize).unwrap();
         blob[10] ^= 0xff;
-        write_blocking(&dev, g2.blob_offset, blob).unwrap();
+        dev.write_blocking(g2.blob_offset, blob).unwrap();
 
         let (mgr2, rec) =
             CheckpointManager::recover_latest(dev, CheckpointConfig::default()).unwrap();

@@ -149,15 +149,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
 
     /// Synchronous record read (maintenance paths only).
     fn read_record_blocking(&self, addr: Address) -> Option<(RecordHeader, K, V)> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.inner.log.read_async(
-            addr,
-            RecordRef::<K, V>::size(),
-            Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        );
-        let bytes = rx.recv().ok()?.ok()?;
+        let bytes = self.inner.log.read_blocking(addr, RecordRef::<K, V>::size()).ok()?;
         RecordRef::<K, V>::parse_bytes(&bytes)
     }
 

@@ -1204,16 +1204,8 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 }
                 None => {
                     // Blocking storage hop (maintenance/analytics path).
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    inner.log.read_async(
-                        addr,
-                        RecordRef::<K, V>::size(),
-                        Box::new(move |r| {
-                            let _ = tx.send(r);
-                        }),
-                    );
-                    match rx.recv().ok().and_then(|r| r.ok()) {
-                        Some(bytes) => RecordRef::<K, V>::parse_bytes(&bytes).map(|(h, k, v)| {
+                    match inner.log.read_blocking(addr, RecordRef::<K, V>::size()) {
+                        Ok(bytes) => RecordRef::<K, V>::parse_bytes(&bytes).map(|(h, k, v)| {
                             let second = if h.is_merge() {
                                 Some(Address::new(
                                     u64::from_le_bytes(bytes[8..16].try_into().expect("size"))
@@ -1224,7 +1216,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                             };
                             (h, k, v, second)
                         }),
-                        None => None,
+                        Err(_) => None,
                     }
                 }
             };
@@ -1894,7 +1886,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
 
 impl<K: Pod, V: Pod, F: Functions<K, V>> Drop for Session<K, V, F> {
     fn drop(&mut self) {
-        // Outstanding I/O callbacks only touch the Arc'd queue; results for a
+        // Outstanding I/O only pushes CQEs into the Arc'd ring; results for a
         // dropped session are simply discarded. The guard's Drop releases the
         // epoch slot (§2.5 Release). The recorder folds into the hub's
         // retired accumulator so store-wide totals survive session churn.

@@ -50,7 +50,7 @@ pub use scan::LogScanner;
 use checksum::ParsedFooter;
 use faster_epoch::{Epoch, EpochGuard};
 use faster_metrics::HlogMetrics;
-use faster_storage::{CompletionRing, Cqe, Device, IoError, ReadCallback, Sqe};
+use faster_storage::{CompletionRing, Cqe, Device, IoError, Sqe};
 use faster_util::{Address, Backoff};
 use flush::FlushTracker;
 use frame::Frame;
@@ -231,6 +231,11 @@ struct Inner {
     /// outcome (success or quarantine). `wait_flush_quiesced` spins on zero
     /// so a durability barrier can't be satisfied under a live retry chain.
     flush_inflight: AtomicU64,
+    /// Destination of every page-write CQE. Its waker ([`Inner::reap_flushes`])
+    /// consumes them on the thread that published them.
+    flush_ring: Arc<CompletionRing>,
+    /// Page writes submitted and not yet reaped, by SQE id.
+    flush_ops: Mutex<FlushOps>,
     /// Pages whose flush was abandoned: their device bytes are untrusted,
     /// reads of them short-circuit to [`IoError::Corrupt`].
     quarantined: Mutex<BTreeSet<u64>>,
@@ -251,6 +256,20 @@ struct Inner {
 
 /// Callback invoked as pages leave the buffer (see `set_evict_hook`).
 type EvictHook = Box<dyn Fn(u64, u64) + Send + Sync>;
+
+/// One submitted page write: what `flush_page_attempt` was called with.
+struct FlushOp {
+    page: u64,
+    track: bool,
+    sealed: u64,
+    attempt: u32,
+}
+
+#[derive(Default)]
+struct FlushOps {
+    next_id: u64,
+    submitted: HashMap<u64, FlushOp>,
+}
 
 /// The hybrid log allocator. Cheap to clone (shared handle).
 #[derive(Clone)]
@@ -273,37 +292,8 @@ impl HybridLog {
         device: Arc<dyn Device>,
         metrics: Arc<HlogMetrics>,
     ) -> Self {
-        cfg.validate();
-        let page_size = cfg.page_size() as usize;
-        let frames: Vec<Frame> = (0..cfg.buffer_pages).map(|_| Frame::new(page_size)).collect();
-        let frame_status: Vec<AtomicU8> =
-            (0..cfg.buffer_pages).map(|i| AtomicU8::new(if i == 0 { FRAME_OPEN } else { FRAME_CLOSED })).collect();
         let first = Address::FIRST_VALID.raw();
-        Self {
-            inner: Arc::new(Inner {
-                cfg,
-                epoch,
-                device,
-                frames,
-                frame_status,
-                tail: AtomicU64::new(first), // page 0, offset 64
-                read_only: AtomicU64::new(0),
-                safe_read_only: AtomicU64::new(0),
-                head: AtomicU64::new(0),
-                flushed_until: AtomicU64::new(0),
-                begin: AtomicU64::new(first),
-                flush_failures: AtomicU64::new(0),
-                active_pages: AtomicU64::new(cfg.buffer_pages),
-                sealed_through: AtomicU64::new(0),
-                flush_tracker: Mutex::new(FlushTracker::new(0)),
-                flush_inflight: AtomicU64::new(0),
-                quarantined: Mutex::new(BTreeSet::new()),
-                footers: Mutex::new(HashMap::new()),
-                fault_hook: Mutex::new(None),
-                evict_hook: Mutex::new(None),
-                metrics,
-            }),
-        }
+        Self::open(cfg, epoch, device, metrics, first, 0, first) // page 0, offset 64
     }
 
     /// Re-opens a log whose prefix `[begin, tail)` already lives on `device`
@@ -322,43 +312,65 @@ impl HybridLog {
         tail: Address,
         metrics: Arc<HlogMetrics>,
     ) -> Self {
-        cfg.validate();
-        let page_size = cfg.page_size();
         // Resume at a fresh page: everything below is disk-resident.
-        let resume_page = tail.raw().div_ceil(page_size);
-        let resume = resume_page * page_size;
-        let page_size_us = page_size as usize;
-        let frames: Vec<Frame> = (0..cfg.buffer_pages).map(|_| Frame::new(page_size_us)).collect();
+        let resume_page = tail.raw().div_ceil(cfg.page_size());
+        Self::open(cfg, epoch, device, metrics, begin.raw(), resume_page, resume_page << OFFSET_BITS)
+    }
+
+    /// A log whose buffer starts empty at `resume_page` with the packed
+    /// tail word `tail`; everything below that page is on `device`.
+    fn open(
+        cfg: HLogConfig,
+        epoch: Epoch,
+        device: Arc<dyn Device>,
+        metrics: Arc<HlogMetrics>,
+        begin: u64,
+        resume_page: u64,
+        tail: u64,
+    ) -> Self {
+        cfg.validate();
+        let resume = resume_page * cfg.page_size();
+        let frames: Vec<Frame> =
+            (0..cfg.buffer_pages).map(|_| Frame::new(cfg.page_size() as usize)).collect();
         let frame_status: Vec<AtomicU8> = (0..cfg.buffer_pages)
             .map(|i| {
                 AtomicU8::new(if i == resume_page % cfg.buffer_pages { FRAME_OPEN } else { FRAME_CLOSED })
             })
             .collect();
-        Self {
-            inner: Arc::new(Inner {
-                cfg,
-                epoch,
-                device,
-                frames,
-                frame_status,
-                tail: AtomicU64::new(resume_page << OFFSET_BITS),
-                read_only: AtomicU64::new(resume),
-                safe_read_only: AtomicU64::new(resume),
-                head: AtomicU64::new(resume),
-                flushed_until: AtomicU64::new(resume),
-                begin: AtomicU64::new(begin.raw()),
-                flush_failures: AtomicU64::new(0),
-                active_pages: AtomicU64::new(cfg.buffer_pages),
-                sealed_through: AtomicU64::new(resume_page),
-                flush_tracker: Mutex::new(FlushTracker::new(resume_page)),
-                flush_inflight: AtomicU64::new(0),
-                quarantined: Mutex::new(BTreeSet::new()),
-                footers: Mutex::new(HashMap::new()),
-                fault_hook: Mutex::new(None),
-                evict_hook: Mutex::new(None),
-                metrics,
-            }),
-        }
+        let inner = Arc::new(Inner {
+            cfg,
+            epoch,
+            device,
+            frames,
+            frame_status,
+            tail: AtomicU64::new(tail),
+            read_only: AtomicU64::new(resume),
+            safe_read_only: AtomicU64::new(resume),
+            head: AtomicU64::new(resume),
+            flushed_until: AtomicU64::new(resume),
+            begin: AtomicU64::new(begin),
+            flush_failures: AtomicU64::new(0),
+            active_pages: AtomicU64::new(cfg.buffer_pages),
+            sealed_through: AtomicU64::new(resume_page),
+            flush_tracker: Mutex::new(FlushTracker::new(resume_page)),
+            flush_inflight: AtomicU64::new(0),
+            flush_ring: Arc::new(CompletionRing::new()),
+            flush_ops: Mutex::new(FlushOps::default()),
+            quarantined: Mutex::new(BTreeSet::new()),
+            footers: Mutex::new(HashMap::new()),
+            fault_hook: Mutex::new(None),
+            evict_hook: Mutex::new(None),
+            metrics,
+        });
+        // Weak: the ring is owned by `inner`, so a strong handle in its
+        // waker would keep the log alive forever.
+        let weak = Arc::downgrade(&inner);
+        inner.flush_ring.set_waker(move || {
+            if let Some(inner) = weak.upgrade() {
+                inner.reap_flushes();
+            }
+        });
+        Self { inner }
     }
 
     /// The metrics group this log records into.
@@ -666,38 +678,21 @@ impl HybridLog {
         self.inner.cfg.page_size() - (addr.raw() & (self.inner.cfg.page_size() - 1))
     }
 
-    /// Asynchronously reads `len` bytes at `addr` from storage (§5.3: "Being
-    /// a record log, we retrieve only the record and not the entire logical
-    /// page").
-    pub fn read_async(&self, addr: Address, len: usize, cb: ReadCallback) {
-        let metrics = Arc::clone(&self.inner.metrics);
-        metrics.reads_issued.inc();
-        if addr < self.begin_address() {
-            metrics.reads_completed.inc();
-            cb(Err(IoError::Truncated { offset: addr.raw() }));
-            return;
-        }
-        if self.inner.is_quarantined(addr.raw() / self.inner.cfg.page_size()) {
-            self.inner.note_corrupt_read(addr.raw());
-            metrics.reads_completed.inc();
-            cb(Err(IoError::Corrupt { offset: addr.raw() }));
-            return;
-        }
-        let (phys, read_len, span) = self.inner.plan_read(addr.raw(), len);
-        let inner = Arc::clone(&self.inner);
-        self.inner.device.read_async(
-            phys,
-            read_len,
-            Box::new(move |r| {
-                inner.metrics.reads_completed.inc();
-                cb(r.and_then(|bytes| inner.verify_extract(&span, bytes)));
-            }),
-        );
+    /// Reads `len` bytes at `addr` from storage, verified, parking until
+    /// they arrive (§5.3: "Being a record log, we retrieve only the record
+    /// and not the entire logical page"). For maintenance paths (scan, gc,
+    /// history) that have nothing to overlap the read with.
+    pub fn read_blocking(&self, addr: Address, len: usize) -> Result<Vec<u8>, IoError> {
+        let res = self.plan_cold_read(addr, len).and_then(|(phys, read_len, span)| {
+            self.inner.verify_extract(&span, self.inner.device.read_blocking(phys, read_len)?)
+        });
+        self.inner.metrics.reads_completed.inc();
+        res
     }
 
-    /// Builds a ring-routed read SQE for `addr` (the continuation-driven
-    /// pending-op path): the CQE echoing `id` lands in `ring` once the
-    /// device services it, and the returned [`ReadSpan`] must be handed to
+    /// Builds a read SQE for `addr` (the continuation-driven pending-op
+    /// path): the CQE echoing `id` lands in `ring` once the device services
+    /// it, and the returned [`ReadSpan`] must be handed to
     /// [`HybridLog::verify_extract`] with the CQE bytes. A read below the
     /// begin address (Truncated) or into a quarantined page (Corrupt)
     /// short-circuits — the error CQE is pushed into `ring` immediately and
@@ -710,18 +705,27 @@ impl HybridLog {
         len: usize,
         ring: &Arc<CompletionRing>,
     ) -> Option<(Sqe, ReadSpan)> {
+        match self.plan_cold_read(addr, len) {
+            Ok((phys, read_len, span)) => Some((Sqe::read(id, phys, read_len, ring), span)),
+            Err(err) => {
+                ring.push(Cqe { id, result: Err(err) });
+                None
+            }
+        }
+    }
+
+    /// Counts a cold read as issued, refuses it if `addr` is below the begin
+    /// address or on a quarantined page, and otherwise plans its device span.
+    fn plan_cold_read(&self, addr: Address, len: usize) -> Result<(u64, usize, ReadSpan), IoError> {
         self.inner.metrics.reads_issued.inc();
         if addr < self.begin_address() {
-            ring.push(Cqe { id, result: Err(IoError::Truncated { offset: addr.raw() }) });
-            return None;
+            return Err(IoError::Truncated { offset: addr.raw() });
         }
         if self.inner.is_quarantined(addr.raw() / self.inner.cfg.page_size()) {
             self.inner.note_corrupt_read(addr.raw());
-            ring.push(Cqe { id, result: Err(IoError::Corrupt { offset: addr.raw() }) });
-            return None;
+            return Err(IoError::Corrupt { offset: addr.raw() });
         }
-        let (phys, read_len, span) = self.inner.plan_read(addr.raw(), len);
-        Some((Sqe::read(id, phys, read_len, ring), span))
+        Ok(self.inner.plan_read(addr.raw(), len))
     }
 
     /// Verifies a completed cold read's bytes against the page's checksum
@@ -893,18 +897,10 @@ impl HybridLog {
             inner.note_corrupt_read(start);
             return Err(IoError::Corrupt { offset: start });
         }
-        let (tx, rx) = std::sync::mpsc::channel();
         // Read the full stride (data + footer) so the image verifies in one
         // round trip even when the footer isn't cached.
-        self.inner.device.read_async(
-            page * inner.stride(),
-            inner.stride() as usize,
-            Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        );
         let mut bytes =
-            rx.recv().map_err(|_| IoError::Failed("device dropped request".into()))??;
+            inner.device.read_blocking(page * inner.stride(), inner.stride() as usize)?;
         let g = checksum::group_size(page_size);
         // Bind the cache probe first: a `match` on the locked temporary
         // would hold the guard across the arm that re-locks to insert.
@@ -987,44 +983,57 @@ impl Inner {
         let (footer, parsed) = checksum::build(page, sealed, &data);
         self.footers.lock().insert(page, Arc::new(parsed));
         data.extend_from_slice(&footer);
-        let weak = Arc::downgrade(self);
         self.metrics.flushes_issued.inc();
-        // Submitted as an SQE on the device ring interface; the callback
-        // route keeps completion on an I/O worker thread (flush_complete
-        // re-enters the epoch machinery, which must not run on the
-        // submitting FASTER thread).
-        self.device.submit(Sqe::write_cb(
-            page * self.stride(),
-            data,
-            Box::new(move |res| {
-                if let Some(inner) = weak.upgrade() {
-                    match res {
-                        Ok(()) => {
-                            inner.metrics.flushes_completed.inc();
-                            if track {
-                                inner.flush_complete(page);
-                            }
-                            inner.flush_inflight.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        // Failed attempts feed the `flushes_failed` metric
-                        // but NOT `flush_failures`: a transient fault whose
-                        // retry lands leaves the device bytes intact, and
-                        // `checkpoint_durable` quiesces before sampling, so
-                        // only *terminal* outcomes (quarantine, barrier
-                        // failure) may poison its durability window.
-                        Err(err) => {
-                            inner.metrics.flushes_failed.inc();
-                            let transient = matches!(err, IoError::Failed(_));
-                            if transient && attempt + 1 < MAX_FLUSH_RETRIES {
-                                inner.flush_page_attempt(page, track, sealed, attempt + 1);
-                            } else {
-                                inner.quarantine_page(page, track, err);
-                            }
-                        }
+        let id = {
+            let mut ops = self.flush_ops.lock();
+            ops.next_id += 1;
+            let id = ops.next_id;
+            ops.submitted.insert(id, FlushOp { page, track, sealed, attempt });
+            id
+        };
+        self.device.submit(Sqe::write(id, page * self.stride(), data, &self.flush_ring));
+    }
+
+    /// Waker of `flush_ring`: consumes page-write CQEs on the thread that
+    /// published them. On a pooled device that is an I/O worker, inside its
+    /// pool job — so the frontier has moved before the device's barrier
+    /// returns, and `flush_complete`'s guardless epoch bump never runs under
+    /// a session's guard, whose stale entry could wedge a full drain list.
+    /// A device that completes inline (or refuses inline, like a scripted
+    /// fault) runs it on the submitter, and a retry issued from here may
+    /// re-enter it. Concurrent calls reap disjoint batches; `flush_complete`
+    /// serialises on `flush_tracker`.
+    fn reap_flushes(self: &Arc<Inner>) {
+        let mut cqes = Vec::new();
+        self.flush_ring.reap(&mut cqes);
+        for Cqe { id, result } in cqes {
+            let FlushOp { page, track, sealed, attempt } =
+                self.flush_ops.lock().submitted.remove(&id).expect("CQE of a submitted page write");
+            match result {
+                Ok(_) => {
+                    self.metrics.flushes_completed.inc();
+                    if track {
+                        self.flush_complete(page);
+                    }
+                    self.flush_inflight.fetch_sub(1, Ordering::SeqCst);
+                }
+                // Failed attempts feed the `flushes_failed` metric but NOT
+                // `flush_failures`: a transient fault whose retry lands
+                // leaves the device bytes intact, and `checkpoint_durable`
+                // quiesces before sampling, so only *terminal* outcomes
+                // (quarantine, barrier failure) may poison its durability
+                // window.
+                Err(err) => {
+                    self.metrics.flushes_failed.inc();
+                    let transient = matches!(err, IoError::Failed(_));
+                    if transient && attempt + 1 < MAX_FLUSH_RETRIES {
+                        self.flush_page_attempt(page, track, sealed, attempt + 1);
+                    } else {
+                        self.quarantine_page(page, track, err);
                     }
                 }
-            }),
-        ));
+            }
+        }
     }
 
     /// Terminal flush failure: quarantine `page`. The frontier advances past
@@ -1141,8 +1150,8 @@ impl Inner {
         Ok(bytes[span.rec_off..end].to_vec())
     }
 
-    /// Flush-completion callback: advance the contiguous flushed frontier and
-    /// retry the head advance it may have been gating.
+    /// A tracked page write landed (or was abandoned): advance the contiguous
+    /// flushed frontier and retry the head advance it may have been gating.
     fn flush_complete(self: &Arc<Inner>, page: u64) {
         let frontier = {
             let mut t = self.flush_tracker.lock();

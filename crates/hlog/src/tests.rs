@@ -145,10 +145,8 @@ fn evicted_pages_are_durable_and_readable() {
         g.refresh();
     }
     assert_eq!(log.classify(first), Region::OnDisk, "first record evicted");
-    // Async read returns the original bytes.
-    let (tx, rx) = std::sync::mpsc::channel();
-    log.read_async(first, 64, Box::new(move |r| tx.send(r).unwrap()));
-    let bytes = rx.recv().unwrap().expect("read evicted record");
+    // A device read returns the original bytes.
+    let bytes = log.read_blocking(first, 64).expect("read evicted record");
     assert_eq!(u64::from_le_bytes(bytes[0..8].try_into().unwrap()), 0xABCD_EF00);
 }
 
@@ -240,9 +238,7 @@ fn gc_shift_begin_truncates(){
     log.flush_barrier().unwrap();
     log.shift_begin_address(Address::new(2048));
     assert_eq!(log.begin_address(), Address::new(2048));
-    let (tx, rx) = std::sync::mpsc::channel();
-    log.read_async(first, 64, Box::new(move |r| tx.send(r).unwrap()));
-    assert!(matches!(rx.recv().unwrap(), Err(IoError::Truncated { .. })));
+    assert!(matches!(log.read_blocking(first, 64), Err(IoError::Truncated { .. })));
 }
 
 #[test]
@@ -306,9 +302,7 @@ fn recover_resumes_past_old_tail() {
     assert!(log2.tail_address() >= old_tail);
     assert_eq!(log2.tail_address().raw() % 1024, 0, "resume at page boundary");
     // Old data is readable from the device.
-    let (tx, rx) = std::sync::mpsc::channel();
-    log2.read_async(Address::new(64), 8, Box::new(move |r| tx.send(r).unwrap()));
-    let bytes = rx.recv().unwrap().unwrap();
+    let bytes = log2.read_blocking(Address::new(64), 8).unwrap();
     assert_eq!(u64::from_le_bytes(bytes.try_into().unwrap()), 7000);
     // And new allocations work.
     let g = epoch.acquire();
@@ -342,6 +336,69 @@ fn allocation_backpressure_does_not_deadlock() {
         std::thread::yield_now();
     }
     h.join().unwrap();
+}
+
+/// A write refused inline fails on the submitting thread, so the retry is
+/// issued from inside the flush ring's waker and its own refusal re-enters
+/// that waker. Both retries must land and every sealed page must flush.
+#[test]
+fn inline_write_failures_are_retried_from_the_waker() {
+    let cfg = HLogConfig { page_bits: 10, buffer_pages: 4, mutable_pages: 1, io_threads: 1 };
+    let epoch = Epoch::new(8);
+    let dev = faster_storage::FaultDevice::wrap(MemDevice::new(1));
+    let log = HybridLog::new(cfg, epoch.clone(), dev.clone());
+    dev.fail_next_writes(2);
+    let worker = {
+        let log = log.clone();
+        std::thread::spawn(move || {
+            let g = epoch.acquire();
+            for _ in 0..((10 * 1024) / 64) {
+                log.allocate(64, &g);
+                g.refresh();
+            }
+            // Every page below the read-only offset has been sealed.
+            let sealed = log.read_only_address();
+            while log.flushed_until_address() < sealed {
+                g.refresh();
+                std::thread::yield_now();
+            }
+        })
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !worker.is_finished() {
+        assert!(std::time::Instant::now() < deadline, "flush retry wedged: {:?}", log.flush_debug());
+        std::thread::yield_now();
+    }
+    worker.join().unwrap();
+    assert!(log.flushed_until_address().raw() >= 8 * 1024, "at least 8 pages flushed");
+    assert_eq!(log.metrics().flush_retries.get(), 2);
+    assert_eq!(log.metrics().pages_quarantined.get(), 0);
+    assert_eq!(log.flush_debug().inflight, 0);
+}
+
+/// Page-write CQEs are consumed inside the device's I/O job, so once the
+/// barrier returns the frontier already covers every flush issued before it.
+#[test]
+fn frontier_has_moved_when_the_barrier_returns() {
+    let cfg = HLogConfig { page_bits: 10, buffer_pages: 8, mutable_pages: 1, io_threads: 2 };
+    let epoch = Epoch::new(8);
+    let latency = faster_storage::LatencyModel {
+        fixed: std::time::Duration::from_micros(200),
+        bytes_per_sec: 0,
+    };
+    let log = HybridLog::new(cfg, epoch.clone(), MemDevice::with_latency(2, latency));
+    let g = epoch.acquire();
+    for _ in 0..100 {
+        for _ in 0..(1024 / 64) {
+            log.allocate(64, &g);
+            g.refresh();
+        }
+        // Flushes are issued by the safe-read-only trigger, which ran on
+        // this thread: every full page below it has been submitted.
+        let issued = (log.safe_read_only_address().raw() >> 10) << 10;
+        log.flush_barrier().unwrap();
+        assert!(log.flushed_until_address().raw() >= issued, "{:?}", log.flush_debug());
+    }
 }
 
 #[test]

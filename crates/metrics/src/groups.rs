@@ -50,9 +50,9 @@ pub struct HlogMetrics {
     pub page_seals: Counter,
     /// Page flushes issued to the device.
     pub flushes_issued: Counter,
-    /// Page flushes whose completion callback reported success.
+    /// Page flushes whose CQE reported success.
     pub flushes_completed: Counter,
-    /// Page flushes whose completion callback reported an error.
+    /// Page flushes whose CQE reported an error.
     pub flushes_failed: Counter,
     /// Flush attempts re-submitted after a transient device write error
     /// (each also re-counted in `flushes_issued`).
@@ -66,9 +66,9 @@ pub struct HlogMetrics {
     pub corrupt_reads: Counter,
     /// In-memory frames evicted when the head advanced.
     pub frames_evicted: Counter,
-    /// Record reads issued to the device (`read_async`).
+    /// Record reads issued to the device (`make_read_sqe`, `read_blocking`).
     pub reads_issued: Counter,
-    /// Record reads whose completion callback ran.
+    /// Record reads whose CQE was reaped.
     pub reads_completed: Counter,
     /// Bytes made dead by the store layer: records superseded by an RCU,
     /// shadowed by a tombstone, or abandoned after a lost insert race. Fed by

@@ -504,18 +504,15 @@ impl Device for FaultDevice {
                         // Order matters: mark crashed before persisting the torn
                         // prefix so every concurrent submission already refuses.
                         self.domain.state.crashed.store(true, Ordering::SeqCst);
-                        let fail = || Err(IoError::Failed("crash point: torn write".into()));
+                        let torn = IoError::Failed("crash point: torn write".into());
                         if keep == 0 {
-                            completion.complete(fail());
+                            completion.complete(Err(torn));
                         } else {
                             // The surviving prefix lands on the inner device;
                             // the caller still sees a failed (unacknowledged)
-                            // write — whichever route it arrived on.
-                            self.inner.write_async(
-                                offset,
-                                data[..keep].to_vec(),
-                                Box::new(move |_| completion.complete(fail())),
-                            );
+                            // write.
+                            let prefix = SqeOp::Write { offset, data: data[..keep].to_vec() };
+                            self.inner.submit(Sqe::from_parts(prefix, completion.fail_with(torn)));
                         }
                     }
                     WriteDecision::Refuse => {
@@ -565,24 +562,12 @@ mod tests {
     use super::*;
     use crate::MemDevice;
 
-    fn write_blocking(d: &dyn Device, offset: u64, data: Vec<u8>) -> Result<(), IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
-    }
-
-    fn read_blocking(d: &dyn Device, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
-    }
-
     #[test]
     fn fault_free_plan_is_transparent() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner);
-        write_blocking(&*d, 0, vec![7u8; 256]).unwrap();
-        assert_eq!(read_blocking(&*d, 0, 256).unwrap(), vec![7u8; 256]);
+        d.write_blocking(0, vec![7u8; 256]).unwrap();
+        assert_eq!(d.read_blocking(0, 256).unwrap(), vec![7u8; 256]);
         assert!(!d.crashed());
         assert_eq!(d.writes_issued(), 1);
         assert_eq!(d.reads_issued(), 1);
@@ -594,31 +579,31 @@ mod tests {
     fn crash_point_severs_the_suffix() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![1u8; 512]).unwrap();
+        d.write_blocking(0, vec![1u8; 512]).unwrap();
         d.arm_crash(1, TornWrite::Nothing); // survives: write 1; crashes: write 2
-        write_blocking(&*d, 512, vec![2u8; 512]).unwrap();
-        assert!(write_blocking(&*d, 1024, vec![3u8; 512]).is_err());
+        d.write_blocking(512, vec![2u8; 512]).unwrap();
+        assert!(d.write_blocking(1024, vec![3u8; 512]).is_err());
         assert!(d.crashed());
-        assert!(write_blocking(&*d, 1536, vec![4u8; 512]).is_err());
+        assert!(d.write_blocking(1536, vec![4u8; 512]).is_err());
         // Surviving image: writes 0 and 1 in full, nothing of 2 or 3.
-        assert_eq!(read_blocking(&*inner, 0, 512).unwrap(), vec![1u8; 512]);
-        assert_eq!(read_blocking(&*inner, 512, 512).unwrap(), vec![2u8; 512]);
+        assert_eq!(inner.read_blocking(0, 512).unwrap(), vec![1u8; 512]);
+        assert_eq!(inner.read_blocking(512, 512).unwrap(), vec![2u8; 512]);
         assert!(matches!(
-            read_blocking(&*inner, 1024, 512),
+            inner.read_blocking(1024, 512),
             Err(IoError::OutOfRange { .. })
         ));
         // The crashed device refuses reads too.
-        assert!(matches!(read_blocking(&*d, 0, 8), Err(IoError::Failed(_))));
+        assert!(matches!(d.read_blocking(0, 8), Err(IoError::Failed(_))));
     }
 
     #[test]
     fn torn_write_persists_exactly_the_prefix() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![0xAA; 1024]).unwrap();
+        d.write_blocking(0, vec![0xAA; 1024]).unwrap();
         d.arm_crash(0, TornWrite::Bytes(100));
-        assert!(write_blocking(&*d, 0, vec![0xBB; 1024]).is_err());
-        let bytes = read_blocking(&*inner, 0, 1024).unwrap();
+        assert!(d.write_blocking(0, vec![0xBB; 1024]).is_err());
+        let bytes = inner.read_blocking(0, 1024).unwrap();
         assert!(bytes[..100].iter().all(|&b| b == 0xBB), "prefix persisted");
         assert!(bytes[100..].iter().all(|&b| b == 0xAA), "suffix untouched");
     }
@@ -628,10 +613,10 @@ mod tests {
         let keep = |seed: u64| {
             let inner = MemDevice::new(1);
             let d = FaultDevice::wrap(inner.clone());
-            write_blocking(&*d, 0, vec![0x11; 4096]).unwrap();
+            d.write_blocking(0, vec![0x11; 4096]).unwrap();
             d.arm_crash(0, TornWrite::SeededSectors { seed });
-            assert!(write_blocking(&*d, 0, vec![0x22; 4096]).is_err());
-            let bytes = read_blocking(&*inner, 0, 4096).unwrap();
+            assert!(d.write_blocking(0, vec![0x22; 4096]).is_err());
+            let bytes = inner.read_blocking(0, 4096).unwrap();
             let kept = bytes.iter().take_while(|&&b| b == 0x22).count();
             assert!(bytes[kept..].iter().all(|&b| b == 0x11));
             assert_eq!(kept % d.sector_size(), 0, "tear must be sector-aligned");
@@ -647,31 +632,31 @@ mod tests {
     fn dropped_write_acks_but_does_not_persist() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![5u8; 128]).unwrap();
+        d.write_blocking(0, vec![5u8; 128]).unwrap();
         d.drop_write_at(0);
-        write_blocking(&*d, 0, vec![6u8; 128]).unwrap(); // acked Ok, dropped
-        write_blocking(&*d, 128, vec![7u8; 128]).unwrap(); // later write unaffected
-        assert_eq!(read_blocking(&*inner, 0, 128).unwrap(), vec![5u8; 128]);
-        assert_eq!(read_blocking(&*inner, 128, 128).unwrap(), vec![7u8; 128]);
+        d.write_blocking(0, vec![6u8; 128]).unwrap(); // acked Ok, dropped
+        d.write_blocking(128, vec![7u8; 128]).unwrap(); // later write unaffected
+        assert_eq!(inner.read_blocking(0, 128).unwrap(), vec![5u8; 128]);
+        assert_eq!(inner.read_blocking(128, 128).unwrap(), vec![7u8; 128]);
     }
 
     #[test]
     fn scripted_and_rate_read_faults_are_transient() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner);
-        write_blocking(&*d, 0, vec![9u8; 64]).unwrap();
+        d.write_blocking(0, vec![9u8; 64]).unwrap();
         d.fail_read_at(0);
-        assert!(matches!(read_blocking(&*d, 0, 8), Err(IoError::Failed(_))));
-        assert_eq!(read_blocking(&*d, 0, 8).unwrap(), vec![9u8; 8]);
+        assert!(matches!(d.read_blocking(0, 8), Err(IoError::Failed(_))));
+        assert_eq!(d.read_blocking(0, 8).unwrap(), vec![9u8; 8]);
         d.fail_next_reads(2);
-        assert!(read_blocking(&*d, 0, 8).is_err());
-        assert!(read_blocking(&*d, 0, 8).is_err());
-        assert!(read_blocking(&*d, 0, 8).is_ok());
+        assert!(d.read_blocking(0, 8).is_err());
+        assert!(d.read_blocking(0, 8).is_err());
+        assert!(d.read_blocking(0, 8).is_ok());
         // An always-failing rate fails every attempt; a zero rate none.
         d.set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 1, den: 1 }));
-        assert!(read_blocking(&*d, 0, 8).is_err());
+        assert!(d.read_blocking(0, 8).is_err());
         d.set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 0, den: 1 }));
-        assert!(read_blocking(&*d, 0, 8).is_ok());
+        assert!(d.read_blocking(0, 8).is_ok());
         d.set_read_fault_rate(None);
     }
 
@@ -682,42 +667,42 @@ mod tests {
         let ckpt_inner = MemDevice::new(1);
         let log = FaultDevice::wrap_in_domain(log_inner.clone(), &domain);
         let ckpt = FaultDevice::wrap_in_domain(ckpt_inner.clone(), &domain);
-        write_blocking(&*log, 0, vec![1u8; 128]).unwrap(); // wsn 0
-        write_blocking(&*ckpt, 0, vec![2u8; 128]).unwrap(); // wsn 1
+        log.write_blocking(0, vec![1u8; 128]).unwrap(); // wsn 0
+        ckpt.write_blocking(0, vec![2u8; 128]).unwrap(); // wsn 1
         assert_eq!(domain.writes_issued(), 2);
         // Crash at wsn 3: the ckpt write at wsn 2 survives, the log write at
         // wsn 3 is the crash point, and both devices refuse afterwards.
         domain.arm_crash(1, TornWrite::Nothing);
-        write_blocking(&*ckpt, 128, vec![3u8; 128]).unwrap(); // wsn 2
-        assert!(write_blocking(&*log, 128, vec![4u8; 128]).is_err()); // wsn 3: crash
+        ckpt.write_blocking(128, vec![3u8; 128]).unwrap(); // wsn 2
+        assert!(log.write_blocking(128, vec![4u8; 128]).is_err()); // wsn 3: crash
         assert!(log.crashed() && ckpt.crashed() && domain.crashed());
-        assert!(write_blocking(&*ckpt, 256, vec![5u8; 128]).is_err());
-        assert!(matches!(read_blocking(&*log, 0, 8), Err(IoError::Failed(_))));
+        assert!(ckpt.write_blocking(256, vec![5u8; 128]).is_err());
+        assert!(matches!(log.read_blocking(0, 8), Err(IoError::Failed(_))));
         // Surviving images: everything acked before the crash point.
-        assert_eq!(read_blocking(&*log_inner, 0, 128).unwrap(), vec![1u8; 128]);
-        assert_eq!(read_blocking(&*ckpt_inner, 128, 128).unwrap(), vec![3u8; 128]);
-        assert!(read_blocking(&*log_inner, 128, 128).is_err());
+        assert_eq!(log_inner.read_blocking(0, 128).unwrap(), vec![1u8; 128]);
+        assert_eq!(ckpt_inner.read_blocking(128, 128).unwrap(), vec![3u8; 128]);
+        assert!(log_inner.read_blocking(128, 128).is_err());
     }
 
     #[test]
     fn flush_boundary_crash_preserves_acked_writes() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![7u8; 64]).unwrap();
+        d.write_blocking(0, vec![7u8; 64]).unwrap();
         d.flush_barrier().unwrap(); // fsn 0
         d.arm_crash_at_flush(1); // fsn 1 from now = the second barrier below
-        write_blocking(&*d, 64, vec![8u8; 64]).unwrap();
+        d.write_blocking(64, vec![8u8; 64]).unwrap();
         d.flush_barrier().unwrap(); // fsn 1: survives
-        write_blocking(&*d, 128, vec![9u8; 64]).unwrap();
+        d.write_blocking(128, vec![9u8; 64]).unwrap();
         // fsn 2: crash point — the sync never happened, so the barrier must
         // report failure (its group can never be acked).
         assert!(d.flush_barrier().is_err());
         assert!(d.crashed());
-        assert!(write_blocking(&*d, 192, vec![1u8; 64]).is_err());
+        assert!(d.write_blocking(192, vec![1u8; 64]).is_err());
         // Every write acked before the crash-point barrier persisted.
-        assert_eq!(read_blocking(&*inner, 0, 64).unwrap(), vec![7u8; 64]);
-        assert_eq!(read_blocking(&*inner, 64, 64).unwrap(), vec![8u8; 64]);
-        assert_eq!(read_blocking(&*inner, 128, 64).unwrap(), vec![9u8; 64]);
+        assert_eq!(inner.read_blocking(0, 64).unwrap(), vec![7u8; 64]);
+        assert_eq!(inner.read_blocking(64, 64).unwrap(), vec![8u8; 64]);
+        assert_eq!(inner.read_blocking(128, 64).unwrap(), vec![9u8; 64]);
         assert_eq!(d.domain().flushes_issued(), 3);
     }
 
@@ -725,7 +710,7 @@ mod tests {
     fn injected_flush_failure_is_transient_and_does_not_crash() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![3u8; 64]).unwrap();
+        d.write_blocking(0, vec![3u8; 64]).unwrap();
         d.flush_barrier().unwrap(); // fsn 0
         d.fail_flush_at(1); // fsn 2 = the second barrier from now
         d.flush_barrier().unwrap(); // fsn 1
@@ -733,8 +718,8 @@ mod tests {
         // Unlike a crash, the device stays alive and later barriers succeed.
         assert!(!d.crashed());
         d.flush_barrier().unwrap(); // fsn 3
-        write_blocking(&*d, 64, vec![4u8; 64]).unwrap();
-        assert_eq!(read_blocking(&*d, 64, 64).unwrap(), vec![4u8; 64]);
+        d.write_blocking(64, vec![4u8; 64]).unwrap();
+        assert_eq!(d.read_blocking(64, 64).unwrap(), vec![4u8; 64]);
         assert_eq!(d.domain().flushes_issued(), 4);
     }
 
@@ -742,28 +727,28 @@ mod tests {
     fn scripted_write_faults_are_transient_and_persist_nothing() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![1u8; 128]).unwrap();
+        d.write_blocking(0, vec![1u8; 128]).unwrap();
         d.fail_write_at(0);
         assert!(matches!(
-            write_blocking(&*d, 0, vec![2u8; 128]),
+            d.write_blocking(0, vec![2u8; 128]),
             Err(IoError::Failed(_))
         ));
         // The failed write never reached the medium; the device stays alive
         // and the resubmission (a later wsn) succeeds.
         assert!(!d.crashed());
-        assert_eq!(read_blocking(&*inner, 0, 128).unwrap(), vec![1u8; 128]);
-        write_blocking(&*d, 0, vec![2u8; 128]).unwrap();
-        assert_eq!(read_blocking(&*inner, 0, 128).unwrap(), vec![2u8; 128]);
+        assert_eq!(inner.read_blocking(0, 128).unwrap(), vec![1u8; 128]);
+        d.write_blocking(0, vec![2u8; 128]).unwrap();
+        assert_eq!(inner.read_blocking(0, 128).unwrap(), vec![2u8; 128]);
 
         d.fail_next_writes(2);
-        assert!(write_blocking(&*d, 128, vec![3u8; 64]).is_err());
-        assert!(write_blocking(&*d, 128, vec![3u8; 64]).is_err());
-        write_blocking(&*d, 128, vec![3u8; 64]).unwrap();
+        assert!(d.write_blocking(128, vec![3u8; 64]).is_err());
+        assert!(d.write_blocking(128, vec![3u8; 64]).is_err());
+        d.write_blocking(128, vec![3u8; 64]).unwrap();
 
         d.set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 1, den: 1 }));
-        assert!(write_blocking(&*d, 256, vec![4u8; 64]).is_err());
+        assert!(d.write_blocking(256, vec![4u8; 64]).is_err());
         d.set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 0, den: 1 }));
-        write_blocking(&*d, 256, vec![4u8; 64]).unwrap();
+        d.write_blocking(256, vec![4u8; 64]).unwrap();
         d.set_write_fault_rate(None);
     }
 
@@ -771,22 +756,22 @@ mod tests {
     fn device_full_fails_the_overflowing_write_permanently() {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
-        write_blocking(&*d, 0, vec![1u8; 256]).unwrap();
+        d.write_blocking(0, vec![1u8; 256]).unwrap();
         d.set_full_after_bytes(Some(512));
-        write_blocking(&*d, 256, vec![2u8; 512]).unwrap(); // exactly at the limit
+        d.write_blocking(256, vec![2u8; 512]).unwrap(); // exactly at the limit
         assert_eq!(
-            write_blocking(&*d, 768, vec![3u8; 1]),
+            d.write_blocking(768, vec![3u8; 1]),
             Err(IoError::Full { offset: 768 })
         );
         // Full is sticky until the limit is raised; the device never crashed.
         assert_eq!(
-            write_blocking(&*d, 768, vec![3u8; 1]),
+            d.write_blocking(768, vec![3u8; 1]),
             Err(IoError::Full { offset: 768 })
         );
         assert!(!d.crashed());
-        assert_eq!(read_blocking(&*d, 256, 512).unwrap(), vec![2u8; 512]);
+        assert_eq!(d.read_blocking(256, 512).unwrap(), vec![2u8; 512]);
         d.set_full_after_bytes(None);
-        write_blocking(&*d, 768, vec![3u8; 64]).unwrap();
+        d.write_blocking(768, vec![3u8; 64]).unwrap();
     }
 
     #[test]

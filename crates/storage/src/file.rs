@@ -134,32 +134,20 @@ mod tests {
         p
     }
 
-    fn write_blocking(d: &FileDevice, offset: u64, data: Vec<u8>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap().unwrap();
-    }
-
-    fn read_blocking(d: &FileDevice, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
-    }
-
     #[test]
     fn round_trip_and_reopen() {
         let path = tmp_path("round-trip");
         {
             let d = FileDevice::create(&path, 2).unwrap();
-            write_blocking(&d, 0, b"hello world!".to_vec());
-            write_blocking(&d, 4096, vec![0xAB; 512]);
-            assert_eq!(read_blocking(&d, 0, 5).unwrap(), b"hello");
+            d.write_blocking(0, b"hello world!".to_vec()).unwrap();
+            d.write_blocking(4096, vec![0xAB; 512]).unwrap();
+            assert_eq!(d.read_blocking(0, 5).unwrap(), b"hello");
             d.flush_barrier().unwrap();
         }
         {
             let d = FileDevice::open(&path, 1).unwrap();
-            assert_eq!(read_blocking(&d, 4096, 512).unwrap(), vec![0xAB; 512]);
-            assert_eq!(read_blocking(&d, 6, 5).unwrap(), b"world");
+            assert_eq!(d.read_blocking(4096, 512).unwrap(), vec![0xAB; 512]);
+            assert_eq!(d.read_blocking(6, 5).unwrap(), b"world");
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -168,11 +156,11 @@ mod tests {
     fn bounds_and_truncate() {
         let path = tmp_path("bounds");
         let d = FileDevice::create(&path, 1).unwrap();
-        write_blocking(&d, 0, vec![1; 1024]);
-        assert!(matches!(read_blocking(&d, 1000, 100), Err(IoError::OutOfRange { .. })));
+        d.write_blocking(0, vec![1; 1024]).unwrap();
+        assert!(matches!(d.read_blocking(1000, 100), Err(IoError::OutOfRange { .. })));
         d.truncate_below(512);
-        assert!(matches!(read_blocking(&d, 0, 16), Err(IoError::Truncated { .. })));
-        assert_eq!(read_blocking(&d, 512, 16).unwrap(), vec![1; 16]);
+        assert!(matches!(d.read_blocking(0, 16), Err(IoError::Truncated { .. })));
+        assert_eq!(d.read_blocking(512, 16).unwrap(), vec![1; 16]);
         std::fs::remove_file(&path).unwrap();
     }
 }

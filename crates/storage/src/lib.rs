@@ -4,8 +4,9 @@
 //!
 //! The paper runs HybridLog over a FusionIO NVMe SSD accessed with unbuffered
 //! asynchronous I/O (§5.1, §7.1). This crate reproduces that *interface* — a
-//! fully asynchronous, sector-aligned block device with completion callbacks —
-//! with three interchangeable implementations:
+//! fully asynchronous, sector-aligned block device whose every result is a
+//! completion queue entry on the submitter's [`CompletionRing`] (see
+//! [`ring`]) — with interchangeable implementations:
 //!
 //! * [`MemDevice`] — an in-RAM device serviced by background I/O worker
 //!   threads with a configurable latency + bandwidth model. This is the
@@ -77,11 +78,6 @@ impl std::fmt::Display for IoError {
 
 impl std::error::Error for IoError {}
 
-/// Completion callback for a write.
-pub type WriteCallback = Box<dyn FnOnce(Result<(), IoError>) + Send>;
-/// Completion callback for a read, receiving the bytes on success.
-pub type ReadCallback = Box<dyn FnOnce(Result<Vec<u8>, IoError>) + Send>;
-
 /// Cumulative device counters.
 ///
 /// These counters are how the bench harness derives the log growth rate
@@ -100,16 +96,12 @@ pub struct DeviceStats {
 /// Offsets are byte offsets into a flat address space (the log's stable
 /// region maps logical addresses directly to device offsets). The one
 /// required I/O method is [`Device::submit`]: the device services the SQE
-/// and delivers the result through the SQE's completion route — a CQE
-/// published into the submitter's [`CompletionRing`], or (for the legacy
-/// adapter route) a boxed callback. Either way, delivery happens on
-/// whatever thread finished the I/O and must be short and non-blocking —
-/// a ring push, or a callback that only moves a context onto a session's
-/// pending queue.
+/// and publishes its result as a CQE into the SQE's [`CompletionRing`], on
+/// whatever thread finished the I/O.
 ///
-/// [`Device::write_async`] / [`Device::read_async`] are retained as thin
-/// adapters over `submit` (callback-routed SQEs), so pre-ring call sites
-/// keep working unchanged during migration.
+/// [`Device::read_blocking`] / [`Device::write_blocking`] are the one
+/// blocking wait, for maintenance and recovery paths that have nothing to
+/// overlap the I/O with.
 pub trait Device: Send + Sync + 'static {
     /// Sector size; write offsets and lengths should be multiples of this
     /// (the circular buffer allocates frames sector-aligned, §5.1).
@@ -117,8 +109,8 @@ pub trait Device: Send + Sync + 'static {
         512
     }
 
-    /// Queues one submission queue entry. Exactly-once completion through
-    /// the SQE's route, on success or failure.
+    /// Queues one submission queue entry. Exactly-once completion into the
+    /// SQE's ring, on success or failure.
     fn submit(&self, sqe: Sqe);
 
     /// Batched submission handoff: drains `sqes` into the device. The
@@ -130,16 +122,19 @@ pub trait Device: Send + Sync + 'static {
         }
     }
 
-    /// Queues an asynchronous write of `data` at byte `offset`.
-    /// Legacy adapter: equivalent to submitting a callback-routed SQE.
-    fn write_async(&self, offset: u64, data: Vec<u8>, cb: WriteCallback) {
-        self.submit(Sqe::write_cb(offset, data, cb));
+    /// Writes `data` at byte `offset` and parks until the device reports
+    /// the outcome.
+    fn write_blocking(&self, offset: u64, data: Vec<u8>) -> Result<(), IoError> {
+        let ring = Arc::new(CompletionRing::new());
+        self.submit(Sqe::write(0, offset, data, &ring));
+        wait_one(&ring).map(|_| ())
     }
 
-    /// Queues an asynchronous read of `len` bytes at byte `offset`.
-    /// Legacy adapter: equivalent to submitting a callback-routed SQE.
-    fn read_async(&self, offset: u64, len: usize, cb: ReadCallback) {
-        self.submit(Sqe::read_cb(offset, len, cb));
+    /// Reads `len` bytes at byte `offset`, parking until they arrive.
+    fn read_blocking(&self, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
+        let ring = Arc::new(CompletionRing::new());
+        self.submit(Sqe::read(0, offset, len, &ring));
+        wait_one(&ring)
     }
 
     /// Blocks until every operation queued before this call has completed
@@ -156,6 +151,15 @@ pub trait Device: Send + Sync + 'static {
 
     /// Cumulative counters.
     fn stats(&self) -> DeviceStats;
+}
+
+/// Parks until the single SQE submitted against `ring` has completed.
+fn wait_one(ring: &CompletionRing) -> Result<Vec<u8>, IoError> {
+    let mut cqes = Vec::with_capacity(1);
+    while ring.reap(&mut cqes) == 0 {
+        ring.wait_nonempty(std::time::Duration::from_millis(100));
+    }
+    cqes.pop().expect("reap reported a CQE").result
 }
 
 /// Shared atomic counters behind [`DeviceStats`].
@@ -189,7 +193,7 @@ impl StatCells {
 /// Latency/bandwidth model for [`MemDevice`], approximating an NVMe SSD.
 ///
 /// Each operation is delayed by `fixed + bytes / bandwidth` before its
-/// callback fires. [`LatencyModel::nvme`] models a fast NVMe drive (~20 µs,
+/// CQE is published. [`LatencyModel::nvme`] models a fast NVMe drive (~20 µs,
 /// 2 GB/s — the paper's device tops out at 2 GB/s sequential, §7.3). Use
 /// [`LatencyModel::ZERO`] for pure functional tests.
 #[derive(Debug, Clone, Copy)]
@@ -284,12 +288,8 @@ mod tests {
     #[test]
     fn null_device_counts_and_rejects() {
         let d = NullDevice::new();
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.write_async(0, vec![0u8; 128], Box::new(move |r| tx.send(r).unwrap()));
-        assert_eq!(rx.recv().unwrap(), Ok(()));
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.read_async(0, 128, Box::new(move |r| tx.send(r.map(|_| ())).unwrap()));
-        assert_eq!(rx.recv().unwrap(), Err(IoError::Unsupported));
+        assert_eq!(d.write_blocking(0, vec![0u8; 128]), Ok(()));
+        assert_eq!(d.read_blocking(0, 128), Err(IoError::Unsupported));
         assert_eq!(d.stats().bytes_written, 128);
         assert_eq!(d.stats().writes, 1);
     }

@@ -90,10 +90,10 @@ impl State {
 pub struct MemDevice {
     state: Arc<State>,
     pool: IoPool,
-    /// Deadline scheduler for ring-routed reads under a non-zero latency
-    /// model: the read executes at submission and its CQE is published at
-    /// the latency deadline, so in-flight depth is unbounded by the worker
-    /// pool width (`None` for zero-latency devices — those complete inline).
+    /// Deadline scheduler for reads under a non-zero latency model: the
+    /// read executes at submission and its CQE is published at the latency
+    /// deadline, so in-flight depth is unbounded by the worker pool width
+    /// (`None` for zero-latency devices — those complete inline).
     timer: Option<DeadlineTimer>,
 }
 
@@ -148,24 +148,14 @@ impl Device for MemDevice {
             SqeOp::Read { offset, len } => {
                 self.state.stats.record_read(len);
                 let delay = self.state.latency.delay_for(len);
-                if completion.is_ring() {
-                    // Ring path: execute now (log reads target immutable
-                    // flushed bytes), publish the CQE at the latency
-                    // deadline — overlap is unbounded by pool width.
-                    let res = self.state.service_read(offset, len);
-                    match &self.timer {
-                        Some(t) if !delay.is_zero() => t.defer(delay, completion, res),
-                        _ => completion.complete(res),
-                    }
-                } else {
-                    // Callback route: preserve the worker-pool dispatch, so
-                    // legacy completions keep running on I/O threads (the
-                    // flush machinery depends on that execution context).
-                    let state = self.state.clone();
-                    self.pool.submit(move || {
-                        precise_sleep(delay);
-                        completion.complete(state.service_read(offset, len));
-                    });
+                // Execute now, publish the CQE at the latency deadline —
+                // overlap is unbounded by pool width. A read therefore sees
+                // exactly the writes whose CQE was published before it was
+                // submitted; it does not queue behind one still in flight.
+                let res = self.state.service_read(offset, len);
+                match &self.timer {
+                    Some(t) if !delay.is_zero() => t.defer(delay, completion, res),
+                    _ => completion.complete(res),
                 }
             }
         }
@@ -195,25 +185,13 @@ impl Device for MemDevice {
 mod tests {
     use super::*;
 
-    fn write_blocking(d: &MemDevice, offset: u64, data: Vec<u8>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap().unwrap();
-    }
-
-    fn read_blocking(d: &MemDevice, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        d.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap()
-    }
-
     #[test]
     fn write_read_round_trip() {
         let d = MemDevice::new(2);
         let data: Vec<u8> = (0..=255).collect();
-        write_blocking(&d, 0, data.clone());
-        assert_eq!(read_blocking(&d, 0, 256).unwrap(), data);
-        assert_eq!(read_blocking(&d, 10, 5).unwrap(), &data[10..15]);
+        d.write_blocking(0, data.clone()).unwrap();
+        assert_eq!(d.read_blocking(0, 256).unwrap(), data);
+        assert_eq!(d.read_blocking(10, 5).unwrap(), &data[10..15]);
     }
 
     #[test]
@@ -221,16 +199,16 @@ mod tests {
         let d = MemDevice::new(1);
         let offset = (CHUNK_SIZE - 100) as u64;
         let data: Vec<u8> = (0..200u32).map(|i| (i % 251) as u8).collect();
-        write_blocking(&d, offset, data.clone());
-        assert_eq!(read_blocking(&d, offset, 200).unwrap(), data);
+        d.write_blocking(offset, data.clone()).unwrap();
+        assert_eq!(d.read_blocking(offset, 200).unwrap(), data);
     }
 
     #[test]
     fn out_of_range_read_fails() {
         let d = MemDevice::new(1);
-        write_blocking(&d, 0, vec![1; 64]);
+        d.write_blocking(0, vec![1; 64]).unwrap();
         assert_eq!(
-            read_blocking(&d, 32, 64),
+            d.read_blocking(32, 64),
             Err(IoError::OutOfRange { offset: 32, len: 64 })
         );
     }
@@ -238,20 +216,20 @@ mod tests {
     #[test]
     fn truncation_invalidates_prefix() {
         let d = MemDevice::new(1);
-        write_blocking(&d, 0, vec![7; 4096]);
+        d.write_blocking(0, vec![7; 4096]).unwrap();
         d.truncate_below(2048);
-        assert_eq!(read_blocking(&d, 0, 16), Err(IoError::Truncated { offset: 0 }));
-        assert_eq!(read_blocking(&d, 2048, 16).unwrap(), vec![7; 16]);
+        assert_eq!(d.read_blocking(0, 16), Err(IoError::Truncated { offset: 0 }));
+        assert_eq!(d.read_blocking(2048, 16).unwrap(), vec![7; 16]);
     }
 
     #[test]
     fn fault_injection() {
         let d = MemDevice::new(1);
-        write_blocking(&d, 0, vec![9; 64]);
+        d.write_blocking(0, vec![9; 64]).unwrap();
         d.fail_next_reads(2);
-        assert!(matches!(read_blocking(&d, 0, 8), Err(IoError::Failed(_))));
-        assert!(matches!(read_blocking(&d, 0, 8), Err(IoError::Failed(_))));
-        assert_eq!(read_blocking(&d, 0, 8).unwrap(), vec![9; 8]);
+        assert!(matches!(d.read_blocking(0, 8), Err(IoError::Failed(_))));
+        assert!(matches!(d.read_blocking(0, 8), Err(IoError::Failed(_))));
+        assert_eq!(d.read_blocking(0, 8).unwrap(), vec![9; 8]);
     }
 
     #[test]
@@ -263,7 +241,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..64u64 {
                     let off = t * 1_000_000 + i * 512;
-                    write_blocking(&d, off, vec![t as u8; 512]);
+                    d.write_blocking(off, vec![t as u8; 512]).unwrap();
                 }
             }));
         }
@@ -271,7 +249,7 @@ mod tests {
             h.join().unwrap();
         }
         for t in 0..8u64 {
-            assert_eq!(read_blocking(&d, t * 1_000_000, 512).unwrap(), vec![t as u8; 512]);
+            assert_eq!(d.read_blocking(t * 1_000_000, 512).unwrap(), vec![t as u8; 512]);
         }
     }
 
@@ -282,16 +260,35 @@ mod tests {
             LatencyModel { fixed: std::time::Duration::from_millis(5), bytes_per_sec: 0 },
         );
         let start = std::time::Instant::now();
-        write_blocking(&d, 0, vec![0; 8]);
+        d.write_blocking(0, vec![0; 8]).unwrap();
         assert!(start.elapsed() >= std::time::Duration::from_millis(5));
+    }
+
+    /// Blocking reads are serviced like a session's pending reads: executed
+    /// at submit, published at the deadline, so 64 of them overlap on a
+    /// one-worker device instead of occupying the worker for a delay each.
+    #[test]
+    fn blocking_reads_overlap_beyond_pool_width() {
+        let latency = std::time::Duration::from_millis(10);
+        let d = MemDevice::with_latency(1, LatencyModel { fixed: latency, bytes_per_sec: 0 });
+        d.write_blocking(0, vec![3; 64]).unwrap();
+        let start = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..64 {
+                s.spawn(|| assert_eq!(d.read_blocking(0, 64).unwrap(), vec![3; 64]));
+            }
+        });
+        let elapsed = start.elapsed();
+        assert!(elapsed >= latency);
+        assert!(elapsed < latency * 32, "64 reads took {elapsed:?}: serialised on the pool");
     }
 
     #[test]
     fn stats_accumulate() {
         let d = MemDevice::new(1);
-        write_blocking(&d, 0, vec![0; 100]);
-        write_blocking(&d, 100, vec![0; 50]);
-        let _ = read_blocking(&d, 0, 30);
+        d.write_blocking(0, vec![0; 100]).unwrap();
+        d.write_blocking(100, vec![0; 50]).unwrap();
+        let _ = d.read_blocking(0, 30);
         let s = d.stats();
         assert_eq!(s.bytes_written, 150);
         assert_eq!(s.writes, 2);

@@ -1,35 +1,36 @@
 //! Submission/completion ring: the io_uring-shaped device interface.
 //!
-//! The original device API was callback-per-op: every read carried a boxed
-//! closure that an I/O worker invoked on completion, so a consumer waiting
-//! for its I/O had to poll a side queue the callbacks fed. This module
-//! replaces that contract with explicit submission queue entries ([`Sqe`])
-//! and completion queue entries ([`Cqe`]):
+//! Every device result is delivered one way — a completion queue entry
+//! ([`Cqe`]) pushed into the [`CompletionRing`] the submission queue entry
+//! ([`Sqe`]) named:
 //!
-//! * the submitter builds SQEs (id + read/write op + completion route) and
+//! * the submitter builds SQEs (id + read/write op + destination ring) and
 //!   hands a batch to [`Device::submit_all`](crate::Device::submit_all) —
-//!   one "doorbell" per batch, not one closure dispatch per op;
+//!   one "doorbell" per batch, not one dispatch per op;
 //! * the device services each SQE and publishes a [`Cqe`] into the
-//!   submitter's [`CompletionRing`];
+//!   submitter's ring, on whatever thread finished the I/O;
 //! * the submitter reaps CQEs straight off the ring — a single atomic swap
 //!   for the whole batch, no thread hop, no lock — and resumes the
 //!   continuation keyed by the echoed id.
 //!
-//! The legacy callback API survives as a thin adapter: a callback-routed
-//! SQE ([`Sqe::read_cb`] / [`Sqe::write_cb`]) invokes its boxed closure at
-//! completion instead of publishing a CQE, which keeps every existing
-//! `read_async`/`write_async` call site working unchanged while migrated
-//! paths (the session pending-op machinery) go through the ring.
+//! [`SqeCompletion::complete`] consumes the completion, so a result cannot
+//! be delivered twice; a completion dropped without it publishes an error
+//! CQE, so a result cannot be lost either — the waiter sees a failed I/O,
+//! not a hang.
 //!
-//! ## Blocking reap
+//! ## Consuming a ring
 //!
 //! [`CompletionRing::reap`] is the non-blocking grab-all (a Treiber-stack
 //! swap, wait-free for the consumer). [`CompletionRing::wait_nonempty`]
 //! parks the consumer on a condvar until a producer publishes, with a
 //! bounded timeout so callers can keep epoch maintenance alive; the
 //! producer side stays lock-free unless a sleeper is registered.
+//! [`CompletionRing::set_waker`] runs a hook on the publishing thread after
+//! every push: the server uses it to multiplex the ring into a poll set,
+//! the log to consume its page-flush CQEs on the I/O thread that produced
+//! them.
 
-use crate::{IoError, ReadCallback, WriteCallback};
+use crate::IoError;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,22 +53,15 @@ pub enum SqeOp {
     Write { offset: u64, data: Vec<u8> },
 }
 
-/// Unified completion closure used by the legacy adapter route.
-type IoCallback = Box<dyn FnOnce(Result<Vec<u8>, IoError>) + Send>;
-
-enum Route {
-    /// Publish a [`Cqe`] into the submitter's ring.
-    Ring(Arc<CompletionRing>),
-    /// Legacy adapter: invoke the boxed callback.
-    Callback(IoCallback),
-}
-
-/// The completion half of an SQE: where (and under which id) the result
-/// goes. Devices split an SQE with [`Sqe::into_parts`], perform the I/O,
-/// and call [`SqeCompletion::complete`] exactly once.
+/// The completion half of an SQE: which ring (and under which id) the
+/// result goes to. Devices split an SQE with [`Sqe::into_parts`], perform
+/// the I/O, and call [`SqeCompletion::complete`] exactly once.
 pub struct SqeCompletion {
     id: u64,
-    route: Route,
+    /// `None` once the CQE has been published.
+    ring: Option<Arc<CompletionRing>>,
+    /// Set by [`SqeCompletion::fail_with`]: reported instead of the result.
+    fail: Option<IoError>,
 }
 
 impl SqeCompletion {
@@ -76,67 +70,54 @@ impl SqeCompletion {
         self.id
     }
 
-    /// True when the result is published to a [`CompletionRing`] (as
-    /// opposed to a legacy callback). Devices may use this to pick a
-    /// completion strategy (e.g. inline vs. worker-pool dispatch).
-    pub fn is_ring(&self) -> bool {
-        matches!(self.route, Route::Ring(_))
+    /// Makes the completion report `err` whatever result it is later given.
+    /// For wrapper devices that forward an operation whose outcome they have
+    /// already decided (a torn write still lands its surviving prefix).
+    pub fn fail_with(mut self, err: IoError) -> Self {
+        self.fail = Some(err);
+        self
     }
 
-    /// Delivers the result: pushes a CQE (ring route) or invokes the
-    /// callback (adapter route). Consumes the completion — exactly-once.
-    pub fn complete(self, result: Result<Vec<u8>, IoError>) {
-        match self.route {
-            Route::Ring(ring) => ring.push(Cqe { id: self.id, result }),
-            Route::Callback(cb) => cb(result),
+    /// Publishes the CQE. Consumes the completion — exactly-once.
+    pub fn complete(mut self, result: Result<Vec<u8>, IoError>) {
+        let ring = self.ring.take().expect("ring is held until the CQE is published");
+        ring.push(Cqe { id: self.id, result: self.fail.take().map_or(result, Err) });
+    }
+}
+
+impl Drop for SqeCompletion {
+    /// A completion dropped un-completed (a device bug, a panicking pool
+    /// job) must not strand whoever is parked on the ring.
+    fn drop(&mut self) {
+        if let Some(ring) = self.ring.take() {
+            ring.push(Cqe { id: self.id, result: Err(IoError::Failed("sqe dropped".into())) });
         }
     }
 }
 
-/// A submission queue entry: one asynchronous read or write plus its
-/// completion route.
+/// A submission queue entry: one asynchronous read or write plus the ring
+/// its completion lands in.
 pub struct Sqe {
     op: SqeOp,
     completion: SqeCompletion,
 }
 
 impl Sqe {
-    /// A ring-routed read: the CQE (echoing `id`) lands in `ring`.
+    fn new(id: u64, op: SqeOp, ring: &Arc<CompletionRing>) -> Self {
+        Self { op, completion: SqeCompletion { id, ring: Some(Arc::clone(ring)), fail: None } }
+    }
+
+    /// A read: the CQE (echoing `id`) lands in `ring`.
     pub fn read(id: u64, offset: u64, len: usize, ring: &Arc<CompletionRing>) -> Self {
-        Self {
-            op: SqeOp::Read { offset, len },
-            completion: SqeCompletion { id, route: Route::Ring(Arc::clone(ring)) },
-        }
+        Self::new(id, SqeOp::Read { offset, len }, ring)
     }
 
-    /// A ring-routed write: the CQE (empty bytes on success) lands in `ring`.
+    /// A write: the CQE (empty bytes on success) lands in `ring`.
     pub fn write(id: u64, offset: u64, data: Vec<u8>, ring: &Arc<CompletionRing>) -> Self {
-        Self {
-            op: SqeOp::Write { offset, data },
-            completion: SqeCompletion { id, route: Route::Ring(Arc::clone(ring)) },
-        }
+        Self::new(id, SqeOp::Write { offset, data }, ring)
     }
 
-    /// Legacy-adapter read: `cb` runs at completion (no CQE is published).
-    pub fn read_cb(offset: u64, len: usize, cb: ReadCallback) -> Self {
-        Self {
-            op: SqeOp::Read { offset, len },
-            completion: SqeCompletion { id: 0, route: Route::Callback(cb) },
-        }
-    }
-
-    /// Legacy-adapter write: `cb` runs at completion (no CQE is published).
-    pub fn write_cb(offset: u64, data: Vec<u8>, cb: WriteCallback) -> Self {
-        Self {
-            op: SqeOp::Write { offset, data },
-            completion: SqeCompletion {
-                id: 0,
-                route: Route::Callback(Box::new(move |r| cb(r.map(|_| ())))),
-            },
-        }
-    }
-
-    /// The submitter's id (0 for legacy-adapter SQEs).
+    /// The submitter's id.
     pub fn id(&self) -> u64 {
         self.completion.id
     }
@@ -178,7 +159,7 @@ pub struct CompletionRing {
     /// park observes both CQEs and connection events. `has_waker` keeps the
     /// no-waker fast path to a single relaxed load.
     has_waker: AtomicBool,
-    waker: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 // Raw node pointers hide the auto traits; CQEs only carry owned bytes.
@@ -204,10 +185,12 @@ impl CompletionRing {
     }
 
     /// Installs (or replaces) the external waker, invoked after every
-    /// [`CompletionRing::push`]. The waker runs on the producer's thread and
-    /// must be cheap and non-blocking (a self-pipe write, an eventfd poke).
+    /// [`CompletionRing::push`]. The waker runs on the producer's thread —
+    /// an I/O worker, or the submitter for an inline completion — and must
+    /// not block on that thread's own pending I/O. It may reap this ring
+    /// and submit SQEs that complete into it.
     pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
-        *self.waker.lock().unwrap() = Some(Box::new(waker));
+        *self.waker.lock().unwrap() = Some(Arc::new(waker));
         self.has_waker.store(true, Ordering::SeqCst);
     }
 
@@ -242,7 +225,10 @@ impl CompletionRing {
             self.wake.notify_all();
         }
         if self.has_waker.load(Ordering::SeqCst) {
-            if let Some(w) = self.waker.lock().unwrap().as_ref() {
+            // Called outside the lock: a waker that submits an SQE which
+            // completes inline pushes into this ring again.
+            let waker = self.waker.lock().unwrap().clone();
+            if let Some(w) = waker {
                 w();
             }
         }
@@ -385,22 +371,36 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(10));
     }
 
-    #[test]
-    fn callback_routes_adapt_both_result_shapes() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let sqe = Sqe::write_cb(0, vec![1, 2, 3], Box::new(move |r| tx.send(r).unwrap()));
-        assert_eq!(sqe.id(), 0);
-        let (op, completion) = sqe.into_parts();
-        assert!(matches!(op, SqeOp::Write { offset: 0, ref data } if data == &[1, 2, 3]));
-        assert!(!completion.is_ring());
-        completion.complete(Ok(Vec::new()));
-        assert_eq!(rx.recv().unwrap(), Ok(()));
+    /// A device that loses every SQE it is handed.
+    struct LossyDevice;
 
-        let (tx, rx) = std::sync::mpsc::channel();
-        let sqe = Sqe::read_cb(8, 4, Box::new(move |r| tx.send(r).unwrap()));
-        let (_, completion) = sqe.into_parts();
-        completion.complete(Err(IoError::Unsupported));
-        assert_eq!(rx.recv().unwrap(), Err(IoError::Unsupported));
+    impl crate::Device for LossyDevice {
+        fn submit(&self, sqe: Sqe) {
+            drop(sqe);
+        }
+        fn flush_barrier(&self) -> Result<(), IoError> {
+            Ok(())
+        }
+        fn stats(&self) -> crate::DeviceStats {
+            crate::DeviceStats::default()
+        }
+    }
+
+    #[test]
+    fn dropped_sqe_is_an_error_not_a_hang() {
+        use crate::Device;
+        // On a side thread, so a regression fails the deadline below
+        // instead of hanging the suite.
+        let waiter = std::thread::spawn(|| {
+            (LossyDevice.read_blocking(0, 8), LossyDevice.write_blocking(0, vec![1; 8]))
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !waiter.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "waiter stranded by a dropped SQE");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let dropped = || IoError::Failed("sqe dropped".into());
+        assert_eq!(waiter.join().unwrap(), (Err(dropped()), Err(dropped())));
     }
 
     #[test]

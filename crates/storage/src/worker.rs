@@ -3,8 +3,8 @@
 //! Each device owns a small pool of OS threads draining a channel of queued
 //! jobs. This mirrors the asynchronous I/O model the paper's log depends on:
 //! a flush or record read is *queued*, the issuing FASTER thread keeps
-//! processing operations, and the completion callback later moves the
-//! operation's context onto the session's pending queue (§5.3).
+//! processing operations, and the completion later lands on the ring the
+//! issuer reaps (§5.3).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BinaryHeap;
@@ -45,7 +45,7 @@ impl IoPool {
     }
 
     /// Queues a job. The in-flight counter is decremented only after the job
-    /// (including its completion callback) finishes.
+    /// (including its CQE push and the ring's waker) finishes.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let in_flight = self.in_flight.clone();
@@ -79,12 +79,12 @@ impl Drop for IoPool {
     }
 }
 
-/// A deadline-ordered completion scheduler for [`MemDevice`]'s ring path.
+/// A deadline-ordered completion scheduler for [`MemDevice`]'s reads.
 ///
 /// The worker pool simulates latency by *occupying a worker* for the
 /// duration (`precise_sleep` then execute), which caps concurrent delayed
 /// operations at the pool width — io-depth 64 over 4 workers degenerates to
-/// depth 4. Ring-routed reads instead execute at submission (the bytes are
+/// depth 4. Reads instead execute at submission (the bytes are
 /// copied immediately) and park their completion here; a single timer
 /// thread publishes each CQE at its latency deadline, so any number of
 /// simulated-latency operations overlap, exactly like a real NVMe queue.
@@ -326,16 +326,8 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn timer_barrier_parks_without_spinning() {
         let timer = DeadlineTimer::new();
-        let delivered = Arc::new(AtomicU32::new(0));
-        let d = delivered.clone();
-        let (_op, completion) = crate::ring::Sqe::read_cb(
-            0,
-            0,
-            Box::new(move |_| {
-                d.fetch_add(1, Ordering::SeqCst);
-            }),
-        )
-        .into_parts();
+        let ring = Arc::new(crate::CompletionRing::new());
+        let (_op, completion) = crate::Sqe::read(0, 0, 0, &ring).into_parts();
         let wait = std::time::Duration::from_millis(600);
         timer.defer(wait, completion, Ok(Vec::new()));
         let wall = Instant::now();
@@ -343,7 +335,7 @@ mod tests {
         timer.barrier();
         let cpu = thread_cpu_ticks() - cpu0;
         assert!(wall.elapsed() >= wait - std::time::Duration::from_millis(10));
-        assert_eq!(delivered.load(Ordering::SeqCst), 1);
+        assert_eq!(ring.reap(&mut Vec::new()), 1);
         // Parked: ~0 ticks. The old spin burned the full 600 ms (~60 ticks
         // at 100 Hz). 20 ticks (~200 ms) leaves slack for scheduler noise.
         assert!(cpu <= 20, "barrier consumed {cpu} CPU ticks while waiting");

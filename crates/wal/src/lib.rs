@@ -531,7 +531,7 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
     // Find the first readable segment (truncation reclaims whole segments).
     let mut off = 0u64;
     loop {
-        match read_blocking(device, off, RECORD_HEADER) {
+        match device.read_blocking(off, RECORD_HEADER) {
             Ok(_) => break,
             Err(IoError::Truncated { .. }) => off += seg,
             Err(_) => {
@@ -550,7 +550,7 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
             off += remaining;
             continue;
         }
-        let Ok(hdr) = read_blocking(device, off, RECORD_HEADER) else { break };
+        let Ok(hdr) = device.read_blocking(off, RECORD_HEADER) else { break };
         let rd64 = |i: usize| u64::from_le_bytes(hdr[i..i + 8].try_into().unwrap());
         let sum = rd64(0);
         let lsn = rd64(8);
@@ -569,7 +569,7 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
         if RECORD_HEADER as u64 + len as u64 > remaining || gen == 0 {
             break;
         }
-        let Ok(payload) = read_blocking(device, off + RECORD_HEADER as u64, len) else { break };
+        let Ok(payload) = device.read_blocking(off + RECORD_HEADER as u64, len) else { break };
         let mut check = Vec::with_capacity(RECORD_HEADER - 8 + len);
         check.extend_from_slice(&hdr[8..]);
         check.extend_from_slice(&payload);
@@ -599,20 +599,9 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
     if off > aligned {
         // Rebuild the partial-tail-sector image the commit thread rewrites.
         out.tail_sector =
-            read_blocking(device, aligned, (off - aligned) as usize).unwrap_or_default();
+            device.read_blocking(aligned, (off - aligned) as usize).unwrap_or_default();
     }
     out
-}
-
-fn read_blocking(device: &Arc<dyn Device>, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    device.read_async(offset, len, Box::new(move |r| {
-        let _ = tx.send(r);
-    }));
-    match rx.recv() {
-        Ok(r) => r,
-        Err(_) => Err(IoError::Failed("WAL read callback dropped".into())),
-    }
 }
 
 #[cfg(test)]
@@ -751,13 +740,7 @@ mod tests {
         for r in &scan.records[..14] {
             off += (RECORD_HEADER + r.payload.len()) as u64;
         }
-        let (tx, rx) = std::sync::mpsc::channel();
-        dev.write_async(
-            off + RECORD_HEADER as u64,
-            vec![0xFF; 4],
-            Box::new(move |r| tx.send(r).unwrap()),
-        );
-        rx.recv().unwrap().unwrap();
+        dev.write_blocking(off + RECORD_HEADER as u64, vec![0xFF; 4]).unwrap();
 
         let (_w, replay) = Wal::recover(
             dev,

@@ -69,18 +69,11 @@ fn main() {
     let victim = *mgr.generations().last().unwrap();
     drop(mgr);
     {
-        let (tx, rx) = std::sync::mpsc::channel();
-        ckpt_dev.read_async(
-            victim.blob_offset,
-            victim.blob_len as usize,
-            Box::new(move |r| tx.send(r).unwrap()),
-        );
-        let mut blob = rx.recv().unwrap().unwrap();
+        let mut blob =
+            ckpt_dev.read_blocking(victim.blob_offset, victim.blob_len as usize).unwrap();
         let at = blob.len() / 3;
         blob[at] ^= 0x01;
-        let (tx, rx) = std::sync::mpsc::channel();
-        ckpt_dev.write_async(victim.blob_offset, blob, Box::new(move |r| tx.send(r).unwrap()));
-        rx.recv().unwrap().unwrap();
+        ckpt_dev.write_blocking(victim.blob_offset, blob).unwrap();
         println!("corrupted generation {}'s blob (one bit)", victim.gen);
     }
 

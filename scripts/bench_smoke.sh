@@ -26,23 +26,15 @@
 # final measurement window's probe length exceeds
 # FASTER_BENCH_MAINT_MAX_PROBE (default 2.0; the untuned seed read ~5.6).
 #
-# The net_ycsb bench drives a YCSB-A mix over the RESP front-end's TCP
-# socket at pipeline depth 1 and 64 (same connection count) into
-# BENCH_net.json, failing if the depth-64 : depth-1 speedup falls below
-# FASTER_BENCH_NET_MIN_RATIO (default 4x, the pipelined-batching target) or
-# if its kill-the-server durability phase lost an acked SET.
-#
 # Knobs (forwarded to the benches): FASTER_BENCH_KEYS, FASTER_BENCH_BATCH,
 # FASTER_BENCH_OPS (batch_vs_scalar); FASTER_BENCH_CKPT_KEYS,
 # FASTER_BENCH_CKPT_GENS (ckpt_latency); FASTER_BENCH_IO_KEYS,
 # FASTER_BENCH_IO_SECS (io_depth); FASTER_BENCH_WAL_SECS (wal_latency);
 # FASTER_BENCH_MAINT_KEYS, FASTER_BENCH_MAINT_K_BITS,
-# FASTER_BENCH_MAINT_SECS (maint_selftune); FASTER_BENCH_NET_KEYS,
-# FASTER_BENCH_NET_SECS, FASTER_BENCH_NET_CONNS, FASTER_BENCH_NET_SETS
-# (net_ycsb).
+# FASTER_BENCH_MAINT_SECS (maint_selftune).
 # Outputs land in the repo root (override with BENCH_OUT=path /
 # BENCH_CKPT_OUT=path / BENCH_METRICS_OUT=path / BENCH_IO_OUT=path /
-# BENCH_WAL_OUT=path / BENCH_MAINT_OUT=path / BENCH_NET_OUT=path).
+# BENCH_WAL_OUT=path / BENCH_MAINT_OUT=path).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -231,37 +223,4 @@ if grows < 1:
     sys.exit("maintenance service never grew the undersized index")
 if probe > max_probe:
     sys.exit(f"self-tuned probe length {probe:.2f} exceeds gate {max_probe}")
-PY
-
-cargo bench --bench net_ycsb 2>&1 | tee "$LOG"
-collect "${BENCH_NET_OUT:-BENCH_net.json}"
-
-python3 - "${BENCH_NET_OUT:-BENCH_net.json}" <<'PY'
-import json, os, sys
-
-out_path = sys.argv[1]
-rows = json.load(open(out_path))
-by_depth = {r["depth"]: r["kops"] for r in rows
-            if r.get("bench") == "net_ycsb" and "depth" in r}
-dur = next((r for r in rows
-            if r.get("bench") == "net_ycsb" and r.get("mode") == "durability"), None)
-min_ratio = float(os.environ.get("FASTER_BENCH_NET_MIN_RATIO", "4"))
-d1, d64 = by_depth.get(1), by_depth.get(64)
-if d1 is None or d64 is None:
-    sys.exit("net_ycsb sweep is missing the depth-1 or depth-64 row")
-if dur is None:
-    sys.exit("net_ycsb emitted no durability row")
-ratio = d64 / d1
-rows.append({"bench": "net_ycsb_summary", "depth1_kops": d1, "depth64_kops": d64,
-             "ratio": round(ratio, 2), "min_ratio": min_ratio,
-             "durability_ok": dur["recovered_ok"]})
-with open(out_path, "w") as f:
-    json.dump(rows, f, indent=2)
-print(f"net_ycsb: depth1 {d1:.1f} Kops, depth64 {d64:.1f} Kops, "
-      f"ratio {ratio:.2f}x (min {min_ratio}x); durability acked {dur['acked']}, "
-      f"recovered {dur['recovered']}")
-if ratio < min_ratio:
-    sys.exit(f"pipelined speedup {ratio:.2f}x below minimum {min_ratio}x")
-if not dur["recovered_ok"]:
-    sys.exit("durability phase lost an acked SET after killing the server")
 PY

@@ -23,18 +23,6 @@ use faster_util::Address;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn write_raw(dev: &Arc<dyn Device>, offset: u64, data: Vec<u8>) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    dev.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-    rx.recv().unwrap().unwrap();
-}
-
-fn read_raw(dev: &Arc<dyn Device>, offset: u64, len: usize) -> Vec<u8> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    dev.read_async(offset, len, Box::new(move |r| tx.send(r).unwrap()));
-    rx.recv().unwrap().unwrap()
-}
-
 /// Tentpole sweep, write axis: crash at every device write issued inside
 /// `checkpoint_store()`, cycling the torn-write model so each seed sees
 /// nothing-persisted, byte-torn, and sector-torn crash points.
@@ -159,10 +147,10 @@ fn fallback_chain_walks_multiple_generations() {
     assert_eq!(gens.len(), 3);
     // Corrupt the two newest blobs in place.
     for g in &gens[1..] {
-        let mut blob = read_raw(&ckpt_dev, g.blob_offset, g.blob_len as usize);
+        let mut blob = ckpt_dev.read_blocking(g.blob_offset, g.blob_len as usize).unwrap();
         let at = (g.gen as usize * 13) % blob.len();
         blob[at] ^= 0x5A;
-        write_raw(&ckpt_dev, g.blob_offset, blob);
+        ckpt_dev.write_blocking(g.blob_offset, blob).unwrap();
     }
     drop(store);
     log_dev.flush_barrier().unwrap();
@@ -285,22 +273,22 @@ proptest! {
         for slot in 0..2u64 {
             if (slot == 0 && corrupt_slot0) || (slot == 1 && corrupt_slot1) {
                 let base = slot * MANIFEST_SLOT_SIZE;
-                let mut bytes = read_raw(&ckpt_dev, base, MANIFEST_SLOT_SIZE as usize);
+                let mut bytes = ckpt_dev.read_blocking(base, MANIFEST_SLOT_SIZE as usize).unwrap();
                 // Flip inside the checksummed body (count on disk: slot 1
                 // has 3 records, slot 0 has 2), never the zero padding.
                 let count = if slot == 1 { 3 } else { 2 };
                 let body = 24 + count * 64 + 8;
                 let at = (faster_util::hash_u64(flip_seed ^ slot) % body as u64) as usize;
                 bytes[at] ^= 0x5A;
-                write_raw(&ckpt_dev, base, bytes);
+                ckpt_dev.write_blocking(base, bytes).unwrap();
             }
         }
         for (i, g) in gens.iter().enumerate() {
             if corrupt_blob[i] {
-                let mut blob = read_raw(&ckpt_dev, g.blob_offset, g.blob_len as usize);
+                let mut blob = ckpt_dev.read_blocking(g.blob_offset, g.blob_len as usize).unwrap();
                 let at = (faster_util::hash_u64(flip_seed ^ g.gen) % g.blob_len) as usize;
                 blob[at] ^= 0x5A;
-                write_raw(&ckpt_dev, g.blob_offset, blob);
+                ckpt_dev.write_blocking(g.blob_offset, blob).unwrap();
             }
         }
 

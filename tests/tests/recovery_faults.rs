@@ -247,9 +247,9 @@ fn reap_exactly(ring: &CompletionRing, n: usize) -> Vec<Cqe> {
     out
 }
 
-/// Satellite: transient read faults fire on SQE submission exactly as on
-/// the callback path — the scripted count is consumed in submission order
-/// and each fault arrives as an error CQE, never a lost completion.
+/// Satellite: transient read faults fire on SQE submission — the scripted
+/// count is consumed in submission order and each fault arrives as an
+/// error CQE, never a lost completion.
 #[test]
 fn ring_read_faults_fire_on_sqe_submission() {
     let fault = FaultDevice::wrap(MemDevice::new(1));
@@ -276,8 +276,7 @@ fn ring_read_faults_fire_on_sqe_submission() {
 
 /// Satellite: a crash point armed on the write sequence space fires on SQE
 /// submission, persists exactly the torn prefix to the inner device, and
-/// refuses every subsequent SQE — byte-identical to the callback path's
-/// prefix-persisted model.
+/// refuses every subsequent SQE — the prefix-persisted model.
 #[test]
 fn ring_write_crash_point_tears_exact_prefix() {
     let mem = MemDevice::new(1);
@@ -317,36 +316,30 @@ fn ring_write_crash_point_tears_exact_prefix() {
     }
 }
 
-/// Satellite: ring-routed and callback-routed writes draw from one write
-/// sequence space, so a crash point lands on the same write regardless of
-/// route, and after the crash both routes refuse.
+/// Satellite: writes completing into different rings (a shared one, and
+/// the private one behind `write_blocking`) draw from one write sequence
+/// space, so a crash point lands on the same write whoever submits it, and
+/// after the crash every submitter is refused.
 #[test]
-fn ring_and_callback_paths_share_one_sequence_space() {
+fn every_ring_shares_one_sequence_space() {
     let fault = FaultDevice::wrap(MemDevice::new(1));
     let ring = Arc::new(CompletionRing::new());
     fault.arm_crash(3, TornWrite::Nothing);
 
-    // wsn 0 (ring), 1 (callback), 2 (ring), 3 (callback — the crash point).
-    let (tx, rx) = std::sync::mpsc::channel();
+    // wsn 0 (ring), 1 (blocking), 2 (ring), 3 (blocking — the crash point).
     fault.submit(Sqe::write(0, 0, vec![1; 32], &ring));
-    let tx0 = tx.clone();
-    fault.write_async(32, vec![2; 32], Box::new(move |r| tx0.send(r).unwrap()));
+    assert_eq!(fault.write_blocking(32, vec![2; 32]), Ok(()));
     fault.submit(Sqe::write(2, 64, vec![3; 32], &ring));
-    fault.write_async(96, vec![4; 32], Box::new(move |r| tx.send(r).unwrap()));
+    let crash = fault.write_blocking(96, vec![4; 32]);
 
     assert!(reap_exactly(&ring, 2).iter().all(|c| c.result.is_ok()));
-    let cb: Vec<_> =
-        (0..2).map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("callback ran")).collect();
-    assert_eq!(cb.iter().filter(|r| r.is_ok()).count(), 1);
-    assert!(cb.iter().any(|r| matches!(r, Err(IoError::Failed(m)) if m.contains("torn write"))));
+    assert!(matches!(crash, Err(IoError::Failed(m)) if m.contains("torn write")));
     assert!(fault.crashed());
 
-    // Post-crash refusal on both routes.
+    // Post-crash refusal, whichever ring the CQE is bound for.
     fault.submit(Sqe::write(9, 256, vec![9; 8], &ring));
     assert!(reap_exactly(&ring, 1)[0].result.is_err());
-    let (tx2, rx2) = std::sync::mpsc::channel();
-    fault.write_async(256, vec![9; 8], Box::new(move |r| tx2.send(r).unwrap()));
-    assert!(rx2.recv_timeout(Duration::from_secs(5)).expect("callback ran").is_err());
+    assert!(fault.write_blocking(256, vec![9; 8]).is_err());
 }
 
 proptest! {

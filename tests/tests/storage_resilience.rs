@@ -31,14 +31,6 @@ use std::sync::Arc;
 
 const PAGE_SIZE: u64 = 1 << 10; // harness_cfg() page_bits = 10
 
-/// Blocking raw device write — the corruption scenario scribbles over
-/// flushed pages behind the store's back.
-fn write_sync(device: &Arc<dyn Device>, offset: u64, data: Vec<u8>) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    device.write_async(offset, data, Box::new(move |r| tx.send(r).unwrap()));
-    rx.recv().unwrap().expect("raw scribble write failed");
-}
-
 /// Runs `ops` seeded operations against `store`, mirroring them into
 /// `oracle`. Upserts only — value equality stays trivially checkable even
 /// when a scenario later loses a suffix of the log.
@@ -287,7 +279,9 @@ fn corrupted_sectors_never_serve_wrong_data() {
         // footers: the checksums must now disagree with the data).
         let stride = faster_hlog::checksum::stride(PAGE_SIZE);
         for page in 0..head_page {
-            write_sync(&device, page * stride, vec![0xA5u8; PAGE_SIZE as usize]);
+            device
+                .write_blocking(page * stride, vec![0xA5u8; PAGE_SIZE as usize])
+                .expect("raw scribble write failed");
         }
 
         let session = store.start_session();

@@ -18,8 +18,7 @@ use faster_integration_tests::fault_harness::{
     fault_seed_range, run_wal_crash_case, wal_harness_cfg, WalCrashPoint, KEYSPACE,
 };
 use faster_integration_tests::read_blocking as session_read;
-use faster_storage::{DeviceStats, FaultDevice, IoError, MemDevice, Sqe, SqeOp, TornWrite};
-use std::sync::atomic::{AtomicU64, Ordering};
+use faster_storage::{Device, FaultDevice, MemDevice, TornWrite};
 use std::sync::Arc;
 
 /// Tentpole sweep, write axis: crash at every device write the run issues,
@@ -263,80 +262,4 @@ fn failed_barrier_never_acks_a_group() {
     assert_eq!(m.wal.commits, 0, "a group committed across a failed barrier");
     assert!(m.wal.commit_failures >= 1);
     assert!(store.wal().unwrap().failure().is_some());
-}
-
-use faster_storage::Device;
-
-/// Route-observing wrapper: counts, per write SQE, whether its completion
-/// is ring-routed or legacy callback-routed, then forwards to the inner
-/// device untouched.
-struct RouteProbe {
-    inner: Arc<dyn Device>,
-    ring_writes: AtomicU64,
-    cb_writes: AtomicU64,
-}
-
-impl Device for RouteProbe {
-    fn sector_size(&self) -> usize {
-        self.inner.sector_size()
-    }
-
-    fn submit(&self, sqe: Sqe) {
-        let (op, completion) = sqe.into_parts();
-        if matches!(op, SqeOp::Write { .. }) {
-            let counter =
-                if completion.is_ring() { &self.ring_writes } else { &self.cb_writes };
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.submit(Sqe::from_parts(op, completion));
-    }
-
-    fn flush_barrier(&self) -> Result<(), IoError> {
-        self.inner.flush_barrier()
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
-/// Satellite regression (DESIGN.md §9/§10): WAL group commits ride the
-/// submission/completion ring — the commit thread parks on its private ring
-/// rather than handing per-write callbacks to the device. Every write the
-/// WAL device sees must be ring-routed; none may fall back to the legacy
-/// callback route.
-#[test]
-fn wal_group_writes_are_ring_routed() {
-    let probe = Arc::new(RouteProbe {
-        inner: MemDevice::new(1),
-        ring_writes: AtomicU64::new(0),
-        cb_writes: AtomicU64::new(0),
-    });
-    let store: FasterKv<u64, u64, CountStore> = FasterKv::new_with_wal(
-        wal_harness_cfg(),
-        CountStore,
-        MemDevice::new(2),
-        probe.clone(),
-    );
-    {
-        let session = store.start_session();
-        for k in 0..KEYSPACE {
-            let _ = session.upsert(&k, &(k + 1));
-            // Zero batch window: each acked wait closes (at least) one
-            // group, so the run commits many independent group writes.
-            session.wait_wal_durable().unwrap();
-        }
-    }
-    drop(store);
-
-    let ring = probe.ring_writes.load(Ordering::Relaxed);
-    let cb = probe.cb_writes.load(Ordering::Relaxed);
-    assert!(
-        ring >= KEYSPACE / 2,
-        "expected many ring-routed group writes, saw {ring}"
-    );
-    assert_eq!(
-        cb, 0,
-        "{cb} WAL writes took the legacy callback route instead of the ring"
-    );
 }
