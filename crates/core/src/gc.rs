@@ -9,11 +9,12 @@
 //! * **Roll to tail** — [`FasterKv::compact_until`] scans a prefix and
 //!   copies *live* key-values to the tail before truncating. Liveness is
 //!   exact: a record is copied only if no newer record for its key exists
-//!   above it, checked by tracing the chain (with blocking device reads for
-//!   the cold part — compaction is a maintenance path).
+//!   above it, checked by the same chain walk reads use — every merge fork
+//!   followed, blocking device reads for the cold part (compaction is a
+//!   maintenance path).
 
-use crate::record::{RecordHeader, RecordRef, INVALID_BIT};
-use crate::session::WriteKind;
+use crate::record::{RecordHeader, RecordRef};
+use crate::session::{Step, Walk, WriteKind};
 use crate::{hash_key, FasterKv, Functions, Session};
 use faster_hlog::LogScanner;
 use faster_util::{Address, Pod};
@@ -66,15 +67,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 if header.is_invalid() || header.is_merge() || header.is_tombstone() {
                     continue;
                 }
-                // Exact liveness: any newer record for this key above `addr`
-                // supersedes it (deltas don't supersede their base).
-                match self.newest_version_above(&key, addr, !header.is_delta(), session) {
-                    Some(_) => {} // superseded
-                    None => {
-                        if self.copy_to_tail(&key, &value, header, session) {
-                            rolled += 1;
-                        }
-                    }
+                if !self.superseded(&key, addr, session)
+                    && self.copy_to_tail(&key, &value, header, session)
+                {
+                    rolled += 1;
                 }
                 session.refresh();
             }
@@ -83,74 +79,21 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         rolled
     }
 
-    /// Finds the newest record for `key` strictly above `bound`.
-    /// `bases_only` ignores delta records (a delta above a base does not
-    /// supersede the base). Blocking reads for the cold chain.
-    fn newest_version_above(
-        &self,
-        key: &K,
-        bound: Address,
-        _bases_only: bool,
-        session: &Session<K, V, F>,
-    ) -> Option<Address> {
-        let inner = &self.inner;
+    /// Exact liveness (Appendix C): whether a record for `key` above `bound`
+    /// supersedes the one at `bound`. A newer base or tombstone does; a
+    /// delta does not (deltas above a base do not supersede it). The walk
+    /// follows every merge fork, reading the chain's cold part from storage.
+    fn superseded(&self, key: &K, bound: Address, session: &Session<K, V, F>) -> bool {
         let hash = hash_key(key);
-        let slot = inner.index.find_tag(hash, Some(session.guard()))?;
-        let mut addr = slot.observed().address();
-        let mut fallbacks: Vec<Address> = Vec::new();
-        loop {
-            if crate::read_cache::is_rc(addr) {
-                // Read-cache head: skip to the primary record it caches.
-                match inner.rc.as_ref().and_then(|rc| rc.get(crate::read_cache::rc_untag(addr))) {
-                    Some(p) => {
-                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                        addr = rec.header().prev();
-                        continue;
-                    }
-                    None => return None, // evicted mid-scan; compaction CAS will catch changes
-                }
+        let Some(head) = session.entry_address(hash) else { return false };
+        let mut walk = Walk::new(head);
+        let above = Address::new(bound.raw() + 1);
+        while let Some(view) = session.resolve_blocking(hash, &mut walk, above) {
+            if matches!(walk.step(view.get(), key), Step::Base | Step::Tombstone) {
+                return true;
             }
-            if !addr.is_valid() || addr <= bound || addr < inner.log.begin_address() {
-                match fallbacks.pop() {
-                    Some(a) => {
-                        addr = a;
-                        continue;
-                    }
-                    None => return None,
-                }
-            }
-            let (header, rec_key) = match inner.log.get(addr) {
-                Some(p) => {
-                    let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                    (rec.header(), Some(rec.key()))
-                }
-                None => match self.read_record_blocking(addr) {
-                    Some((h, k, _)) => (h, Some(k)),
-                    None => (RecordHeader(INVALID_BIT | crate::record::LIVE_BIT), None),
-                },
-            };
-            if header.is_merge() {
-                if let Some(p) = inner.log.get(addr) {
-                    fallbacks.push(unsafe { crate::record::MergeRecord::second_address(p) });
-                }
-                addr = header.prev();
-                continue;
-            }
-            if !header.is_invalid() {
-                if let Some(k) = rec_key {
-                    if k == *key && !header.is_delta() {
-                        return Some(addr);
-                    }
-                }
-            }
-            addr = header.prev();
         }
-    }
-
-    /// Synchronous record read (maintenance paths only).
-    fn read_record_blocking(&self, addr: Address) -> Option<(RecordHeader, K, V)> {
-        let bytes = self.inner.log.read_blocking(addr, RecordRef::<K, V>::size()).ok()?;
-        RecordRef::<K, V>::parse_bytes(&bytes)
+        false
     }
 
     /// Re-appends `(key, value)` at the tail iff the entry is unchanged

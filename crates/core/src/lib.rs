@@ -45,7 +45,6 @@ pub mod inmem;
 pub mod maintenance;
 pub mod read_cache;
 pub mod record;
-pub mod varlen;
 mod session;
 pub(crate) mod walrec;
 
@@ -57,7 +56,6 @@ pub use functions::{BlindKv, CountStore, Functions, ValueCell};
 pub use health::{HealthReason, StoreError, StoreHealth};
 pub use inmem::{InMemKv, InMemSession};
 pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
-pub use varlen::{VarKv, VarValue};
 
 /// The documented public surface in one import: the store and its config
 /// builder, sessions, the unified operation result types, user-function

@@ -217,7 +217,16 @@ impl<K: Pod, V: Pod> RecordRef<K, V> {
         unsafe { &*(self.value_ptr() as *const crate::functions::ValueCell<V>) }
     }
 
-    /// Serializes a record image into `buf` (used by recovery tests).
+    /// The second-chain address of a merge record (Appendix B). Only
+    /// meaningful when [`RecordHeader::is_merge`] is set.
+    #[inline]
+    pub(crate) fn second_address(&self) -> Address {
+        // Safety: layout contract of from_raw; the key slot is >= 8 bytes.
+        unsafe { MergeRecord::second_address(self.base) }
+    }
+
+    /// Parses a record image (a log page slice or a storage read) into its
+    /// header, key and value; `None` for page padding or a short image.
     pub fn parse_bytes(bytes: &[u8]) -> Option<(RecordHeader, K, V)> {
         if bytes.len() < Self::size() {
             return None;
@@ -233,6 +242,52 @@ impl<K: Pod, V: Pod> RecordRef<K, V> {
         let vo = Self::value_offset();
         let value = faster_util::pod_from_bytes::<V>(&bytes[vo..vo + std::mem::size_of::<V>()]);
         Some((header, key, value))
+    }
+}
+
+/// A record as a chain walk sees it: resident in a log frame, or an image a
+/// storage read returned. Either way the walk reads it through one
+/// [`RecordRef`] ([`RecordView::get`]), so header, key, value and a merge
+/// record's second-chain address decode the same way for both.
+pub(crate) struct RecordView<K: Pod, V: Pod> {
+    rec: RecordRef<K, V>,
+    /// Owns the 8-byte-aligned copy `rec` points into, for a storage image
+    /// (a `Vec`, not a `Box`: moving a `Box` would assert it is the only
+    /// pointer to that copy).
+    _image: Option<Vec<u64>>,
+}
+
+impl<K: Pod, V: Pod> RecordView<K, V> {
+    /// Views a resident record.
+    ///
+    /// # Safety
+    ///
+    /// `p` comes from `HybridLog::get` under the caller's epoch guard, and
+    /// the view must not outlive that guard's next refresh.
+    #[inline]
+    pub(crate) unsafe fn resident(p: *mut u8) -> Self {
+        Self { rec: RecordRef::from_raw(p), _image: None }
+    }
+
+    /// Views the bytes of a completed storage read; `None` for page padding
+    /// or a short read.
+    pub(crate) fn parse(bytes: &[u8]) -> Option<Self> {
+        let size = RecordRef::<K, V>::size();
+        if bytes.len() < size {
+            return None;
+        }
+        let mut image = vec![0u64; size / 8];
+        // Safety: `image` holds exactly `size` bytes (sizes are 8-aligned).
+        unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), image.as_mut_ptr().cast(), size) };
+        // Safety: an aligned, owned copy of a whole record.
+        let rec = unsafe { RecordRef::from_raw(image.as_mut_ptr().cast()) };
+        rec.header().is_live().then_some(Self { rec, _image: Some(image) })
+    }
+
+    /// The record.
+    #[inline]
+    pub(crate) fn get(&self) -> &RecordRef<K, V> {
+        &self.rec
     }
 }
 
@@ -346,5 +401,14 @@ mod tests {
             assert_eq!(r.header().prev(), Address::new(100));
             assert_eq!(MergeRecord::second_address(buf.as_mut_ptr()), Address::new(200));
         }
+        // A storage image decodes the second chain exactly like the frame.
+        let view = RecordView::<u64, u64>::parse(&buf).expect("live record");
+        assert!(view.get().header().is_merge());
+        assert_eq!(view.get().second_address(), Address::new(200));
+        let resident = unsafe { RecordView::<u64, u64>::resident(buf.as_mut_ptr()) };
+        assert_eq!(resident.get().second_address(), Address::new(200));
+        // Padding and short reads are not records.
+        assert!(RecordView::<u64, u64>::parse(&[0u8; 24]).is_none());
+        assert!(RecordView::<u64, u64>::parse(&buf[..16]).is_none());
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::functions::Functions;
 use crate::record::{
-    MergeRecord, RecordHeader, RecordRef, DELTA_BIT, INVALID_BIT, TOMBSTONE_BIT,
+    RecordHeader, RecordRef, RecordView, DELTA_BIT, INVALID_BIT, TOMBSTONE_BIT,
 };
 use crate::read_cache::{is_rc, rc_tag, rc_untag};
 use crate::health::{HealthReason, StoreError};
@@ -173,11 +173,100 @@ pub(crate) enum WriteKind {
     Roll { delta: bool },
 }
 
+/// A walk down one key's record chain (Algorithm 2): the record to visit
+/// next, the second chains of the merge records passed so far (Appendix B),
+/// and the CRDT partials folded so far (§6.3). Reads, pending
+/// continuations, version history and compaction liveness all walk with it.
+pub(crate) struct Walk<V> {
+    addr: Address,
+    fallbacks: Vec<Address>,
+    acc: Option<V>,
+}
+
+/// What one record means to a walk for one key.
+pub(crate) enum Step {
+    /// Another key's record, an invalid one, or a merge record (whose
+    /// second chain the walk has parked as a fallback).
+    Skip,
+    Tombstone,
+    /// A CRDT partial (§6.3).
+    Delta,
+    Base,
+}
+
+impl<V: Pod> Walk<V> {
+    pub(crate) fn new(head: Address) -> Self {
+        Self { addr: head, fallbacks: Vec::new(), acc: None }
+    }
+
+    /// Settles on a record to visit: while the address is a chain end or
+    /// below `floor` (the begin address, or a liveness bound), resume the
+    /// newest parked merge fallback. `false` once every chain is exhausted.
+    #[inline]
+    fn advance(&mut self, floor: Address) -> bool {
+        while !self.addr.is_valid() || self.addr < floor {
+            match self.fallbacks.pop() {
+                Some(a) => self.addr = a,
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Classifies `rec` (the record at `addr`) for `key` and moves the walk
+    /// to its `prev`; a merge record also parks its second chain.
+    #[inline]
+    pub(crate) fn step<K: Pod + Eq>(&mut self, rec: &RecordRef<K, V>, key: &K) -> Step {
+        let h = rec.header();
+        self.addr = h.prev();
+        if h.is_merge() {
+            self.fallbacks.push(rec.second_address());
+            Step::Skip
+        } else if h.is_invalid() || rec.key() != *key {
+            Step::Skip
+        } else if h.is_tombstone() {
+            Step::Tombstone
+        } else if h.is_delta() {
+            Step::Delta
+        } else {
+            Step::Base
+        }
+    }
+
+    /// Folds a delta's partial into the running CRDT value.
+    fn fold<K: Pod>(&mut self, f: &impl Functions<K, V>, part: V) {
+        self.acc = Some(match &self.acc {
+            Some(a) => f.merge(a, &part),
+            None => part,
+        });
+    }
+
+    /// The key's value once the walk stops: `base` (`None` = tombstone or
+    /// chain end) merged with the folded deltas — which fold onto the
+    /// identity when no base exists (§6.3).
+    fn value<K: Pod>(&self, f: &impl Functions<K, V>, base: Option<V>) -> Option<V> {
+        match &self.acc {
+            Some(a) => Some(f.merge(&base.unwrap_or_else(|| f.identity()), a)),
+            None => base,
+        }
+    }
+}
+
+/// Where an operation's walk stopped (see [`Session::resolve`]).
+enum Resolved<K: Pod, V: Pod> {
+    /// The key's base record and its address.
+    Base(Address, RecordRef<K, V>),
+    /// A tombstone, or every chain is exhausted.
+    Absent,
+    /// The next record (at the walk's `addr`) is below the head address.
+    OnDisk,
+}
+
 enum PendingKind {
     Read,
-    Rmw,
-    /// Fuzzy RMW awaiting retry at the next `complete_pending` (§6.3).
-    RmwFuzzyRetry,
+    /// `entry_addr` is the index entry the RMW observed, re-checked before
+    /// its result is published.
+    Rmw { entry_addr: Address },
 }
 
 struct PendingOp<K, V, I> {
@@ -186,16 +275,18 @@ struct PendingOp<K, V, I> {
     hash: KeyHash,
     input: I,
     kind: PendingKind,
-    /// Address whose read was issued (continuation resumes from its record).
-    read_addr: Address,
-    /// Entry address snapshot for the RMW CAS-consistency check.
-    entry_addr: Address,
-    /// Accumulated CRDT partial (read reconciliation across deltas).
-    acc: Option<V>,
-    /// Alternate chains still to search (merge meta-records).
-    fallbacks: Vec<Address>,
+    /// The walk to resume; its `addr` is the record whose read was issued.
+    walk: Walk<V>,
     /// Transient-I/O-failure retries consumed so far (see [`MAX_IO_RETRIES`]).
     attempts: u32,
+}
+
+/// A fuzzy-region RMW deferred to the next `complete_pending` pass (§6.3).
+struct FuzzyRetry<K, I> {
+    id: u64,
+    key: K,
+    hash: KeyHash,
+    input: I,
 }
 
 /// A pending op parked in the continuation table: the context to resume
@@ -256,7 +347,7 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     /// Reused CQE reap buffer so completion processing allocates nothing
     /// per call once warm (capacity bounded by [`IO_SCRATCH_MAX`]).
     io_scratch: RefCell<Vec<Cqe>>,
-    retries: RefCell<VecDeque<PendingOp<K, V, F::Input>>>,
+    retries: RefCell<VecDeque<FuzzyRetry<K, F::Input>>>,
     /// This session's slot in the store-wide metrics registry (single
     /// writer: this thread). Retired into the hub's accumulator on drop.
     rec: Arc<SessionRecorder>,
@@ -410,13 +501,17 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         self.outstanding.set(n.saturating_sub(1));
     }
 
-    /// Parks `op` in the continuation table and queues the ring-routed SQE
-    /// for its `read_addr`. A GC-truncated address short-circuits: the
-    /// Truncated CQE is already in the ring under this id and no SQE is
-    /// queued.
-    fn park_and_enqueue(&self, op: PendingOp<K, V, F::Input>) {
+    /// Issues the record read for a pending op (first hop, next chain hop,
+    /// or a bounded transient-failure retry of the same address): parks `op`
+    /// in the continuation table and queues the ring-routed SQE for its
+    /// walk's `addr`, which goes out with the next `submit_queued` batch. A
+    /// GC-truncated address short-circuits: the Truncated CQE is already in
+    /// the ring under this id and no SQE is queued.
+    fn issue_io(&self, op: PendingOp<K, V, F::Input>) {
+        self.rec.io_issued.inc();
+        self.outstanding.set(self.outstanding.get() + 1);
         let id = op.id;
-        let addr = op.read_addr;
+        let addr = op.walk.addr;
         let made =
             self.store.inner.log.make_read_sqe(id, addr, RecordRef::<K, V>::size(), &self.ring);
         let (sqe, span) = match made {
@@ -446,177 +541,196 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         self.rec.reads.inc();
         self.read_rc_hit.set(false);
         let hash = hash_key(key);
-        let r = self.read_internal(key, hash, input, Address::INVALID, None, Vec::new(), None);
+        let r = self.read_internal(key, hash, input);
         self.classify_read(&r);
         t.observe(&self.hub.read_latency);
         self.maybe_refresh();
         r
     }
 
-    /// Shared read walk. `start_at` overrides the index entry (continuation
-    /// resuming mid-chain); `acc` carries CRDT partials; `fallbacks` carries
-    /// merge-record second chains; `id` reuses a pending id.
-    #[allow(clippy::too_many_arguments)]
-    fn read_internal(
-        &self,
-        key: &K,
-        hash: KeyHash,
-        input: &F::Input,
-        start_at: Address,
-        mut acc: Option<V>,
-        mut fallbacks: Vec<Address>,
-        id: Option<u64>,
-    ) -> OpResult<F::Output> {
-        let inner = &self.store.inner;
-        let f = &inner.functions;
-        let mut addr = if start_at.is_valid() {
-            start_at
-        } else {
-            match inner.index.find_tag(hash, Some(&self.guard)) {
-                Some(slot) => slot.observed().address(),
-                None => return self.finish_read(key, input, acc),
-            }
-        };
-        loop {
-            if is_rc(addr) {
-                // Appendix D: the entry points into the read-cache log.
-                let Some(rc_log) = inner.rc.as_ref() else {
-                    return self.finish_read(key, input, acc);
-                };
-                match rc_log.get(rc_untag(addr)) {
-                    Some(p) => {
-                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                        let h = rec.header();
-                        if rec.key() == *key && !h.is_tombstone() && !h.is_delta() {
-                            let v = rec.read_value();
-                            let out = match &acc {
-                                Some(a) => {
-                                    let f = &inner.functions;
-                                    let merged = f.merge(&v, a);
-                                    f.single_reader(key, input, &merged)
-                                }
-                                None => inner.functions.single_reader(key, input, &v),
-                            };
-                            // Second chance (§6.4 applied to the cache): a
-                            // hit outside the cache's mutable region copies
-                            // the record to the cache tail.
-                            if acc.is_none() {
-                                self.rc_second_chance(key, hash, &rec, addr);
-                            }
-                            self.read_rc_hit.set(true);
-                            return Ok(Outcome::Value(out));
-                        }
-                        // Cached record is for a different key (or deleted):
-                        // continue into the primary chain it points at.
-                        addr = h.prev();
-                        continue;
-                    }
-                    None => {
-                        // Evicted under us; the eviction hook is restoring
-                        // the entry. Refresh (drives the trigger) + restart.
-                        self.refresh();
-                        addr = match inner.index.find_tag(hash, Some(&self.guard)) {
-                            Some(slot) => slot.observed().address(),
-                            None => return self.finish_read(key, input, acc),
-                        };
-                        continue;
-                    }
-                }
-            }
-            if !addr.is_valid() || addr < inner.log.begin_address() {
-                // Chain end (or GC'd prefix, Appendix C): try alternates.
-                match fallbacks.pop() {
-                    Some(a) => {
-                        addr = a;
-                        continue;
-                    }
-                    None => return self.finish_read(key, input, acc),
-                }
-            }
-            let Some(p) = inner.log.get(addr) else {
-                // Below head: go asynchronous (Alg 2 line 6).
-                return Err(OpError::Pending(self.issue_read_io(
-                    key, hash, input, addr, acc, fallbacks, id,
-                )));
-            };
-            // Safety: epoch-protected resident record.
-            let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-            let h = rec.header();
-            if h.is_merge() {
-                fallbacks.push(unsafe { MergeRecord::second_address(p) });
-                addr = h.prev();
-                continue;
-            }
-            if h.is_invalid() || rec.key() != *key {
-                addr = h.prev();
-                continue;
-            }
-            if h.is_tombstone() {
-                return self.finish_read(key, input, acc);
-            }
-            if h.is_delta() {
-                // CRDT partial: fold and keep walking toward the base.
-                let part = rec.read_value();
-                acc = Some(match &acc {
-                    Some(a) => f.merge(a, &part),
-                    None => part,
-                });
-                addr = h.prev();
-                continue;
-            }
-            // Base record: produce the output (Alg 2 lines 12-15).
-            let out = if let Some(a) = &acc {
-                let merged = f.merge(&rec.read_value(), a);
-                f.single_reader(key, input, &merged)
-            } else if addr < inner.log.safe_ipu_boundary() {
-                f.single_reader(key, input, &rec.read_value())
-            } else {
-                f.concurrent_reader(key, input, rec.value_cell())
-            };
-            // (When resuming a pending op, continue_io wraps this result
-            // into a Completion for the caller.)
-            return Ok(Outcome::Value(out));
-        }
-    }
-
-    /// Chain exhausted: deltas with no base fold onto the identity (§6.3).
-    fn finish_read(&self, key: &K, input: &F::Input, acc: Option<V>) -> OpResult<F::Output> {
-        match acc {
-            Some(a) => {
-                let f = &self.store.inner.functions;
-                let merged = f.merge(&f.identity(), &a);
-                Ok(Outcome::Value(f.single_reader(key, input, &merged)))
-            }
+    /// A read from the index entry.
+    fn read_internal(&self, key: &K, hash: KeyHash, input: &F::Input) -> OpResult<F::Output> {
+        match self.entry_address(hash) {
+            Some(head) => self.read_walk(key, hash, input, Walk::new(head), None, None),
             None => Err(OpError::NotFound),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn issue_read_io(
+    /// The chain head the index entry for `hash` points at, if it has one.
+    #[inline]
+    pub(crate) fn entry_address(&self, hash: KeyHash) -> Option<Address> {
+        Some(self.store.inner.index.find_tag(hash, Some(&self.guard))?.observed().address())
+    }
+
+    /// The read loop, entered at a chain head or resumed by a pending read's
+    /// continuation with `image`, the record its I/O returned for
+    /// `walk.addr`; `id` is the pending id a resumed read keeps.
+    fn read_walk(
         &self,
         key: &K,
         hash: KeyHash,
         input: &F::Input,
-        addr: Address,
-        acc: Option<V>,
-        fallbacks: Vec<Address>,
+        mut walk: Walk<V>,
+        image: Option<RecordView<K, V>>,
+        id: Option<u64>,
+    ) -> OpResult<F::Output> {
+        let inner = &self.store.inner;
+        let f = &inner.functions;
+        // Appendix D: the entry may point into the read-cache log. A read
+        // answers from the cached copy; version walks step through it.
+        while is_rc(walk.addr) {
+            let Some(rc_log) = inner.rc.as_ref() else { return Err(OpError::NotFound) };
+            match rc_log.get(rc_untag(walk.addr)) {
+                Some(p) => {
+                    let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
+                    let h = rec.header();
+                    if rec.key() == *key && !h.is_tombstone() && !h.is_delta() {
+                        let out = f.single_reader(key, input, &rec.read_value());
+                        // Second chance (§6.4 applied to the cache): a
+                        // hit outside the cache's mutable region copies
+                        // the record to the cache tail.
+                        self.rc_second_chance(key, hash, &rec, walk.addr);
+                        self.read_rc_hit.set(true);
+                        return Ok(Outcome::Value(out));
+                    }
+                    // Cached record is for a different key (or deleted):
+                    // continue into the primary chain it points at.
+                    walk.addr = h.prev();
+                }
+                None => {
+                    // Evicted under us; the eviction hook is restoring
+                    // the entry. Refresh (drives the trigger) + re-probe.
+                    self.refresh();
+                    match self.entry_address(hash) {
+                        Some(head) => walk.addr = head,
+                        None => return Err(OpError::NotFound),
+                    }
+                }
+            }
+        }
+        let start = walk.addr;
+        match self.resolve(key, &mut walk, image.as_ref()) {
+            Resolved::Base(at, rec) => {
+                // Base record (Alg 2 lines 12-15): above the safe read-only
+                // offset it may be updated in place while we read it.
+                if walk.acc.is_none() && at >= inner.log.safe_ipu_boundary() {
+                    return Ok(Outcome::Value(f.concurrent_reader(key, input, rec.value_cell())));
+                }
+                let value = rec.read_value();
+                if image.is_some() && at == start && walk.acc.is_none() {
+                    // Appendix D: a base served from storage is cached
+                    // while it is still the chain head.
+                    self.try_cache_insert(key, hash, &value, at);
+                }
+                self.read_output(key, input, walk.value(f, Some(value)))
+            }
+            Resolved::Absent => self.read_output(key, input, walk.value(f, None)),
+            // Below head: go asynchronous (Alg 2 line 6).
+            Resolved::OnDisk => {
+                Err(OpError::Pending(self.go_pending(key, hash, input, PendingKind::Read, walk, id)))
+            }
+        }
+    }
+
+    /// A read's result once its walk has resolved the key's value.
+    fn read_output(&self, key: &K, input: &F::Input, value: Option<V>) -> OpResult<F::Output> {
+        match value {
+            Some(v) => Ok(Outcome::Value(self.store.inner.functions.single_reader(key, input, &v))),
+            None => Err(OpError::NotFound),
+        }
+    }
+
+    /// The step loop over the resident part of a chain, shared by reads and
+    /// pending continuations: visits `image` first when resuming (the record
+    /// a storage read returned for `walk.addr`), folds deltas, and stops at
+    /// the key's base record, its absence, or a record below the head. A
+    /// returned record lives in a log frame or in `image`.
+    #[inline]
+    fn resolve(
+        &self,
+        key: &K,
+        walk: &mut Walk<V>,
+        mut image: Option<&RecordView<K, V>>,
+    ) -> Resolved<K, V> {
+        let log = &self.store.inner.log;
+        loop {
+            let rec = match image.take() {
+                Some(view) => *view.get(),
+                None => {
+                    if !walk.advance(log.begin_address()) {
+                        return Resolved::Absent;
+                    }
+                    match log.get(walk.addr) {
+                        // Safety: epoch-protected resident record.
+                        Some(p) => unsafe { RecordRef::from_raw(p) },
+                        None => return Resolved::OnDisk,
+                    }
+                }
+            };
+            let at = walk.addr;
+            match walk.step(&rec, key) {
+                Step::Skip => {}
+                Step::Tombstone => return Resolved::Absent,
+                Step::Delta => walk.fold(&self.store.inner.functions, rec.read_value()),
+                Step::Base => return Resolved::Base(at, rec),
+            }
+        }
+    }
+
+    /// The step loop of the version walks (history, compaction liveness):
+    /// steps through a read-cache copy to the primary record it caches
+    /// (re-probing if the copy was evicted), settles the walk at or above
+    /// `floor`, and views the record there — resident, or read from storage
+    /// with a blocking read (these are maintenance and analytics paths). A
+    /// record that cannot be read ends its chain. `None` once every chain
+    /// is exhausted.
+    pub(crate) fn resolve_blocking(
+        &self,
+        hash: KeyHash,
+        walk: &mut Walk<V>,
+        floor: Address,
+    ) -> Option<RecordView<K, V>> {
+        let inner = &self.store.inner;
+        loop {
+            if is_rc(walk.addr) {
+                match inner.rc.as_ref().and_then(|rc| rc.get(rc_untag(walk.addr))) {
+                    Some(p) => walk.addr = unsafe { RecordRef::<K, V>::from_raw(p) }.header().prev(),
+                    None => {
+                        // Evicted mid-walk: re-probe, as reads do.
+                        self.refresh();
+                        walk.addr = self.entry_address(hash)?;
+                    }
+                }
+                continue;
+            }
+            if !walk.advance(floor.max(inner.log.begin_address())) {
+                return None;
+            }
+            if let Some(p) = inner.log.get(walk.addr) {
+                // Safety: epoch-protected resident record.
+                return Some(unsafe { RecordView::resident(p) });
+            }
+            let read = inner.log.read_blocking(walk.addr, RecordRef::<K, V>::size());
+            match read.ok().and_then(|bytes| RecordView::parse(&bytes)) {
+                Some(view) => return Some(view),
+                None => walk.addr = Address::INVALID,
+            }
+        }
+    }
+
+    /// Parks a pending op whose walk resumes from storage at `walk.addr`; a
+    /// re-entered op passes the `id` it already returned.
+    fn go_pending(
+        &self,
+        key: &K,
+        hash: KeyHash,
+        input: &F::Input,
+        kind: PendingKind,
+        walk: Walk<V>,
         id: Option<u64>,
     ) -> u64 {
         let id = id.unwrap_or_else(|| self.fresh_id());
-        self.rec.io_issued.inc();
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.park_and_enqueue(PendingOp {
-            id,
-            key: *key,
-            hash,
-            input: input.clone(),
-            kind: PendingKind::Read,
-            read_addr: addr,
-            entry_addr: Address::INVALID,
-            acc,
-            fallbacks,
-            attempts: 0,
-        });
+        self.issue_io(PendingOp { id, key: *key, hash, input: input.clone(), kind, walk, attempts: 0 });
         id
     }
 
@@ -892,8 +1006,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     // CRDT: no need to read the old value.
                     Some(_) if f.is_mergeable() => self.append_delta(at, key, input),
                     Some(daddr) => {
+                        let kind = PendingKind::Rmw { entry_addr: entry };
+                        let walk = Walk::new(daddr);
                         return Err(OpError::Pending(
-                            self.issue_rmw_io(key, hash, input, daddr, entry, reuse_id),
+                            self.go_pending(key, hash, input, kind, walk, reuse_id),
                         ));
                     }
                     // Absent: create from the initial value.
@@ -1003,10 +1119,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         // chain head so the record lines are in flight before stage 3.
         let mut heads: Vec<Address> = Vec::with_capacity(keys.len());
         for &hash in &hashes {
-            let head = match inner.index.find_tag(hash, Some(&self.guard)) {
-                Some(slot) => slot.observed().address(),
-                None => Address::INVALID,
-            };
+            let head = self.entry_address(hash).unwrap_or(Address::INVALID);
             if is_rc(head) {
                 if let Some(rc_log) = inner.rc.as_ref() {
                     rc_log.prefetch(rc_untag(head));
@@ -1040,11 +1153,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         let mut out = Vec::with_capacity(keys.len());
         for (i, key) in keys.iter().enumerate() {
             self.read_rc_hit.set(false);
-            let r = if heads[i].is_valid() {
-                self.read_internal(key, hashes[i], input, heads[i], None, Vec::new(), None)
-            } else {
-                self.finish_read(key, input, None)
-            };
+            let r = self.read_walk(key, hashes[i], input, Walk::new(heads[i]), None, None);
             self.classify_read(&r);
             out.push(r);
         }
@@ -1136,15 +1245,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             out.push(match op {
                 BatchOp::Read { key, input } => {
                     self.read_rc_hit.set(false);
-                    let r = self.read_internal(
-                        key,
-                        hash,
-                        input,
-                        Address::INVALID,
-                        None,
-                        Vec::new(),
-                        None,
-                    );
+                    let r = self.read_internal(key, hash, input);
                     self.classify_read(&r);
                     r
                 }
@@ -1166,75 +1267,22 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// Returns up to `limit` historical versions of `key`, newest first, by
     /// walking the record chain across memory and storage (Appendix F:
     /// "query historical values of a given key (since our record versions
-    /// are linked in the log)"). Deltas are folded into their successors'
-    /// running value; a tombstone ends the history. Storage hops block —
+    /// are linked in the log)"). Each record contributes its own stored
+    /// value: a CRDT delta appears as its raw partial, not folded into a
+    /// running total. A tombstone ends the history. Storage hops block —
     /// this is an analytics path, not an operation path.
     pub fn read_history(&self, key: &K, limit: usize) -> Vec<V> {
-        let inner = &self.store.inner;
         let hash = hash_key(key);
         let mut out = Vec::new();
-        let Some(slot) = inner.index.find_tag(hash, Some(&self.guard)) else {
-            return out;
-        };
-        let mut addr = slot.observed().address();
-        let mut fallbacks: Vec<Address> = Vec::new();
+        let Some(head) = self.entry_address(hash) else { return out };
+        let mut walk = Walk::new(head);
         while out.len() < limit {
-            if is_rc(addr) {
-                addr = self.chain_prev_for_new_record(addr);
-                continue;
+            let Some(view) = self.resolve_blocking(hash, &mut walk, Address::INVALID) else { break };
+            match walk.step(view.get(), key) {
+                Step::Skip => {}
+                Step::Tombstone => break,
+                Step::Delta | Step::Base => out.push(view.get().read_value()),
             }
-            if !addr.is_valid() || addr < inner.log.begin_address() {
-                match fallbacks.pop() {
-                    Some(a) => {
-                        addr = a;
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            let parsed: Option<(RecordHeader, K, V, Option<Address>)> = match inner.log.get(addr) {
-                Some(p) => {
-                    let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-                    let second = if rec.header().is_merge() {
-                        Some(unsafe { MergeRecord::second_address(p) })
-                    } else {
-                        None
-                    };
-                    Some((rec.header(), rec.key(), rec.read_value(), second))
-                }
-                None => {
-                    // Blocking storage hop (maintenance/analytics path).
-                    match inner.log.read_blocking(addr, RecordRef::<K, V>::size()) {
-                        Ok(bytes) => RecordRef::<K, V>::parse_bytes(&bytes).map(|(h, k, v)| {
-                            let second = if h.is_merge() {
-                                Some(Address::new(
-                                    u64::from_le_bytes(bytes[8..16].try_into().expect("size"))
-                                        & Address::MASK,
-                                ))
-                            } else {
-                                None
-                            };
-                            (h, k, v, second)
-                        }),
-                        Err(_) => None,
-                    }
-                }
-            };
-            let Some((h, k, v, second)) = parsed else { break };
-            if let Some(sec) = second {
-                fallbacks.push(sec);
-                addr = h.prev();
-                continue;
-            }
-            if h.is_invalid() || k != *key {
-                addr = h.prev();
-                continue;
-            }
-            if h.is_tombstone() {
-                break;
-            }
-            out.push(v);
-            addr = h.prev();
         }
         out
     }
@@ -1433,46 +1481,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     fn queue_fuzzy_retry(&self, key: &K, hash: KeyHash, input: &F::Input, reuse: Option<u64>) -> u64 {
         let id = reuse.unwrap_or_else(|| self.fresh_id());
         self.outstanding.set(self.outstanding.get() + 1);
-        self.retries.borrow_mut().push_back(PendingOp {
-            id,
-            key: *key,
-            hash,
-            input: input.clone(),
-            kind: PendingKind::RmwFuzzyRetry,
-            read_addr: Address::INVALID,
-            entry_addr: Address::INVALID,
-            acc: None,
-            fallbacks: Vec::new(),
-            attempts: 0,
-        });
-        id
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_rmw_io(
-        &self,
-        key: &K,
-        hash: KeyHash,
-        input: &F::Input,
-        addr: Address,
-        entry_addr: Address,
-        reuse: Option<u64>,
-    ) -> u64 {
-        let id = reuse.unwrap_or_else(|| self.fresh_id());
-        self.rec.io_issued.inc();
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.park_and_enqueue(PendingOp {
-            id,
-            key: *key,
-            hash,
-            input: input.clone(),
-            kind: PendingKind::Rmw,
-            read_addr: addr,
-            entry_addr,
-            acc: None,
-            fallbacks: Vec::new(),
-            attempts: 0,
-        });
+        self.retries.borrow_mut().push_back(FuzzyRetry { id, key: *key, hash, input: input.clone() });
         id
     }
 
@@ -1503,10 +1512,11 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             // address is usually below safe-read-only and takes the RCU path.
             let n_retries = self.retries.borrow().len();
             for _ in 0..n_retries {
-                let op = { self.retries.borrow_mut().pop_front() }.expect("len checked");
+                let FuzzyRetry { id, key, hash, input } =
+                    { self.retries.borrow_mut().pop_front() }.expect("len checked");
                 self.dec_outstanding();
-                match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-                    Ok(_) => done.push(Completion { id: op.id, result: Ok(Outcome::Done) }),
+                match self.rmw_internal(&key, hash, &input, Some(id)) {
+                    Ok(_) => done.push(Completion { id, result: Ok(Outcome::Done) }),
                     Err(_) => { /* requeued under the same id */ }
                 }
             }
@@ -1576,7 +1586,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 self.wal_notice_results.borrow_mut().insert(cqe.id, r);
                 continue;
             }
-            // Scope the table borrow: continuations re-enter `park_and_enqueue`.
+            // Scope the table borrow: continuations re-enter `issue_io`.
             let parked = self.pending.borrow_mut().remove(&cqe.id);
             let Some(Parked { mut op, issued, span }) = parked else {
                 debug_assert!(false, "CQE {} has no parked continuation", cqe.id);
@@ -1595,7 +1605,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                         None => Ok(bytes),
                     };
                     match verified {
-                        Ok(bytes) => self.continue_io(op, bytes, done),
+                        Ok(bytes) => self.continue_io(op, RecordView::parse(&bytes), done),
                         Err(err) => {
                             // Checksum mismatch (or a short read): never hand
                             // the suspect bytes to the continuation, and never
@@ -1627,7 +1637,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                         for _ in 0..op.attempts {
                             pause.snooze();
                         }
-                        self.reissue_io(op);
+                        self.issue_io(op);
                     } else {
                         self.rec.io_failed.inc();
                         done.push(Completion { id: op.id, result: Err(OpError::Io(err)) });
@@ -1635,19 +1645,8 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 }
                 Err(_) => {
                     // Truncated (log GC) or out-of-range: the record is
-                    // genuinely gone — key absent along this path.
-                    match op.kind {
-                        PendingKind::Read => {
-                            let result = self.finish_read(&op.key, &op.input, op.acc.take());
-                            done.push(Completion { id: op.id, result });
-                        }
-                        PendingKind::Rmw => {
-                            if let Some(id) = self.rmw_complete(op, None) {
-                                done.push(Completion { id, result: Ok(Outcome::Done) });
-                            }
-                        }
-                        PendingKind::RmwFuzzyRetry => unreachable!("no I/O for fuzzy"),
-                    }
+                    // genuinely gone — this chain ends here.
+                    self.continue_io(op, None, done);
                 }
             }
         }
@@ -1660,163 +1659,54 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         reaped
     }
 
-    /// Continues a pending op with the record bytes read from storage.
+    /// Resumes a pending op's walk with the record its read returned. `None`
+    /// (page padding, a truncated prefix) ends that chain: the walk goes on
+    /// from its next merge fallback, or finds the key absent.
     fn continue_io(
         &self,
         mut op: PendingOp<K, V, F::Input>,
-        bytes: Vec<u8>,
+        image: Option<RecordView<K, V>>,
         done: &mut Vec<Completion<F::Output>>,
     ) {
-        let parsed = RecordRef::<K, V>::parse_bytes(&bytes);
-        match op.kind {
-            PendingKind::Read => {
-                let f = &self.store.inner.functions;
-                let (next, finished): (Option<Address>, Option<OpResult<F::Output>>) = match parsed
-                {
-                    None => (Some(Address::INVALID), None), // padding/garbage: stop this prong
-                    Some((h, k, v)) => {
-                        if h.is_merge() {
-                            let second = Address::new(
-                                u64::from_le_bytes(bytes[8..16].try_into().expect("record size"))
-                                    & Address::MASK,
-                            );
-                            op.fallbacks.push(second);
-                            (Some(h.prev()), None)
-                        } else if h.is_invalid() || k != op.key {
-                            (Some(h.prev()), None)
-                        } else if h.is_tombstone() {
-                            let r = match op.acc.take() {
-                                Some(a) => {
-                                    let merged = f.merge(&f.identity(), &a);
-                                    Ok(Outcome::Value(f.single_reader(&op.key, &op.input, &merged)))
-                                }
-                                None => Err(OpError::NotFound),
-                            };
-                            (None, Some(r))
-                        } else if h.is_delta() {
-                            op.acc = Some(match &op.acc {
-                                Some(a) => f.merge(a, &v),
-                                None => v,
-                            });
-                            (Some(h.prev()), None)
-                        } else {
-                            let out = match &op.acc {
-                                Some(a) => {
-                                    let merged = f.merge(&v, a);
-                                    f.single_reader(&op.key, &op.input, &merged)
-                                }
-                                None => f.single_reader(&op.key, &op.input, &v),
-                            };
-                            if op.acc.is_none() {
-                                // Appendix D: populate the read cache when
-                                // the record read is still the chain head.
-                                self.try_cache_insert(&op.key, op.hash, &v, op.read_addr);
-                            }
-                            (None, Some(Ok(Outcome::Value(out))))
-                        }
-                    }
-                };
-                if let Some(result) = finished {
-                    done.push(Completion { id: op.id, result });
-                    return;
-                }
-                let mut next_addr = next.expect("continue");
-                let begin = self.store.inner.log.begin_address();
-                loop {
-                    if !next_addr.is_valid() || next_addr < begin {
-                        match op.fallbacks.pop() {
-                            Some(a) => {
-                                next_addr = a;
-                                continue;
-                            }
-                            None => {
-                                let result = self.finish_read(&op.key, &op.input, op.acc);
-                                done.push(Completion { id: op.id, result });
-                                return;
-                            }
-                        }
-                    }
-                    break;
-                }
-                // Resume the walk (usually another disk hop; may also climb
-                // back into memory after a merge-record fallback).
-                let key = op.key;
-                let hash = op.hash;
-                let input = op.input.clone();
-                let acc = op.acc.take();
-                let fallbacks = std::mem::take(&mut op.fallbacks);
-                let r =
-                    self.read_internal(&key, hash, &input, next_addr, acc, fallbacks, Some(op.id));
-                if !matches!(r, Err(OpError::Pending(_))) {
-                    // read_internal with an id only returns these when it
-                    // finished synchronously without queueing; normalize.
-                    done.push(Completion { id: op.id, result: r });
-                }
+        if image.is_none() {
+            op.walk.addr = Address::INVALID;
+        }
+        let PendingKind::Rmw { entry_addr } = op.kind else {
+            let result = self.read_walk(&op.key, op.hash, &op.input, op.walk, image, Some(op.id));
+            if !matches!(result, Err(OpError::Pending(_))) {
+                done.push(Completion { id: op.id, result });
             }
-            PendingKind::Rmw => {
-                // Find the old value for this key along the disk chain.
-                match parsed {
-                    Some((h, k, v)) if !h.is_invalid() && k == op.key && !h.is_merge() => {
-                        let old = if h.is_tombstone() { None } else { Some(v) };
-                        if let Some(id) = self.rmw_complete(op, old) {
-                            done.push(Completion { id, result: Ok(Outcome::Done) });
-                        }
-                    }
-                    Some((h, _, _)) => {
-                        let mut next = h.prev();
-                        if h.is_merge() {
-                            let second = Address::new(
-                                u64::from_le_bytes(bytes[8..16].try_into().expect("size"))
-                                    & Address::MASK,
-                            );
-                            op.fallbacks.push(second);
-                        }
-                        let begin = self.store.inner.log.begin_address();
-                        if !next.is_valid() || next < begin {
-                            next = op.fallbacks.pop().unwrap_or(Address::INVALID);
-                        }
-                        if !next.is_valid() || next < begin {
-                            // Chain exhausted: key absent.
-                            if let Some(id) = self.rmw_complete(op, None) {
-                                done.push(Completion { id, result: Ok(Outcome::Done) });
-                            }
-                        } else {
-                            // Another hop down the chain (fresh address,
-                            // fresh transient-retry budget).
-                            op.read_addr = next;
-                            op.attempts = 0;
-                            self.reissue_io(op);
-                        }
-                    }
-                    None => {
-                        if let Some(id) = self.rmw_complete(op, None) {
-                            done.push(Completion { id, result: Ok(Outcome::Done) });
-                        }
-                    }
-                }
+            return;
+        };
+        let f = &self.store.inner.functions;
+        let old = match self.resolve(&op.key, &mut op.walk, image.as_ref()) {
+            Resolved::Base(_, rec) => op.walk.value(f, Some(rec.read_value())),
+            Resolved::Absent => op.walk.value(f, None),
+            // Another hop down the chain (fresh transient-retry budget).
+            Resolved::OnDisk => {
+                op.attempts = 0;
+                return self.issue_io(op);
             }
-            PendingKind::RmwFuzzyRetry => unreachable!("no I/O for fuzzy retries"),
+        };
+        if let Some(id) = self.rmw_complete(op, entry_addr, old) {
+            done.push(Completion { id, result: Ok(Outcome::Done) });
         }
     }
 
-    /// Re-issues the record read for a pending op (next chain hop, or a
-    /// bounded transient-failure retry of the same address). The op keeps
-    /// its id, kind, and accumulated state. The SQE queues locally and goes
-    /// out with the current `complete_pending` pass's next batch.
-    fn reissue_io(&self, op: PendingOp<K, V, F::Input>) {
-        self.rec.io_issued.inc();
-        self.outstanding.set(self.outstanding.get() + 1);
-        self.park_and_enqueue(op);
-    }
-
     /// Applies a pending RMW's update once the old value (or its absence) is
-    /// known. Returns the op id when complete, `None` if it went pending
+    /// known, if the index entry still holds the `entry_addr` the RMW
+    /// observed. Returns the op id when complete, `None` if it went pending
     /// again (index changed underneath: full restart, Alg 4 line 32).
-    fn rmw_complete(&self, op: PendingOp<K, V, F::Input>, old: Option<V>) -> Option<u64> {
+    fn rmw_complete(
+        &self,
+        op: PendingOp<K, V, F::Input>,
+        entry_addr: Address,
+        old: Option<V>,
+    ) -> Option<u64> {
         let inner = &self.store.inner;
         let applied = match inner.index.find_or_create_tag(op.hash, Some(&self.guard)) {
             // The chain changed while we were reading: restart.
-            CreateOutcome::Found(slot) if slot.observed().address() != op.entry_addr => false,
+            CreateOutcome::Found(slot) if slot.observed().address() != entry_addr => false,
             found @ CreateOutcome::Found(_) => self.rcu_create(found, &op.key, &op.input, old),
             // Entry vanished (deleted) meanwhile: fresh initial record.
             created => self.rcu_create(created, &op.key, &op.input, None),

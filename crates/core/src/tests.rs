@@ -794,3 +794,24 @@ fn read_history_returns_versions_newest_first() {
     s.delete(&7).unwrap();
     assert!(s.read_history(&7, 10).is_empty());
 }
+
+#[test]
+fn read_history_lists_delta_partials_unfolded() {
+    // A CountStore RMW over a disk-resident base appends a delta holding
+    // only its increment (§6.3); history lists each record's own value.
+    let cfg = FasterKvConfig::small()
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 8, mutable_pages: 0, io_threads: 2 })
+        .with_refresh_interval(16);
+    let store = count_store(cfg);
+    let s = store.start_session();
+    s.upsert(&7, &10).unwrap();
+    for k in 1000..5000u64 {
+        s.upsert(&k, &k).unwrap();
+    }
+    store.log().flush_barrier().unwrap();
+    for inc in 1..=3u64 {
+        assert_eq!(s.rmw(&7, &inc), Ok(Outcome::Done), "delta RMW never goes pending");
+    }
+    assert_eq!(read_now(&s, 7), Some(16), "reads fold the deltas");
+    assert_eq!(s.read_history(&7, 10), vec![3, 2, 1, 10], "raw partials, then the base");
+}

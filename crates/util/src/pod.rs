@@ -6,8 +6,8 @@
 //! sound in Rust, inline keys and values must be types whose bytes can be
 //! copied and compared freely: no drop glue, no references, fixed size.
 //!
-//! Variable-length values are layered on top in `faster-core::varlen` using a
-//! length-prefixed byte representation whose header is itself `Pod`.
+//! Variable-length values are not supported yet: every record has the same
+//! stride, fixed by the key and value types.
 
 /// Marker trait for fixed-size plain-old-data types.
 ///

@@ -2,7 +2,6 @@
 
 use faster_core::checkpoint::CheckpointData;
 use faster_core::record::RecordRef;
-use faster_core::VarValue;
 use faster_index::{CreateOutcome, HashIndex, IndexCheckpoint, IndexConfig};
 use faster_epoch::Epoch;
 use faster_util::{Address, KeyHash};
@@ -94,14 +93,6 @@ proptest! {
         };
         let parsed = CheckpointData::from_bytes(&data.to_bytes()).expect("round trip");
         prop_assert_eq!(parsed, data);
-    }
-
-    /// VarValue round-trips arbitrary payloads up to capacity.
-    #[test]
-    fn var_value_round_trip(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let v: VarValue<64> = VarValue::new(&bytes);
-        prop_assert_eq!(v.as_bytes(), &bytes[..]);
-        prop_assert_eq!(v.len(), bytes.len());
     }
 
     /// Every cache policy's miss count is bounded below by the number of

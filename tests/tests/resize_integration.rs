@@ -56,6 +56,55 @@ fn shrink_with_disk_resident_chains_links_meta_records() {
     assert_eq!(read_blocking(&session, 1), Some(42));
 }
 
+/// Compaction liveness must follow a merge record's second chain even after
+/// the merge record itself has been evicted to storage: otherwise a newer
+/// version on that chain is invisible, the older one is judged live, and
+/// rolling it to the tail resurrects it over the newer value.
+#[test]
+fn compaction_sees_newer_version_behind_disk_resident_merge_record() {
+    // Two tag bits: shrink pairs up tags, so most destinations get a merge
+    // record joining two disk-resident chains.
+    let cfg = cfg().with_index(IndexConfig { k_bits: 6, tag_bits: 2, max_resize_chunks: 4 });
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg, CountStore, MemDevice::new(2));
+    let session = store.start_session();
+    let n = 400u64;
+    let mut filler_key = 1_000_000u64;
+    let mut filler = |count: u64| {
+        for _ in 0..count {
+            session.upsert(&filler_key, &filler_key).unwrap();
+            filler_key += 1;
+        }
+    };
+    for k in 0..n {
+        session.upsert(&k, &(k + 1_000)).unwrap();
+    }
+    filler(600);
+    let mid = store.log().tail_address();
+    for k in 0..n {
+        session.upsert(&k, &(k + 2_000)).unwrap();
+    }
+    filler(600);
+    session.refresh();
+    store.log().shift_read_only_to_tail();
+    store.log().flush_barrier().unwrap();
+    let before_shrink = store.log().tail_address();
+    assert!(store.shrink_index(Some(&session)));
+    let after_shrink = store.log().tail_address();
+    assert!(after_shrink > before_shrink, "shrink must allocate merge records");
+    while store.log().head_address() < after_shrink {
+        filler(200);
+        session.refresh();
+    }
+    // Version history crosses the on-disk merge records to both chains.
+    for k in 0..n {
+        assert_eq!(session.read_history(&k, 4), vec![k + 2_000, k + 1_000], "history of {k}");
+    }
+    store.compact_until(mid, &session);
+    for k in 0..n {
+        assert_eq!(read_blocking(&session, k), Some(k + 2_000), "key {k} after compaction");
+    }
+}
+
 #[test]
 fn grow_during_concurrent_traffic() {
     let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(2));
