@@ -736,16 +736,24 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
 
     // ================================================================= WAL
 
-    /// Logs a logical redo record for a mutation this session just applied
-    /// (DESIGN.md §10). No-op for stores without a WAL — including a
-    /// recovering store mid-replay, which only attaches its WAL after the
-    /// suffix has been reapplied. An append refused by a failed log latches
-    /// into `wal_error`; the mutation itself stands (it is applied, just
-    /// not durable), and every subsequent durability wait reports the loss.
-    fn wal_log(&self, kind: u8, key: &K, value: Option<&V>) {
+    /// Logs a logical redo record for the mutation this session just applied
+    /// to `rec` (DESIGN.md §10). The post-image is read from `rec` inside the
+    /// append, after the LSN is assigned, so the highest-LSN in-place
+    /// post-image of a key was read after every lower-LSN writer's update was
+    /// visible. No-op for stores without a WAL — including a recovering
+    /// store mid-replay, which only attaches its WAL after the suffix has
+    /// been reapplied. An append refused by a failed log latches into
+    /// `wal_error`; the mutation itself stands (it is applied, just not
+    /// durable), and every subsequent durability wait reports the loss.
+    fn wal_log(&self, kind: u8, rec: RecordRef<K, V>) {
+        use crate::walrec::{encode_into, encoded_len, KIND_DELETE};
         let Some(wal) = self.store.inner.wal.get() else { return };
-        let payload = crate::walrec::encode::<K, V>(kind, key, value);
-        match wal.append(&payload) {
+        let with_value = kind != KIND_DELETE;
+        let appended = wal.append_with(encoded_len::<K, V>(with_value), |out| {
+            let post = with_value.then(|| rec.read_value());
+            encode_into(out, kind, &rec.key(), post.as_ref());
+        });
+        match appended {
             Ok(lsn) => self.wal_lsn.set(lsn),
             Err(e) => {
                 // A refused append means per-op durability is gone for good
@@ -890,12 +898,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     if !rec.header().is_tombstone() && !rec.header().is_delta() {
                         f.concurrent_writer(key, value, rec.value_cell());
                         self.count_write(&self.rec.in_place);
-                        // Post-image read may interleave with a racing
-                        // writer of the same cell; the WAL then orders
-                        // the two racers arbitrarily, exactly as racy
-                        // as the in-place update itself (DESIGN.md §10).
-                        let post = rec.read_value();
-                        self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
+                        self.wal_log(crate::walrec::KIND_PUT, rec);
                         return;
                     }
                 }
@@ -972,8 +975,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     Region::Mutable => {
                         f.in_place_updater(key, input, rec.value_cell());
                         self.count_write(&self.rec.in_place);
-                        let post = rec.read_value();
-                        self.wal_log(crate::walrec::KIND_PUT, key, Some(&post));
+                        self.wal_log(crate::walrec::KIND_PUT, rec);
                         return Ok(Outcome::Done);
                     }
                     // CRDT: append a delta (§6.3).
@@ -1409,11 +1411,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         if dead > 0 {
             self.note_dead(dead);
         }
-        // Read after the publish: a racing in-place writer may already be
-        // in the image, and the WAL then orders the racers arbitrarily —
-        // exactly as racy as the in-place update itself (DESIGN.md §10).
-        let post = rec.read_value();
-        self.wal_log(wal_kind, key, (kind != WriteKind::Tombstone).then_some(&post));
+        self.wal_log(wal_kind, rec);
         true
     }
 

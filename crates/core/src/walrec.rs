@@ -29,16 +29,19 @@ pub(crate) enum WalOp<K, V> {
     Delta { key: K, partial: V },
 }
 
-/// Encodes `kind | key bytes | value bytes?` into a WAL payload.
-pub(crate) fn encode<K: Pod, V: Pod>(kind: u8, key: &K, value: Option<&V>) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(1 + std::mem::size_of::<K>() + std::mem::size_of::<V>());
-    out.push(kind);
-    out.extend_from_slice(bytes_of(key));
-    if let Some(v) = value {
-        out.extend_from_slice(bytes_of(v));
-    }
-    out
+/// Payload bytes of a record that carries the key and, if `with_value`, a
+/// value.
+pub(crate) const fn encoded_len<K, V>(with_value: bool) -> usize {
+    1 + std::mem::size_of::<K>() + if with_value { std::mem::size_of::<V>() } else { 0 }
+}
+
+/// Encodes `kind | key bytes | value bytes?` into `out`, a WAL record's
+/// payload of exactly [`encoded_len`] bytes.
+pub(crate) fn encode_into<K: Pod, V: Pod>(out: &mut [u8], kind: u8, key: &K, value: Option<&V>) {
+    out[0] = kind;
+    let (k, v) = out[1..].split_at_mut(std::mem::size_of::<K>());
+    k.copy_from_slice(bytes_of(key));
+    v.copy_from_slice(value.map_or(&[][..], bytes_of));
 }
 
 /// Decodes a WAL payload. `None` for unknown kinds or size mismatches —
@@ -67,16 +70,22 @@ pub(crate) fn decode<K: Pod, V: Pod>(payload: &[u8]) -> Option<WalOp<K, V>> {
 mod tests {
     use super::*;
 
+    fn encode(kind: u8, key: u64, value: Option<u64>) -> Vec<u8> {
+        let mut out = vec![0; encoded_len::<u64, u64>(value.is_some())];
+        encode_into::<u64, u64>(&mut out, kind, &key, value.as_ref());
+        out
+    }
+
     #[test]
     fn round_trip() {
-        let p = encode::<u64, u64>(KIND_PUT, &7, Some(&9));
+        let p = encode(KIND_PUT, 7, Some(9));
         match decode::<u64, u64>(&p) {
             Some(WalOp::Put { key: 7, value: 9 }) => {}
             _ => panic!("bad decode"),
         }
-        let d = encode::<u64, u64>(KIND_DELETE, &7, None);
+        let d = encode(KIND_DELETE, 7, None);
         assert!(matches!(decode::<u64, u64>(&d), Some(WalOp::Delete { key: 7 })));
-        let m = encode::<u64, u64>(KIND_DELTA, &7, Some(&3));
+        let m = encode(KIND_DELTA, 7, Some(3));
         assert!(matches!(decode::<u64, u64>(&m), Some(WalOp::Delta { key: 7, partial: 3 })));
     }
 
@@ -84,6 +93,6 @@ mod tests {
     fn rejects_wrong_sizes_and_kinds() {
         assert!(decode::<u64, u64>(&[]).is_none());
         assert!(decode::<u64, u64>(&[KIND_PUT, 0, 0]).is_none());
-        assert!(decode::<u64, u64>(&encode::<u64, u64>(99, &1, Some(&2))).is_none());
+        assert!(decode::<u64, u64>(&encode(99, 1, Some(2))).is_none());
     }
 }

@@ -87,6 +87,9 @@ pub struct WalMetrics {
     pub appends: Counter,
     /// Payload + header bytes appended.
     pub bytes: Counter,
+    /// Appender-to-committer notifies: one per append that found the
+    /// commit thread parked, so at most one per group.
+    pub wakes: Counter,
     /// Group commits whose flush barrier succeeded (groups acked).
     pub commits: Counter,
     /// Group commits whose flush barrier failed (groups never acked).

@@ -498,7 +498,7 @@ impl Device for FaultDevice {
                     WriteDecision::Forward => {
                         self.inner.submit(Sqe::from_parts(SqeOp::Write { offset, data }, completion))
                     }
-                    WriteDecision::AckDrop => completion.complete(Ok(Vec::new())),
+                    WriteDecision::AckDrop => completion.complete(Ok(data)),
                     WriteDecision::Fail(err) => completion.complete(Err(err)),
                     WriteDecision::Crash(keep) => {
                         // Order matters: mark crashed before persisting the torn

@@ -80,7 +80,7 @@ impl Device for FileDevice {
                     if res.is_ok() {
                         state.extent.fetch_max(offset + data.len() as u64, Ordering::SeqCst);
                     }
-                    completion.complete(res.map(|()| Vec::new()));
+                    completion.complete(res.map(|()| data));
                 });
             }
             SqeOp::Read { offset, len } => {

@@ -127,14 +127,14 @@ pub trait Device: Send + Sync + 'static {
     fn write_blocking(&self, offset: u64, data: Vec<u8>) -> Result<(), IoError> {
         let ring = Arc::new(CompletionRing::new());
         self.submit(Sqe::write(0, offset, data, &ring));
-        wait_one(&ring).map(|_| ())
+        ring.wait_one().map(|_| ())
     }
 
     /// Reads `len` bytes at byte `offset`, parking until they arrive.
     fn read_blocking(&self, offset: u64, len: usize) -> Result<Vec<u8>, IoError> {
         let ring = Arc::new(CompletionRing::new());
         self.submit(Sqe::read(0, offset, len, &ring));
-        wait_one(&ring)
+        ring.wait_one()
     }
 
     /// Blocks until every operation queued before this call has completed
@@ -151,15 +151,6 @@ pub trait Device: Send + Sync + 'static {
 
     /// Cumulative counters.
     fn stats(&self) -> DeviceStats;
-}
-
-/// Parks until the single SQE submitted against `ring` has completed.
-fn wait_one(ring: &CompletionRing) -> Result<Vec<u8>, IoError> {
-    let mut cqes = Vec::with_capacity(1);
-    while ring.reap(&mut cqes) == 0 {
-        ring.wait_nonempty(std::time::Duration::from_millis(100));
-    }
-    cqes.pop().expect("reap reported a CQE").result
 }
 
 /// Shared atomic counters behind [`DeviceStats`].
@@ -255,7 +246,7 @@ impl Device for NullDevice {
         match op {
             SqeOp::Write { data, .. } => {
                 self.stats.record_write(data.len());
-                completion.complete(Ok(Vec::new()));
+                completion.complete(Ok(data));
             }
             SqeOp::Read { .. } => completion.complete(Err(IoError::Unsupported)),
         }

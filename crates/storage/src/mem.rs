@@ -142,7 +142,7 @@ impl Device for MemDevice {
                 self.pool.submit(move || {
                     precise_sleep(delay);
                     state.write_sync(offset, &data);
-                    completion.complete(Ok(Vec::new()));
+                    completion.complete(Ok(data));
                 });
             }
             SqeOp::Read { offset, len } => {
@@ -192,6 +192,18 @@ mod tests {
         d.write_blocking(0, data.clone()).unwrap();
         assert_eq!(d.read_blocking(0, 256).unwrap(), data);
         assert_eq!(d.read_blocking(10, 5).unwrap(), &data[10..15]);
+    }
+
+    #[test]
+    fn write_cqe_hands_the_buffer_back() {
+        let d = MemDevice::new(1);
+        let ring = Arc::new(crate::CompletionRing::new());
+        let data = vec![7u8; 512];
+        let alloc = data.as_ptr();
+        d.submit(Sqe::write(0, 0, data, &ring));
+        let back = ring.wait_one().unwrap();
+        assert_eq!(back, vec![7u8; 512]);
+        assert_eq!(back.as_ptr(), alloc, "the written allocation itself comes back");
     }
 
     #[test]

@@ -36,8 +36,9 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// One completed operation: the submitter's id plus the result bytes
-/// (empty for writes) or the error.
+/// One completed operation: the submitter's id plus the result bytes — the
+/// data read, or for a write the buffer it wrote, handed back so a submitter
+/// that writes repeatedly reuses one allocation — or the error.
 #[derive(Debug)]
 pub struct Cqe {
     pub id: u64,
@@ -112,7 +113,7 @@ impl Sqe {
         Self::new(id, SqeOp::Read { offset, len }, ring)
     }
 
-    /// A write: the CQE (empty bytes on success) lands in `ring`.
+    /// A write: the CQE (carrying `data` back on success) lands in `ring`.
     pub fn write(id: u64, offset: u64, data: Vec<u8>, ring: &Arc<CompletionRing>) -> Self {
         Self::new(id, SqeOp::Write { offset, data }, ring)
     }
@@ -265,6 +266,18 @@ impl CompletionRing {
             out.push(boxed.cqe);
         }
         out.len() - before
+    }
+
+    /// Parks until the one completion expected on this private ring arrives
+    /// and returns its result: the blocking wait behind
+    /// [`Device::read_blocking`](crate::Device::read_blocking) and the WAL's
+    /// durability wait.
+    pub fn wait_one(&self) -> Result<Vec<u8>, IoError> {
+        let mut cqes = Vec::with_capacity(1);
+        while self.reap(&mut cqes) == 0 {
+            self.wait_nonempty(Duration::from_millis(100));
+        }
+        cqes.pop().expect("reap reported a CQE").result
     }
 
     /// Parks the caller until at least one CQE is published or `timeout`

@@ -38,15 +38,41 @@
 //! so [`Wal::truncate_below_lsn`] can reclaim whole segments once a
 //! checkpoint covers their records.
 //!
+//! ## Append: laid out once, at its final offset
+//!
+//! [`Wal::append_with`] does all of its work under the one log mutex: it
+//! assigns the LSN, decides segment padding, and reserves the record's bytes
+//! in the **staging buffer** — the next group's device block, already laid
+//! out at its final log offsets. The caller's `fill` writes the payload
+//! straight into that reservation and the record is checksummed in place, so
+//! a record is copied once, into the block the device will write. Because
+//! `fill` runs after the LSN is assigned, anything it reads is ordered after
+//! every lower-LSN append.
+//!
 //! ## Group commit and sector alignment
 //!
 //! Each group is written as one sector-aligned device write. The tail
-//! usually ends mid-sector, so the commit thread keeps the byte image of the
-//! partial tail sector and *re-writes* it as the prefix of the next group's
-//! block. The rewritten prefix is byte-identical to what is already on disk,
-//! so a torn group write can never damage previously acked records — the
+//! usually ends mid-sector, so every staging buffer *begins* with the byte
+//! image of the partial tail sector and the group write re-writes it. The
+//! rewritten prefix is byte-identical to what is already on disk, so a torn
+//! group write can never damage previously acked records — the
 //! prefix-persisted crash model keeps them intact no matter where the tear
 //! lands.
+//!
+//! The commit thread takes the whole staging buffer as the group's block and
+//! leaves a spare in its place, seeded with the new tail-sector image. The
+//! block's write CQE hands the buffer back, and it becomes the next spare:
+//! two buffers alternate, so in steady state neither appenders nor the
+//! commit thread allocate per group. Appenders wake the commit thread only
+//! when it is parked (it marks itself idle under the mutex before waiting),
+//! so a group costs one wake however many records it holds.
+//!
+//! ## Durability waits
+//!
+//! Durability has one notification route: a [`Cqe`] pushed into a
+//! [`CompletionRing`] when the covering group acks ([`Wal::notify_durable`]).
+//! [`Wal::wait_durable`] is that notice on a private ring, parked on with
+//! [`CompletionRing::wait_one`] — the shape of `Device::read_blocking`.
 //!
 //! ## Failure contract
 //!
@@ -67,6 +93,11 @@ pub type Lsn = u64;
 
 /// Bytes of the per-record header.
 pub const RECORD_HEADER: usize = 24;
+
+/// Capacity each staging buffer is given and keeps between groups (a
+/// multiple of any sector size). A larger group — a bulk load — grows its
+/// buffer; the commit thread trims it back before reusing it.
+const STAGE_CAPACITY: usize = 64 << 10;
 
 /// Tuning knobs for the log.
 #[derive(Debug, Clone, Copy)]
@@ -93,13 +124,6 @@ pub struct WalRecord {
     pub payload: Vec<u8>,
 }
 
-struct Pending {
-    lsn: Lsn,
-    /// Header + payload, fully encoded at append time.
-    bytes: Vec<u8>,
-    enqueued: Instant,
-}
-
 /// A registered durability notice ([`Wal::notify_durable`]): when every LSN
 /// ≤ `lsn` is durable (or the log fails), a [`Cqe`] carrying `id` is pushed
 /// into `ring`.
@@ -110,28 +134,37 @@ struct Notice {
 }
 
 impl Notice {
-    fn deliver(self, result: Result<(), IoError>) {
+    fn deliver(&self, result: Result<(), IoError>) {
         self.ring.push(Cqe { id: self.id, result: result.map(|()| Vec::new()) });
     }
 }
 
 struct WalState {
-    /// Logical end of the log: the byte after the last record (or pad).
+    /// Logical end of the log: the byte after the last staged record (or
+    /// pad).
     tail: u64,
     next_lsn: Lsn,
     generation: u32,
-    pending: Vec<Pending>,
-    /// Byte image of `[align_down(tail), tail)` — rewritten as the identical
-    /// prefix of the next group's sector-aligned write.
-    tail_sector: Vec<u8>,
+    /// The next group's device block, covering `[tail - stage.len(), tail)`:
+    /// the image of the partial tail sector already on disk (sector-aligned
+    /// start, rewritten byte-identically), then every record appended since
+    /// the commit thread last took the stage.
+    stage: Vec<u8>,
+    /// Records in `stage`; zero means there is nothing to commit.
+    staged: u64,
+    /// When the first record in `stage` was appended (commit latency).
+    group_started: Instant,
+    /// Set by the commit thread, under this lock, just before it parks on
+    /// `appended`; the append that finds it set clears it and wakes it.
+    committer_idle: bool,
     /// `(offset, first lsn)` of every segment that holds records, for
     /// LSN-addressed truncation.
     segment_starts: Vec<(u64, Lsn)>,
     /// Sticky group-commit failure: set once, never cleared.
     failed: Option<IoError>,
     shutdown: bool,
-    /// Outstanding ring-routed durability notices, drained by the commit
-    /// thread on every ack (and failed wholesale on a sticky failure).
+    /// Outstanding durability notices, delivered by the commit thread on
+    /// every ack (and failed wholesale on a sticky failure or shutdown).
     notices: Vec<Notice>,
 }
 
@@ -140,10 +173,9 @@ struct Shared {
     cfg: WalConfig,
     metrics: Arc<WalMetrics>,
     state: Mutex<WalState>,
-    /// Wakes the commit thread when a record is appended (or on shutdown).
+    /// Wakes the parked commit thread when a group's first record is
+    /// appended (or on shutdown).
     appended: Condvar,
-    /// Wakes durability waiters when a group is acked or the log fails.
-    acked: Condvar,
     /// Highest LSN known durable (all LSNs ≤ this are durable).
     durable: AtomicU64,
 }
@@ -199,6 +231,8 @@ impl Wal {
             "segment size must be a multiple of the device sector size"
         );
         let last = scan.last_lsn.max(skip_lsn);
+        let mut stage = Vec::with_capacity(STAGE_CAPACITY);
+        stage.extend_from_slice(&scan.tail_sector);
         let shared = Arc::new(Shared {
             device,
             cfg,
@@ -207,15 +241,16 @@ impl Wal {
                 tail: scan.tail,
                 next_lsn: last + 1,
                 generation: scan.max_generation + 1,
-                pending: Vec::new(),
-                tail_sector: scan.tail_sector,
+                stage,
+                staged: 0,
+                group_started: Instant::now(),
+                committer_idle: false,
                 segment_starts: scan.segment_starts,
                 failed: None,
                 shutdown: false,
                 notices: Vec::new(),
             }),
             appended: Condvar::new(),
-            acked: Condvar::new(),
             // Everything that survived on disk is durable by definition.
             durable: AtomicU64::new(scan.last_lsn),
         });
@@ -229,47 +264,84 @@ impl Wal {
         Arc::new(Self { shared, worker: Mutex::new(Some(worker)) })
     }
 
-    /// Appends one record, returning its LSN. The record is **not durable**
-    /// yet: pair with [`Wal::wait_durable`] / [`Wal::poll_durable`]. Fails
-    /// if the log has already hit a sticky commit failure.
-    pub fn append(&self, payload: &[u8]) -> Result<Lsn, IoError> {
-        let total = RECORD_HEADER + payload.len();
-        if total as u64 > self.shared.cfg.segment_size {
+    /// Appends one record of `len` payload bytes and returns its LSN. Under
+    /// the log mutex the record is assigned its LSN and laid out at its
+    /// final offset in the next group's block; `fill` then writes the
+    /// payload there and the record is checksummed in place.
+    ///
+    /// `fill` runs under the mutex, **after** the LSN is assigned, so what
+    /// it reads is ordered after every lower-LSN append: a caller that reads
+    /// shared state inside `fill` logs it in LSN order. Keep it short — every
+    /// appender waits behind it.
+    ///
+    /// The record is **not durable** yet: pair with [`Wal::wait_durable`] /
+    /// [`Wal::poll_durable`]. Fails if the record cannot fit in a segment or
+    /// the log has already hit a sticky commit failure.
+    pub fn append_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Result<Lsn, IoError> {
+        let seg = self.shared.cfg.segment_size;
+        let total = RECORD_HEADER + len;
+        if total as u64 > seg {
             return Err(IoError::Failed(format!(
-                "WAL record of {total} bytes exceeds segment size {}",
-                self.shared.cfg.segment_size
+                "WAL record of {total} bytes exceeds segment size {seg}"
             )));
         }
-        let mut st = self.shared.state.lock().unwrap();
+        let mut guard = self.shared.state.lock().unwrap();
+        let st = &mut *guard;
         if let Some(e) = &st.failed {
             return Err(e.clone());
         }
         let lsn = st.next_lsn;
         st.next_lsn += 1;
-        let bytes = encode_record(lsn, st.generation, payload);
-        st.pending.push(Pending { lsn, bytes, enqueued: Instant::now() });
+        let room = seg - st.tail % seg;
+        if room < total as u64 {
+            // Records never span segments: zero-pad to the boundary.
+            st.stage.resize(st.stage.len() + room as usize, 0);
+            st.tail += room;
+        }
+        if st.tail.is_multiple_of(seg) {
+            st.segment_starts.push((st.tail, lsn));
+        }
+        if st.staged == 0 {
+            st.group_started = Instant::now();
+        }
+        st.staged += 1;
+        st.tail += total as u64;
+        let start = st.stage.len();
+        st.stage.resize(start + total, 0);
+        let rec = &mut st.stage[start..];
+        rec[8..16].copy_from_slice(&lsn.to_le_bytes());
+        rec[16..20].copy_from_slice(&(len as u32).to_le_bytes());
+        rec[20..24].copy_from_slice(&st.generation.to_le_bytes());
+        fill(&mut rec[RECORD_HEADER..]);
+        let sum = faster_util::hash_bytes(&rec[8..]);
+        rec[..8].copy_from_slice(&sum.to_le_bytes());
         self.shared.metrics.appends.inc();
         self.shared.metrics.bytes.add(total as u64);
-        self.shared.appended.notify_one();
+        let wake = std::mem::take(&mut st.committer_idle);
+        drop(guard);
+        if wake {
+            self.shared.metrics.wakes.inc();
+            self.shared.appended.notify_one();
+        }
         Ok(lsn)
+    }
+
+    /// Appends one record holding `payload`; see [`Wal::append_with`].
+    pub fn append(&self, payload: &[u8]) -> Result<Lsn, IoError> {
+        self.append_with(payload.len(), |out| out.copy_from_slice(payload))
     }
 
     /// Blocks until every record with LSN ≤ `lsn` is durable, or the log
     /// fails. An `Err` means the record's group was **never acknowledged**.
+    /// A [`Wal::notify_durable`] notice on a private ring, parked on until
+    /// its one CQE arrives.
     pub fn wait_durable(&self, lsn: Lsn) -> Result<(), IoError> {
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
+        if self.durable_lsn() >= lsn {
             return Ok(());
         }
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-                return Ok(());
-            }
-            if let Some(e) = &st.failed {
-                return Err(e.clone());
-            }
-            st = self.shared.acked.wait(st).unwrap();
-        }
+        let ring = Arc::new(CompletionRing::new());
+        self.notify_durable(lsn, 0, &ring);
+        ring.wait_one().map(|_| ())
     }
 
     /// Non-blocking durability check: `Some(Ok(()))` once durable,
@@ -291,10 +363,10 @@ impl Wal {
     /// pushed into `ring`; if the log fails first — or has already failed,
     /// or is shutting down — the CQE carries the error instead. Exactly one
     /// CQE is delivered per call, immediately when the answer is already
-    /// known. This is the parking-free counterpart of [`Wal::wait_durable`]:
-    /// a consumer multiplexing a [`CompletionRing`] (disk reads, socket
-    /// readiness) learns group-commit durability through the same reap loop
-    /// instead of blocking a thread per waiter on the condvar.
+    /// known. This is the log's one durability route: a consumer
+    /// multiplexing a [`CompletionRing`] (disk reads, socket readiness)
+    /// learns group-commit durability through the same reap loop, and
+    /// [`Wal::wait_durable`] parks on a private ring for it.
     pub fn notify_durable(&self, lsn: Lsn, id: u64, ring: &Arc<CompletionRing>) {
         if self.shared.durable.load(Ordering::SeqCst) >= lsn {
             ring.push(Cqe { id, result: Ok(Vec::new()) });
@@ -326,7 +398,7 @@ impl Wal {
         self.shared.durable.load(Ordering::SeqCst)
     }
 
-    /// Highest LSN handed out by [`Wal::append`] (0 = none).
+    /// Highest LSN handed out by [`Wal::append_with`] (0 = none).
     pub fn last_appended_lsn(&self) -> Lsn {
         self.shared.state.lock().unwrap().next_lsn - 1
     }
@@ -373,24 +445,25 @@ impl Drop for Wal {
     }
 }
 
-/// The commit thread: batch, write, barrier, ack — one iteration per group.
+/// The commit thread: take the stage, write, barrier, ack — one iteration
+/// per group.
 fn commit_loop(shared: &Shared) {
     let sector = shared.device.sector_size() as u64;
-    let seg = shared.cfg.segment_size;
     // Group writes ride the submission/completion ring (DESIGN.md §9): the
-    // commit thread owns a private ring, submits each group block as a
-    // ring-routed SQE (id = the group's last LSN) and parks on the ring for
-    // its CQE. One SQE is in flight at a time, so reaping is trivial.
+    // commit thread owns a private ring and submits each group block as a
+    // ring-routed SQE (id = the group's last LSN). One SQE is in flight at
+    // a time, and its CQE hands the block back as the next spare.
     let ring = Arc::new(CompletionRing::new());
-    let mut cqes: Vec<faster_storage::Cqe> = Vec::with_capacity(1);
+    let mut spare = Vec::with_capacity(STAGE_CAPACITY);
     loop {
         let mut st = shared.state.lock().unwrap();
-        while st.pending.is_empty() {
+        while st.staged == 0 {
             if st.shutdown || st.failed.is_some() {
                 let err = st.failed.clone().unwrap_or(IoError::Failed("WAL shut down".into()));
                 fail_notices(&mut st, err);
                 return;
             }
+            st.committer_idle = true;
             st = shared.appended.wait(st).unwrap();
         }
         // Batch window: let more sessions join the group before the flush.
@@ -400,84 +473,55 @@ fn commit_loop(shared: &Shared) {
             st = shared.state.lock().unwrap();
         }
 
-        // Build the group's sector-aligned block. The tail-sector prefix is
-        // byte-identical to disk, so tearing this write cannot damage
-        // already-acked records.
-        let group = std::mem::take(&mut st.pending);
-        let write_off = st.tail - st.tail_sector.len() as u64;
+        // Take the stage as the group's block; the spare replaces it, seeded
+        // with the new partial tail sector — the identical prefix the next
+        // group rewrites, so tearing that write cannot damage this group.
+        let tail = st.tail;
+        let write_off = tail - st.stage.len() as u64;
         debug_assert_eq!(write_off % sector, 0);
-        let mut block = std::mem::take(&mut st.tail_sector);
-        let mut tail = st.tail;
-        for rec in &group {
-            let within = tail % seg;
-            if seg - within < rec.bytes.len() as u64 {
-                // Records never span segments: zero-pad to the boundary.
-                block.resize(block.len() + (seg - within) as usize, 0);
-                tail += seg - within;
-            }
-            if tail.is_multiple_of(seg) {
-                st.segment_starts.push((tail, rec.lsn));
-            }
-            block.extend_from_slice(&rec.bytes);
-            tail += rec.bytes.len() as u64;
-        }
-        st.tail = tail;
-        st.tail_sector = block[(tail / sector * sector - write_off) as usize..].to_vec();
-        block.resize(block.len().div_ceil(sector as usize) * sector as usize, 0);
+        let mut block = std::mem::replace(&mut st.stage, std::mem::take(&mut spare));
+        let sector_start = (tail / sector * sector - write_off) as usize;
+        st.stage.extend_from_slice(&block[sector_start..]);
+        let records = std::mem::take(&mut st.staged);
+        let started = st.group_started;
+        let last_lsn = st.next_lsn - 1;
         drop(st);
 
-        let last_lsn = group.last().expect("non-empty group").lsn;
-        let oldest = group.iter().map(|r| r.enqueued).min().expect("non-empty group");
+        block.resize(block.len().next_multiple_of(sector as usize), 0);
         shared.device.submit(Sqe::write(last_lsn, write_off, block, &ring));
-        let write_res = loop {
-            cqes.clear();
-            if ring.reap(&mut cqes) > 0 {
-                debug_assert_eq!(cqes.len(), 1, "one group write in flight");
-                debug_assert_eq!(cqes[0].id, last_lsn);
-                break cqes.pop().expect("reaped CQE").result.map(|_| ());
-            }
-            ring.wait_nonempty(Duration::from_millis(100));
-        };
-        let res = write_res.and_then(|()| shared.device.flush_barrier());
+        let res = ring.wait_one().and_then(|mut written| {
+            written.clear();
+            written.shrink_to(STAGE_CAPACITY);
+            written.reserve(STAGE_CAPACITY);
+            spare = written;
+            shared.device.flush_barrier()
+        });
 
         let mut st = shared.state.lock().unwrap();
         match res {
             Ok(()) => {
                 shared.durable.store(last_lsn, Ordering::SeqCst);
                 shared.metrics.commits.inc();
-                shared.metrics.group_size.record(group.len() as u64);
-                shared.metrics.commit_latency.record(oldest.elapsed().as_nanos() as u64);
-                shared.acked.notify_all();
-                // Deliver every ring-routed notice the ack covers.
-                let covered = drain_notices(&mut st, last_lsn);
-                for n in covered {
-                    n.deliver(Ok(()));
-                }
+                shared.metrics.group_size.record(records);
+                shared.metrics.commit_latency.record(started.elapsed().as_nanos() as u64);
+                // Deliver every notice the ack covers.
+                st.notices.retain(|n| {
+                    let covered = n.lsn <= last_lsn;
+                    if covered {
+                        n.deliver(Ok(()));
+                    }
+                    !covered
+                });
             }
             Err(e) => {
                 // Sticky: the group (and everything after) is never acked.
                 shared.metrics.commit_failures.inc();
                 st.failed = Some(e.clone());
-                shared.acked.notify_all();
                 fail_notices(&mut st, e);
                 return;
             }
         }
-        if st.shutdown && st.pending.is_empty() {
-            fail_notices(&mut st, IoError::Failed("WAL shut down".into()));
-            return;
-        }
     }
-}
-
-/// Detaches the notices covered by `durable_lsn` (delivered outside the
-/// caller's lock scope would also be fine — ring pushes never block).
-fn drain_notices(st: &mut WalState, durable_lsn: Lsn) -> Vec<Notice> {
-    let (covered, keep) = std::mem::take(&mut st.notices)
-        .into_iter()
-        .partition(|n| n.lsn <= durable_lsn);
-    st.notices = keep;
-    covered
 }
 
 /// Fails every outstanding notice (sticky failure or shutdown).
@@ -485,18 +529,6 @@ fn fail_notices(st: &mut WalState, err: IoError) {
     for n in std::mem::take(&mut st.notices) {
         n.deliver(Err(err.clone()));
     }
-}
-
-fn encode_record(lsn: Lsn, generation: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&[0u8; 8]); // checksum placeholder
-    out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(payload);
-    let sum = faster_util::hash_bytes(&out[8..]);
-    out[..8].copy_from_slice(&sum.to_le_bytes());
-    out
 }
 
 struct ScanResult {
@@ -884,6 +916,22 @@ mod tests {
         out.clear();
         assert_eq!(ring.reap(&mut out), 1);
         assert!(out[0].result.is_err());
+    }
+
+    #[test]
+    fn appends_wake_the_committer_at_most_once_per_group() {
+        let metrics = Arc::new(WalMetrics::default());
+        let wal = Wal::with_metrics(MemDevice::new(1), WalConfig::default(), metrics.clone());
+        for group in 0..1_000u64 {
+            let mut lsn = 0;
+            for i in 0..64 {
+                lsn = wal.append(&payload(group * 64 + i)).unwrap();
+            }
+            wal.wait_durable(lsn).unwrap();
+        }
+        assert_eq!(metrics.appends.get(), 64_000);
+        let (wakes, commits) = (metrics.wakes.get(), metrics.commits.get());
+        assert!(wakes <= commits + 1, "{wakes} committer wakes for {commits} commits");
     }
 
     #[test]

@@ -18,7 +18,9 @@ use faster_integration_tests::fault_harness::{
     fault_seed_range, run_wal_crash_case, wal_harness_cfg, WalCrashPoint, KEYSPACE,
 };
 use faster_integration_tests::read_blocking as session_read;
+use faster_metrics::WalMetrics;
 use faster_storage::{Device, FaultDevice, MemDevice, TornWrite};
+use faster_wal::Wal;
 use std::sync::Arc;
 
 /// Tentpole sweep, write axis: crash at every device write the run issues,
@@ -262,4 +264,48 @@ fn failed_barrier_never_acks_a_group() {
     assert_eq!(m.wal.commits, 0, "a group committed across a failed barrier");
     assert!(m.wal.commit_failures >= 1);
     assert!(store.wal().unwrap().failure().is_some());
+}
+
+/// WAL order = apply order for in-place updates: two sessions increment one
+/// key in place, and replayed in LSN order the key's post-images must never
+/// go backwards and must end at the total. A post-image read *before* the
+/// LSN is assigned lets a later LSN carry an older value — replay then
+/// loses acked increments.
+#[test]
+fn in_place_post_images_follow_lsn_order() {
+    const PER_THREAD: u64 = 20_000;
+    const KEY: u64 = 7;
+    let cfg = wal_harness_cfg();
+    let wal_dev: Arc<dyn Device> = MemDevice::new(1);
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new_with_wal(cfg, CountStore, MemDevice::new(2), wal_dev.clone());
+    store.start_session().upsert(&KEY, &0).expect("writable store");
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let session = store.start_session();
+                for _ in 0..PER_THREAD {
+                    session.rmw(&KEY, &1).expect("in-place increment");
+                }
+                session.wait_wal_durable().expect("commit on a healthy device");
+            });
+        }
+    });
+    drop(store);
+
+    let wal_cfg = cfg.wal.expect("WAL configured");
+    let (_wal, records) = Wal::recover(wal_dev, wal_cfg, Arc::new(WalMetrics::default()), 0);
+    // A PUT payload is `[kind = 1][key u64][value u64]`, little-endian.
+    let posts: Vec<u64> = records
+        .iter()
+        .filter_map(|r| {
+            let (&kind, rest) = r.payload.split_first()?;
+            let (key, value) = rest.split_at_checked(8)?;
+            (kind == 1 && key == KEY.to_le_bytes() && value.len() == 8)
+                .then(|| u64::from_le_bytes(value.try_into().expect("8 bytes")))
+        })
+        .collect();
+    let inversions = posts.windows(2).filter(|w| w[1] < w[0]).count();
+    assert_eq!(inversions, 0, "post-images went backwards {inversions} times in LSN order");
+    assert_eq!(posts.last(), Some(&(2 * PER_THREAD)));
 }
