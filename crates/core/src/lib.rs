@@ -98,11 +98,6 @@ pub struct FasterKvConfig {
     pub read_cache: Option<HLogConfig>,
     /// Observability configuration (DESIGN.md §8).
     pub metrics: MetricsConfig,
-    /// Batched reads ([`Session::read_batch`]) additionally prefetch one
-    /// `prev`-chain hop for chain heads that miss the read cache, trading
-    /// an extra prefetch slot per op for fewer dependent-load stalls on
-    /// collided chains (ROADMAP prefetch experiment; see EXPERIMENTS.md).
-    pub prefetch_prev_chain: bool,
     /// Optional group-committed write-ahead log (DESIGN.md §10). `None`
     /// keeps the classic FASTER durability model (CPR checkpoints only);
     /// `Some` makes every mutating op append a logical record to the WAL
@@ -127,7 +122,6 @@ impl FasterKvConfig {
             refresh_interval: 64,
             read_cache: None,
             metrics: MetricsConfig::default(),
-            prefetch_prev_chain: false,
             wal: None,
             maintenance: None,
         }
@@ -147,7 +141,6 @@ impl FasterKvConfig {
             refresh_interval: 256,
             read_cache: None,
             metrics: MetricsConfig::default(),
-            prefetch_prev_chain: false,
             wal: None,
             maintenance: None,
         }
@@ -191,12 +184,6 @@ impl FasterKvConfig {
     /// Sets the observability configuration (DESIGN.md §8).
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Enables prev-chain prefetching in [`Session::read_batch`].
-    pub fn with_prefetch_prev_chain(mut self, on: bool) -> Self {
-        self.prefetch_prev_chain = on;
         self
     }
 

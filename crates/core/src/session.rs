@@ -175,8 +175,8 @@ pub(crate) enum WriteKind {
 
 /// A walk down one key's record chain (Algorithm 2): the record to visit
 /// next, the second chains of the merge records passed so far (Appendix B),
-/// and the CRDT partials folded so far (§6.3). Reads, pending
-/// continuations, version history and compaction liveness all walk with it.
+/// and the CRDT partials folded so far (§6.3). Every operation, pending
+/// continuation, version history and compaction liveness walk with it.
 pub(crate) struct Walk<V> {
     addr: Address,
     fallbacks: Vec<Address>,
@@ -252,11 +252,12 @@ impl<V: Pod> Walk<V> {
     }
 }
 
-/// Where an operation's walk stopped (see [`Session::resolve`]).
-enum Resolved<K: Pod, V: Pod> {
-    /// The key's base record and its address.
-    Base(Address, RecordRef<K, V>),
-    /// A tombstone, or every chain is exhausted.
+/// Where an operation's walk stopped (see [`Session::seek`]).
+enum Seek<K: Pod, V: Pod> {
+    /// The key's first record at or above the floor: its address, the
+    /// record, and what it is (never [`Step::Skip`]).
+    Found(Address, RecordRef<K, V>, Step),
+    /// Every chain is exhausted above the floor.
     Absent,
     /// The next record (at the walk's `addr`) is below the head address.
     OnDisk,
@@ -610,7 +611,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         }
         let start = walk.addr;
         match self.resolve(key, &mut walk, image.as_ref()) {
-            Resolved::Base(at, rec) => {
+            Seek::Found(at, rec, Step::Base) => {
                 // Base record (Alg 2 lines 12-15): above the safe read-only
                 // offset it may be updated in place while we read it.
                 if walk.acc.is_none() && at >= inner.log.safe_ipu_boundary() {
@@ -624,9 +625,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 }
                 self.read_output(key, input, walk.value(f, Some(value)))
             }
-            Resolved::Absent => self.read_output(key, input, walk.value(f, None)),
+            // A tombstone, or every chain is exhausted.
+            Seek::Found(..) | Seek::Absent => self.read_output(key, input, walk.value(f, None)),
             // Below head: go asynchronous (Alg 2 line 6).
-            Resolved::OnDisk => {
+            Seek::OnDisk => {
                 Err(OpError::Pending(self.go_pending(key, hash, input, PendingKind::Read, walk, id)))
             }
         }
@@ -640,39 +642,60 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         }
     }
 
-    /// The step loop over the resident part of a chain, shared by reads and
-    /// pending continuations: visits `image` first when resuming (the record
-    /// a storage read returned for `walk.addr`), folds deltas, and stops at
-    /// the key's base record, its absence, or a record below the head. A
-    /// returned record lives in a log frame or in `image`.
+    /// The step loop over the resident part of a chain, shared by every
+    /// operation: visits `image` first when resuming (the record a storage
+    /// read returned for `walk.addr`), parks the second chain of each merge
+    /// record it passes, and stops at the key's first record at or above
+    /// `floor` (and the begin address), once every chain is exhausted, or at
+    /// a record below the head. A found record lives in a log frame or in
+    /// `image`; a resident one stays valid until this session refreshes (§4),
+    /// even if `head` moves past it.
     #[inline]
-    fn resolve(
+    fn seek(
         &self,
         key: &K,
         walk: &mut Walk<V>,
+        floor: Address,
         mut image: Option<&RecordView<K, V>>,
-    ) -> Resolved<K, V> {
+    ) -> Seek<K, V> {
         let log = &self.store.inner.log;
         loop {
             let rec = match image.take() {
                 Some(view) => *view.get(),
                 None => {
-                    if !walk.advance(log.begin_address()) {
-                        return Resolved::Absent;
+                    if !walk.advance(floor.max(log.begin_address())) {
+                        return Seek::Absent;
                     }
                     match log.get(walk.addr) {
                         // Safety: epoch-protected resident record.
                         Some(p) => unsafe { RecordRef::from_raw(p) },
-                        None => return Resolved::OnDisk,
+                        None => return Seek::OnDisk,
                     }
                 }
             };
             let at = walk.addr;
             match walk.step(&rec, key) {
                 Step::Skip => {}
-                Step::Tombstone => return Resolved::Absent,
-                Step::Delta => walk.fold(&self.store.inner.functions, rec.read_value()),
-                Step::Base => return Resolved::Base(at, rec),
+                step => return Seek::Found(at, rec, step),
+            }
+        }
+    }
+
+    /// Seeks the key's value for reads and pending-RMW continuations,
+    /// folding the deltas above its base into the walk (§6.3): stops at the
+    /// base record, a tombstone, the chain's end, or a record below the head.
+    fn resolve(
+        &self,
+        key: &K,
+        walk: &mut Walk<V>,
+        mut image: Option<&RecordView<K, V>>,
+    ) -> Seek<K, V> {
+        loop {
+            match self.seek(key, walk, Address::INVALID, image.take()) {
+                Seek::Found(_, rec, Step::Delta) => {
+                    walk.fold(&self.store.inner.functions, rec.read_value())
+                }
+                stop => return stop,
             }
         }
     }
@@ -886,16 +909,14 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             if let CreateOutcome::Found(slot) = &at {
                 let head = slot.observed().address();
                 // Cache records are never updated in place (the fresh primary
-                // record splices the cache copy out). Otherwise trace only
-                // the mutable suffix: anything deeper gets shadowed by the
-                // new tail record anyway (Alg 3).
-                let mutable = if is_rc(head) {
-                    None
-                } else {
-                    self.find_in_memory_above(key, head, inner.log.ipu_boundary())
-                };
-                if let Some((_, rec)) = mutable {
-                    if !rec.header().is_tombstone() && !rec.header().is_delta() {
+                // record splices the cache copy out). Otherwise seek only the
+                // mutable suffix: anything deeper gets shadowed by the new
+                // tail record anyway (Alg 3).
+                if !is_rc(head) {
+                    let floor = inner.log.ipu_boundary();
+                    if let Seek::Found(_, rec, Step::Base) =
+                        self.seek(key, &mut Walk::new(head), floor, None)
+                    {
                         f.concurrent_writer(key, value, rec.value_cell());
                         self.count_write(&self.rec.in_place);
                         self.wal_log(crate::walrec::KIND_PUT, rec);
@@ -964,14 +985,13 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     }
                 }
             }
-            let head = inner.log.head_address();
-            let chain_head = self.chain_prev_for_new_record(entry);
-            let published = match self.find_in_memory_above(key, chain_head, head) {
-                Some((_, rec)) if rec.header().is_tombstone() => {
-                    // Deleted: re-create from the initial value.
+            let mut walk = Walk::new(self.chain_prev_for_new_record(entry));
+            let published = match self.seek(key, &mut walk, Address::INVALID, None) {
+                // Deleted or absent: (re-)create from the initial value.
+                Seek::Found(_, _, Step::Tombstone) | Seek::Absent => {
                     self.rcu_create(at, key, input, None)
                 }
-                Some((laddr, rec)) => match inner.log.classify(laddr) {
+                Seek::Found(laddr, rec, _) => match inner.log.classify(laddr) {
                     Region::Mutable => {
                         f.in_place_updater(key, input, rec.value_cell());
                         self.count_write(&self.rec.in_place);
@@ -1002,21 +1022,16 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                         self.rcu_create(at, key, input, Some(rec.read_value()))
                     }
                 },
-                // Not in memory. Distinguish "chain continues on disk"
-                // from "chain ends".
-                None => match self.first_below(key, chain_head, head) {
-                    // CRDT: no need to read the old value.
-                    Some(_) if f.is_mergeable() => self.append_delta(at, key, input),
-                    Some(daddr) => {
-                        let kind = PendingKind::Rmw { entry_addr: entry };
-                        let walk = Walk::new(daddr);
-                        return Err(OpError::Pending(
-                            self.go_pending(key, hash, input, kind, walk, reuse_id),
-                        ));
-                    }
-                    // Absent: create from the initial value.
-                    None => self.rcu_create(at, key, input, None),
-                },
+                // The chain continues on disk. CRDT: no need to read the
+                // old value.
+                Seek::OnDisk if f.is_mergeable() => self.append_delta(at, key, input),
+                Seek::OnDisk => {
+                    // The walk keeps the merge fallbacks it parked.
+                    let kind = PendingKind::Rmw { entry_addr: entry };
+                    return Err(OpError::Pending(
+                        self.go_pending(key, hash, input, kind, walk, reuse_id),
+                    ));
+                }
             };
             if published {
                 return Ok(Outcome::Done);
@@ -1130,25 +1145,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 inner.log.prefetch(head);
             }
             heads.push(head);
-        }
-        // Stage 2.5 (opt-in via `prefetch_prev_chain`): by now the head
-        // lines issued in stage 2 are arriving, so dereferencing each head
-        // header is cheap; prefetch one `prev` hop so collided chains don't
-        // stall stage 3 on a second dependent load (ROADMAP prefetch
-        // experiment — measured in EXPERIMENTS.md).
-        if inner.cfg.prefetch_prev_chain {
-            for &head in &heads {
-                if !head.is_valid() || is_rc(head) {
-                    continue;
-                }
-                if let Some(p) = inner.log.get(head) {
-                    // Safety: epoch-protected resident record.
-                    let prev = unsafe { RecordRef::<K, V>::from_raw(p) }.header().prev();
-                    if prev.is_valid() && !is_rc(prev) && prev >= inner.log.head_address() {
-                        inner.log.prefetch(prev);
-                    }
-                }
-            }
         }
         // Stage 3: execute in submission order — the same walk as scalar
         // `read`, resumed from the already-probed chain head.
@@ -1427,55 +1423,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         (addr, rec)
     }
 
-    /// Walks the in-memory chain from `from`, returning the first record
-    /// matching `key` at an address `>= floor` — address *and* resolved
-    /// record, so callers classify what they hold instead of looking the
-    /// address up again against a `head` that may have moved (the pointer
-    /// stays valid until this session refreshes, §4). Merge records are
-    /// followed (both prongs are at/below the disk boundary by construction).
-    fn find_in_memory_above(
-        &self,
-        key: &K,
-        from: Address,
-        floor: Address,
-    ) -> Option<(Address, RecordRef<K, V>)> {
-        let inner = &self.store.inner;
-        let mut addr = from;
-        while addr.is_valid() && addr >= floor && addr >= inner.log.begin_address() {
-            let p = inner.log.get(addr)?;
-            let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-            let h = rec.header();
-            if !h.is_invalid() && !h.is_merge() && rec.key() == *key {
-                return Some((addr, rec));
-            }
-            addr = h.prev();
-        }
-        None
-    }
-
-    /// Walks the in-memory chain and returns the first address *below*
-    /// `floor` (the disk continuation), if the in-memory prefix did not
-    /// already contain `key`.
-    fn first_below(&self, key: &K, from: Address, floor: Address) -> Option<Address> {
-        let inner = &self.store.inner;
-        let begin = inner.log.begin_address();
-        let mut addr = from;
-        while addr.is_valid() {
-            if addr < begin {
-                return None; // truncated by GC: treat as chain end
-            }
-            if addr < floor {
-                return Some(addr);
-            }
-            let Some(p) = inner.log.get(addr) else { return Some(addr) };
-            let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
-            let h = rec.header();
-            debug_assert!(h.is_invalid() || h.is_merge() || rec.key() != *key);
-            addr = h.prev();
-        }
-        None
-    }
-
     fn queue_fuzzy_retry(&self, key: &K, hash: KeyHash, input: &F::Input, reuse: Option<u64>) -> u64 {
         let id = reuse.unwrap_or_else(|| self.fresh_id());
         self.outstanding.set(self.outstanding.get() + 1);
@@ -1678,10 +1625,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         };
         let f = &self.store.inner.functions;
         let old = match self.resolve(&op.key, &mut op.walk, image.as_ref()) {
-            Resolved::Base(_, rec) => op.walk.value(f, Some(rec.read_value())),
-            Resolved::Absent => op.walk.value(f, None),
+            Seek::Found(_, rec, Step::Base) => op.walk.value(f, Some(rec.read_value())),
+            Seek::Found(..) | Seek::Absent => op.walk.value(f, None),
             // Another hop down the chain (fresh transient-retry budget).
-            Resolved::OnDisk => {
+            Seek::OnDisk => {
                 op.attempts = 0;
                 return self.issue_io(op);
             }

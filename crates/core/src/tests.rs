@@ -71,6 +71,101 @@ impl Functions<u64, u64> for AddStore {
     }
 }
 
+/// Upserts 200 keys to `k * 10`, optionally pushes them out of the buffer
+/// with `filler` fresh keys, seals and flushes the log, then halves a
+/// 64-bucket, 2-bit-tag index: collided tags leave merge records joining two
+/// bucket chains (Appendix B). Returns the keys an RMW of `+1` then loses.
+fn rmw_after_shrink_lost<F>(functions: F, buffer_pages: u64, filler: u64) -> Vec<u64>
+where
+    F: Functions<u64, u64, Input = u64, Output = u64>,
+{
+    let cfg = FasterKvConfig::small()
+        .with_index(faster_index::IndexConfig { k_bits: 6, tag_bits: 2, max_resize_chunks: 8 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages, mutable_pages: 1, io_threads: 2 });
+    let store = FasterKv::new(cfg, functions, MemDevice::new(2));
+    let s = store.start_session();
+    for k in 0..200u64 {
+        s.upsert(&k, &(k * 10)).unwrap();
+    }
+    for k in 0..filler {
+        s.upsert(&(1 << 32 | k), &0).unwrap();
+    }
+    s.refresh();
+    store.log().shift_read_only_to_tail();
+    store.log().flush_barrier().unwrap();
+    assert!(store.shrink_index(Some(&s)));
+    for k in 0..200u64 {
+        rmw_now(&s, k, 1);
+    }
+    (0..200u64).filter(|&k| read_now(&s, k) != Some(k * 10 + 1)).collect()
+}
+
+#[test]
+fn rmw_after_shrink_follows_merge_records_count_store() {
+    let lost = rmw_after_shrink_lost(CountStore, 64, 0);
+    assert!(lost.is_empty(), "{} keys lost: {lost:?}", lost.len());
+}
+
+#[test]
+fn rmw_after_shrink_follows_merge_records_resident() {
+    let lost = rmw_after_shrink_lost(AddStore, 64, 0);
+    assert!(lost.is_empty(), "{} keys lost: {lost:?}", lost.len());
+}
+
+#[test]
+fn rmw_after_shrink_follows_merge_records_on_disk() {
+    // The tails are evicted before the shrink: the merge records are
+    // resident, the chains they join are on disk.
+    let lost = rmw_after_shrink_lost(AddStore, 4, 2_000);
+    assert!(lost.is_empty(), "{} keys lost: {lost:?}", lost.len());
+}
+
+#[test]
+fn count_store_rmw_never_goes_pending() {
+    // A front-end's INCR relies on this: wherever a CountStore key's record
+    // lives, its RMW updates in place, copies, or appends a delta (§6.3)
+    // and never waits on a read.
+    let cfg = FasterKvConfig::small()
+        .with_index(faster_index::IndexConfig { k_bits: 6, tag_bits: 2, max_resize_chunks: 8 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 });
+    let store = count_store(cfg);
+    let s = store.start_session();
+    let incr = |k: u64| {
+        assert_eq!(s.rmw(&k, &1), Ok(Outcome::Done), "key {k}");
+        assert_eq!(s.pending_count(), 0, "key {k}");
+    };
+    let region = |k: u64| store.log().classify(s.entry_address(hash_key(&k)).unwrap());
+    // On disk, behind the merge records of a shrink (Appendix B).
+    for k in 0..200u64 {
+        s.upsert(&k, &(k * 10)).unwrap();
+    }
+    for k in 0..2_000u64 {
+        s.upsert(&(1 << 32 | k), &0).unwrap();
+    }
+    s.refresh();
+    store.log().shift_read_only_to_tail();
+    store.log().flush_barrier().unwrap();
+    assert!(store.shrink_index(Some(&s)));
+    for k in 0..200u64 {
+        incr(k);
+    }
+    // Mutable.
+    s.upsert(&5_000, &7).unwrap();
+    assert_eq!(region(5_000), faster_hlog::Region::Mutable);
+    incr(5_000);
+    // Read-only.
+    s.upsert(&5_001, &7).unwrap();
+    store.log().shift_read_only_to_tail();
+    s.refresh();
+    assert_eq!(region(5_001), faster_hlog::Region::ReadOnly);
+    incr(5_001);
+    for k in 0..200u64 {
+        assert_eq!(read_now(&s, k), Some(k * 10 + 1), "key {k}");
+    }
+    assert_eq!(read_now(&s, 5_000), Some(8));
+    assert_eq!(read_now(&s, 5_001), Some(8));
+}
+
 #[test]
 fn basic_upsert_read_delete() {
     let store = count_store(FasterKvConfig::small());

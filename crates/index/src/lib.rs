@@ -405,24 +405,6 @@ impl HashIndex {
         faster_util::prefetch_read(bucket as *const _);
     }
 
-    /// Multi-probe entry point: prefetches every target bucket up front, then
-    /// probes each hash in order, appending one slot (or `None`) per hash to
-    /// `out` (cleared first). Equivalent to `find_tag` per element — results
-    /// are identical, only the miss timing changes.
-    pub fn find_tags<'s>(
-        &'s self,
-        hashes: &[KeyHash],
-        guard: Option<&EpochGuard>,
-        out: &mut Vec<Option<EntrySlot<'s>>>,
-    ) {
-        for &h in hashes {
-            self.prefetch_bucket(h);
-        }
-        out.clear();
-        out.reserve(hashes.len());
-        out.extend(hashes.iter().map(|&h| self.find_tag(h, guard)));
-    }
-
     /// Finds the entry for `(offset, tag)` or claims a fresh tentative one
     /// via the two-phase insert algorithm (§3.2, Fig 3b). See
     /// [`HashIndex::find_tag`] for the `guard` parameter.

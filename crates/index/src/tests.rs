@@ -624,26 +624,6 @@ fn stats_reflect_occupancy() {
 }
 
 #[test]
-fn find_tags_matches_scalar_probes() {
-    let index = small_index();
-    for k in 0..200u64 {
-        insert(&index, KeyHash::of_u64(k), Address::new(64 + k * 8));
-    }
-    // Mix of present and absent hashes; prefetch_bucket must be a pure hint.
-    let hashes: Vec<KeyHash> = (0..400u64).map(KeyHash::of_u64).collect();
-    for &h in &hashes {
-        index.prefetch_bucket(h);
-    }
-    let mut slots = Vec::new();
-    index.find_tags(&hashes, None, &mut slots);
-    assert_eq!(slots.len(), hashes.len());
-    for (h, slot) in hashes.iter().zip(&slots) {
-        let got = slot.as_ref().map(|s| s.observed().address());
-        assert_eq!(got, lookup(&index, *h));
-    }
-}
-
-#[test]
 fn claim_intent_refuses_new_pins_and_freeze_waits_for_drain() {
     // The prioritized-claim pin word (resize module docs): announcing intent
     // makes the pin count non-increasing; the freeze lands exactly when it

@@ -22,9 +22,11 @@
 //! [`Session::execute_batch`] as a single [`BatchOp`] slice — a client
 //! pipelining at depth 64 gets the store's batched index prefetch and one
 //! health check per batch, not 64 scalar calls. Replies are queued in
-//! command order and emitted strictly in order; a reply whose operation
-//! went pending (`OpError::Pending`) or whose durability ack is still in
-//! flight holds up the replies behind it, exactly as RESP requires.
+//! command order and emitted strictly in order; a reply whose read went
+//! pending (`OpError::Pending`) or whose durability ack is still in flight
+//! holds up the replies behind it, exactly as RESP requires. An `INCR`
+//! never goes pending: `CountStore` is a CRDT, so its RMW updates in place,
+//! copies, or appends a delta wherever the key's record lives (§6.3).
 //!
 //! ## Durability and degradation
 //!
@@ -66,10 +68,7 @@ use std::time::Duration;
 pub type Store = FasterKv<u64, u64, CountStore>;
 type WorkerSession = Session<u64, u64, CountStore>;
 
-/// Park bound when continuations may need a driving call with no wake-up
-/// event of their own (fuzzy-region RMW retries).
-const BUSY_POLL_MS: c_int = 10;
-/// Park bound when idle: shutdown poll only; every data event has a waker.
+/// Park bound: shutdown poll only; every data event has a waker.
 const IDLE_POLL_MS: c_int = 200;
 
 // ----------------------------------------------------------------- self-pipe
@@ -139,25 +138,17 @@ enum Render {
     Int,
 }
 
-/// What a queued reply still waits for before its payload is final.
-enum PendingOp {
-    /// A read that went to disk; the completion's value renders the reply.
-    Read { render: Render },
-    /// An `INCR` whose RMW went pending: once it applies, the worker
-    /// registers its durability gate and issues the read-back.
-    RmwThenRead { key: u64 },
-}
-
-/// One in-order reply slot. Emittable when `op` and `wal` are both `None`.
+/// One in-order reply slot. Emittable when `read` and `wal` are both `None`.
 struct Reply {
     bytes: Vec<u8>,
-    op: Option<PendingOp>,
+    /// A read that went to disk; its completion's value renders the reply.
+    read: Option<Render>,
     wal: Option<u64>,
 }
 
 impl Reply {
     fn ready(bytes: Vec<u8>) -> Self {
-        Reply { bytes, op: None, wal: None }
+        Reply { bytes, read: None, wal: None }
     }
 }
 
@@ -167,9 +158,7 @@ struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
-    /// Parsed commands not yet executed. Execution drains this in segments;
-    /// a pending RMW stalls the drain (see `stall_seq`) so per-connection
-    /// serial semantics survive pipelining.
+    /// Parsed commands not yet executed; execution drains this in segments.
     queued: VecDeque<Command>,
     /// A protocol error poisoned the stream: once `queued` drains, this
     /// `-ERR` goes out and the connection closes.
@@ -178,13 +167,6 @@ struct Conn {
     /// Sequence number of `replies.front()`; pending-op bookkeeping
     /// addresses replies as `(conn id, seq)` so resolution survives pops.
     seq_base: u64,
-    /// The reply whose in-flight RMW blocks executing anything behind it.
-    /// Upserts and deletes apply synchronously and pending *reads* resolve
-    /// against the record version captured at issue time, so neither
-    /// reorders against later commands — but an RMW that went pending
-    /// applies whenever its continuation runs, and any command executed
-    /// before then would invert the connection's serial order.
-    stall_seq: Option<u64>,
     /// Peer closed its write side, or a protocol error poisoned the stream:
     /// stop reading, flush what is owed, then close.
     no_more_input: bool,
@@ -202,7 +184,6 @@ impl Conn {
             poisoned: None,
             replies: VecDeque::new(),
             seq_base: 0,
-            stall_seq: None,
             no_more_input: false,
             broken: false,
         }
@@ -343,11 +324,8 @@ impl Worker {
                 pfds.push(pollfd { fd: c.stream.as_raw_fd(), events: ev, revents: 0 });
                 slots.push(id);
             }
-            // Disk reads and WAL acks wake us through the self-pipe; only
-            // driving-call-only continuations (fuzzy RMW retries) need a
-            // short park to make progress without one.
-            let timeout = if self.ops.is_empty() { IDLE_POLL_MS } else { BUSY_POLL_MS };
-            unsafe { libc::poll(pfds.as_mut_ptr(), pfds.len() as nfds_t, timeout) };
+            // Disk reads and WAL acks wake us through the self-pipe.
+            unsafe { libc::poll(pfds.as_mut_ptr(), pfds.len() as nfds_t, IDLE_POLL_MS) };
             // Drain BEFORE clearing the dedupe flag. Once `armed` is false,
             // a wake() writes a byte that no drain consumes until after the
             // next poll, so it can never be silently absorbed; clearing
@@ -398,10 +376,6 @@ impl Worker {
                 self.resolve(comp.id, comp.result);
             }
             self.collect_wal_notices();
-            // A resolved RMW may have unstalled a connection's queue.
-            for &id in &ids {
-                self.execute_queued(id);
-            }
 
             let ids: Vec<u64> = self.conns.keys().copied().collect();
             for id in ids {
@@ -430,13 +404,13 @@ impl Worker {
     /// batched execution. A segment ends either when the queue runs dry or
     /// just after an `INCR`: its read-back must observe the store *before*
     /// any later pipelined command applies, so the rest of the window waits
-    /// for the next segment. An `INCR` whose RMW went pending stalls the
-    /// queue entirely until its continuation applies (see
-    /// [`Conn::stall_seq`]).
+    /// for the next segment. Pending reads resolve against the record
+    /// version captured at issue time, and every mutation applies
+    /// synchronously, so nothing behind a pending reply can reorder.
     fn execute_queued(&mut self, conn_id: u64) {
         loop {
             let Some(c) = self.conns.get_mut(&conn_id) else { return };
-            if c.broken || c.stall_seq.is_some() {
+            if c.broken {
                 return;
             }
             if c.queued.is_empty() {
@@ -540,7 +514,7 @@ impl Worker {
                 Ok(Outcome::Value(v)) => resp::bulk_u64(&mut reply.bytes, v),
                 Err(OpError::NotFound) => resp::nil(&mut reply.bytes),
                 Err(OpError::Pending(id)) => {
-                    reply.op = Some(PendingOp::Read { render: Render::Value });
+                    reply.read = Some(Render::Value);
                     self.ops.insert(id, (conn_id, seq));
                 }
                 Err(OpError::Io(e)) => resp::error(&mut reply.bytes, &format!("ERR io: {e}")),
@@ -561,24 +535,17 @@ impl Worker {
                 }
                 Err(e) => render_unexpected(&mut reply.bytes, &e),
             },
-            Command::Incr(k, _) => match outcome {
+            Command::Incr(..) => match outcome {
                 Ok(_) => {
                     match incr_value.expect("computed above") {
                         ReadBack::Value(v) => resp::integer(&mut reply.bytes, v),
                         ReadBack::Pending(id) => {
-                            reply.op = Some(PendingOp::Read { render: Render::Int });
+                            reply.read = Some(Render::Int);
                             self.ops.insert(id, (conn_id, seq));
                         }
                         ReadBack::Failed(msg) => resp::error(&mut reply.bytes, &msg),
                     }
                     wal_gated.push(seq);
-                }
-                Err(OpError::Pending(id)) => {
-                    reply.op = Some(PendingOp::RmwThenRead { key: k });
-                    // Nothing behind this command may execute until the RMW
-                    // applies, or the connection's serial order inverts.
-                    c.stall_seq = Some(seq);
-                    self.ops.insert(id, (conn_id, seq));
                 }
                 Err(e) => render_unexpected(&mut reply.bytes, &e),
             },
@@ -602,70 +569,25 @@ impl Worker {
         }
     }
 
-    /// Routes a completed pending op back into the reply it renders.
+    /// Routes a completed pending read back into the reply it renders.
     fn resolve(&mut self, id: u64, result: Result<Outcome<u64>, OpError>) {
         let Some((conn_id, seq)) = self.ops.remove(&id) else { return };
         let Some(c) = self.conns.get_mut(&conn_id) else { return };
         let Some(reply) = c.reply_mut(seq) else { return };
-        let Some(pending) = reply.op.take() else { return };
-        match pending {
-            PendingOp::Read { render } => match (result, render) {
-                (Ok(Outcome::Value(v)), Render::Value) => resp::bulk_u64(&mut reply.bytes, v),
-                (Ok(Outcome::Value(v)), Render::Int) => resp::integer(&mut reply.bytes, v),
-                (Err(OpError::NotFound), Render::Value) => resp::nil(&mut reply.bytes),
-                (Err(OpError::NotFound), Render::Int) => {
-                    resp::error(&mut reply.bytes, "ERR key deleted during INCR");
-                }
-                (Err(OpError::Io(e)), _) => {
-                    resp::error(&mut reply.bytes, &format!("ERR io: {e}"));
-                }
-                (other, _) => {
-                    let e = other.err().unwrap_or(OpError::NotFound);
-                    render_unexpected(&mut reply.bytes, &e);
-                }
-            },
-            PendingOp::RmwThenRead { key } => match result {
-                Ok(Outcome::Done) => {
-                    // The RMW has now applied (and appended to the WAL):
-                    // register its durability gate, then read the value back.
-                    if let Some(nid) = self.session.notify_wal_durable() {
-                        reply.wal = Some(nid);
-                        *self.wal_refs.entry(nid).or_insert(0) += 1;
-                    }
-                    match self.read_back(key) {
-                        ReadBack::Value(v) => {
-                            // Re-borrow: read_back needed `&self.session`.
-                            let c = self.conns.get_mut(&conn_id).expect("present");
-                            let reply = c.reply_mut(seq).expect("present");
-                            resp::integer(&mut reply.bytes, v);
-                        }
-                        ReadBack::Pending(id2) => {
-                            let c = self.conns.get_mut(&conn_id).expect("present");
-                            let reply = c.reply_mut(seq).expect("present");
-                            reply.op = Some(PendingOp::Read { render: Render::Int });
-                            self.ops.insert(id2, (conn_id, seq));
-                        }
-                        ReadBack::Failed(msg) => {
-                            let c = self.conns.get_mut(&conn_id).expect("present");
-                            let reply = c.reply_mut(seq).expect("present");
-                            resp::error(&mut reply.bytes, &msg);
-                        }
-                    }
-                }
-                Err(OpError::Io(e)) => resp::error(&mut reply.bytes, &format!("ERR io: {e}")),
-                other => {
-                    let e = other.err().unwrap_or(OpError::NotFound);
-                    render_unexpected(&mut reply.bytes, &e);
-                }
-            },
-        }
-        // The RMW has applied (or failed for good): later commands may run.
-        // A still-pending *read-back* does not re-stall — parked reads
-        // resolve against the record version captured at issue time, so
-        // later writes cannot leak into this reply.
-        if let Some(c) = self.conns.get_mut(&conn_id) {
-            if c.stall_seq == Some(seq) {
-                c.stall_seq = None;
+        let Some(render) = reply.read.take() else { return };
+        match (result, render) {
+            (Ok(Outcome::Value(v)), Render::Value) => resp::bulk_u64(&mut reply.bytes, v),
+            (Ok(Outcome::Value(v)), Render::Int) => resp::integer(&mut reply.bytes, v),
+            (Err(OpError::NotFound), Render::Value) => resp::nil(&mut reply.bytes),
+            (Err(OpError::NotFound), Render::Int) => {
+                resp::error(&mut reply.bytes, "ERR key deleted during INCR");
+            }
+            (Err(OpError::Io(e)), _) => {
+                resp::error(&mut reply.bytes, &format!("ERR io: {e}"));
+            }
+            (other, _) => {
+                let e = other.err().unwrap_or(OpError::NotFound);
+                render_unexpected(&mut reply.bytes, &e);
             }
         }
     }
@@ -695,7 +617,7 @@ impl Worker {
         wal_results: &HashMap<u64, Result<(), IoError>>,
     ) {
         while let Some(front) = c.replies.front() {
-            if front.op.is_some() {
+            if front.read.is_some() {
                 break;
             }
             if let Some(nid) = front.wal {

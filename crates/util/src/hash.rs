@@ -61,17 +61,6 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     avalanche(h)
 }
 
-/// Hashes a batch of POD keys into `out` (cleared first). Computing every
-/// hash before the first index probe is stage one of the batched pipeline:
-/// the hashes are pure ALU work, and having them all in hand lets the caller
-/// issue one prefetch per target bucket before any dependent load.
-#[inline]
-pub fn hash_keys<K: crate::pod::Pod>(keys: &[K], out: &mut Vec<KeyHash>) {
-    out.clear();
-    out.reserve(keys.len());
-    out.extend(keys.iter().map(KeyHash::of_pod));
-}
-
 /// A 64-bit key hash plus the §3.1 offset/tag views over it.
 ///
 /// The *offset* (bucket index) is taken from the **high** bits and the *tag*

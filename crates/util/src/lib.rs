@@ -31,7 +31,7 @@ pub mod rng;
 pub use address::Address;
 pub use align::{align_down, align_up, CacheAligned, CACHE_LINE_SIZE};
 pub use backoff::Backoff;
-pub use hash::{hash_bytes, hash_keys, hash_u64, KeyHash};
+pub use hash::{hash_bytes, hash_u64, KeyHash};
 pub use pod::{bytes_of, pod_from_bytes, Pod};
 pub use prefetch::{prefetch_read, prefetch_write};
 pub use rng::XorShift64;

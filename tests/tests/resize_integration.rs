@@ -5,7 +5,7 @@
 use faster_core::{CountStore, FasterKv, FasterKvConfig};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
-use faster_integration_tests::read_blocking;
+use faster_integration_tests::{read_blocking, rmw_blocking};
 use faster_storage::MemDevice;
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -231,16 +231,25 @@ proptest! {
     /// disk (`link_disk_tails` on grow, merge meta-records on shrink), and
     /// writes between the resizes chain fresh mutable records onto those
     /// re-threaded tails — the combination that loses keys if any migration
-    /// step drops or mislinks an entry.
+    /// step drops or mislinks an entry. An RMW of every key after each
+    /// resize must find its record through the re-threaded chains too.
     #[test]
     fn grow_shrink_grow_round_trip_preserves_keys(
         keys in proptest::collection::vec((0u64..4_096, any::<u64>()), 50..300),
         update_stride in 1u64..7,
+        rmw_input in 1u64..1_000,
     ) {
         let store: FasterKv<u64, u64, CountStore> =
             FasterKv::new(cfg(), CountStore, MemDevice::new(2));
         let session = store.start_session();
         let mut model = std::collections::HashMap::new();
+        let rmw_all = |model: &mut std::collections::HashMap<u64, u64>| {
+            for &(k, _) in &keys {
+                rmw_blocking(&session, k, rmw_input);
+                let v = model.get_mut(&k).expect("key loaded");
+                *v = v.wrapping_add(rmw_input);
+            }
+        };
         // Filler volume guarantees chains spill to disk regardless of how
         // few random keys this case drew.
         for k in 10_000..12_500u64 {
@@ -256,6 +265,7 @@ proptest! {
 
         let k0 = store.index().k_bits();
         prop_assert!(store.grow_index(Some(&session)));
+        rmw_all(&mut model);
         // Mutate between resizes: new in-memory records now chain onto the
         // grow-re-threaded disk tails.
         for (i, &(k, _)) in keys.iter().enumerate() {
@@ -266,8 +276,10 @@ proptest! {
             }
         }
         prop_assert!(store.shrink_index(Some(&session)));
+        rmw_all(&mut model);
         store.log().flush_barrier().unwrap();
         prop_assert!(store.grow_index(Some(&session)));
+        rmw_all(&mut model);
         prop_assert_eq!(store.index().k_bits(), k0 + 1);
 
         for (&k, &v) in &model {
