@@ -28,6 +28,19 @@
 //! never goes pending: `CountStore` is a CRDT, so its RMW updates in place,
 //! copies, or appends a delta wherever the key's record lives (§6.3).
 //!
+//! ## Reply path
+//!
+//! A command allocates nothing between its bytes and its reply. The parser
+//! borrows a frame's arguments from the input buffer into a fixed array and
+//! matches the command name in place; a reply slot holds a small value
+//! (`+OK`, an integer, a bulk value, nil, or an error message) that is
+//! rendered into the output buffer only when emitted, integers formatted on
+//! the stack; and the worker's per-segment vectors are cleared, not
+//! reallocated. What a pipelined window still allocates is per window —
+//! `execute_batch`'s result vectors — which `tests/tests/server_allocs.rs`
+//! pins: without a WAL, a depth-64 window costs exactly what a depth-1
+//! window does. Only error replies allocate.
+//!
 //! ## Durability and degradation
 //!
 //! On a WAL-backed store, every mutation reply (`SET` → `+OK`, `DEL` →
@@ -138,17 +151,42 @@ enum Render {
     Int,
 }
 
+/// What a reply says. It stays a value until it is emitted, and is rendered
+/// straight into the connection's output buffer then.
+enum Body {
+    Ok,
+    Pong,
+    Int(u64),
+    Bulk(u64),
+    Nil,
+    /// The only variant that owns memory; the success path never builds it.
+    Error(String),
+}
+
+impl Body {
+    fn render(&self, out: &mut Vec<u8>) {
+        match self {
+            Body::Ok => resp::simple(out, "OK"),
+            Body::Pong => resp::simple(out, "PONG"),
+            Body::Int(n) => resp::integer(out, *n),
+            Body::Bulk(n) => resp::bulk_u64(out, *n),
+            Body::Nil => resp::nil(out),
+            Body::Error(msg) => resp::error(out, msg),
+        }
+    }
+}
+
 /// One in-order reply slot. Emittable when `read` and `wal` are both `None`.
 struct Reply {
-    bytes: Vec<u8>,
+    body: Body,
     /// A read that went to disk; its completion's value renders the reply.
     read: Option<Render>,
     wal: Option<u64>,
 }
 
 impl Reply {
-    fn ready(bytes: Vec<u8>) -> Self {
-        Reply { bytes, read: None, wal: None }
+    fn ready(body: Body) -> Self {
+        Reply { body, read: None, wal: None }
     }
 }
 
@@ -302,6 +340,14 @@ struct Worker {
     /// until its result has arrived *and* no reply references it.
     wal_refs: HashMap<u64, usize>,
     wal_results: HashMap<u64, Result<(), IoError>>,
+    // Scratch reused by every segment: cleared, never reallocated once
+    // warm, so a command allocates nothing on its way to its reply.
+    /// The segment being executed.
+    batch: Vec<BatchOp<u64, u64, u64>>,
+    /// The reply seq of each op of `batch`, positionally.
+    batched: Vec<u64>,
+    /// Reply seqs of the segment's applied mutations.
+    wal_gated: Vec<u64>,
 }
 
 impl Worker {
@@ -361,8 +407,9 @@ impl Worker {
                 }
             }
 
-            let ids: Vec<u64> = self.conns.keys().copied().collect();
-            for &id in &ids {
+            // The polled ids serve the whole pass: a connection accepted
+            // since the poll has read nothing yet, and is polled next pass.
+            for &id in &slots {
                 if let Some(c) = self.conns.get_mut(&id) {
                     c.parse_input();
                 }
@@ -377,8 +424,7 @@ impl Worker {
             }
             self.collect_wal_notices();
 
-            let ids: Vec<u64> = self.conns.keys().copied().collect();
-            for id in ids {
+            for &id in &slots {
                 if let Some(c) = self.conns.get_mut(&id) {
                     Self::emit_ready(c, &mut self.wal_refs, &self.wal_results);
                     c.flush();
@@ -415,142 +461,130 @@ impl Worker {
             }
             if c.queued.is_empty() {
                 if let Some(msg) = c.poisoned.take() {
-                    let mut b = Vec::new();
-                    resp::error(&mut b, &msg);
-                    c.replies.push_back(Reply::ready(b));
+                    c.replies.push_back(Reply::ready(Body::Error(msg)));
                 }
                 return;
             }
-            let mut batch: Vec<BatchOp<u64, u64, u64>> = Vec::new();
-            // (reply seq, command) for each batched op, positionally
-            // matching `batch`'s outcomes.
-            let mut batched: Vec<(u64, Command)> = Vec::new();
+            self.batch.clear();
+            self.batched.clear();
             while let Some(cmd) = c.queued.pop_front() {
                 let seq = c.next_seq();
-                match cmd {
+                let op = match cmd {
                     Command::Ping => {
-                        let mut b = Vec::new();
-                        resp::simple(&mut b, "PONG");
-                        c.replies.push_back(Reply::ready(b));
+                        c.replies.push_back(Reply::ready(Body::Pong));
+                        continue;
                     }
                     Command::Quit => {
-                        let mut b = Vec::new();
-                        resp::simple(&mut b, "OK");
-                        c.replies.push_back(Reply::ready(b));
+                        c.replies.push_back(Reply::ready(Body::Ok));
+                        continue;
                     }
                     Command::Bad(msg) => {
-                        let mut b = Vec::new();
-                        resp::error(&mut b, &format!("ERR {msg}"));
-                        c.replies.push_back(Reply::ready(b));
+                        c.replies.push_back(Reply::ready(Body::Error(format!("ERR {msg}"))));
+                        continue;
                     }
-                    Command::Get(k) => {
-                        batch.push(BatchOp::Read { key: k, input: 0 });
-                        batched.push((seq, Command::Get(k)));
-                        c.replies.push_back(Reply::ready(Vec::new()));
-                    }
-                    Command::Set(k, v) => {
-                        batch.push(BatchOp::Upsert { key: k, value: v });
-                        batched.push((seq, Command::Set(k, v)));
-                        c.replies.push_back(Reply::ready(Vec::new()));
-                    }
-                    Command::Del(k) => {
-                        batch.push(BatchOp::Delete { key: k });
-                        batched.push((seq, Command::Del(k)));
-                        c.replies.push_back(Reply::ready(Vec::new()));
-                    }
-                    Command::Incr(k, n) => {
-                        batch.push(BatchOp::Rmw { key: k, input: n });
-                        batched.push((seq, Command::Incr(k, n)));
-                        c.replies.push_back(Reply::ready(Vec::new()));
-                        break; // segment boundary: read-back comes first
-                    }
+                    Command::Get(k) => BatchOp::Read { key: k, input: 0 },
+                    Command::Set(k, v) => BatchOp::Upsert { key: k, value: v },
+                    Command::Del(k) => BatchOp::Delete { key: k },
+                    Command::Incr(k, n) => BatchOp::Rmw { key: k, input: n },
+                };
+                let segment_ends = matches!(op, BatchOp::Rmw { .. });
+                self.batch.push(op);
+                self.batched.push(seq);
+                // The slot's body is set by `fill_reply` once the segment
+                // has executed, before anything can emit it.
+                c.replies.push_back(Reply::ready(Body::Nil));
+                if segment_ends {
+                    break; // segment boundary: read-back comes first
                 }
             }
-            if batch.is_empty() {
+            if self.batch.is_empty() {
                 continue; // only immediate commands this pass; re-check
             }
 
-            let outcomes = self.session.execute_batch(&batch);
+            let outcomes = self.session.execute_batch(&self.batch);
             // Mutations that applied in this segment share one durability
             // gate: the notice registered below covers the session's last
             // appended LSN, which is ≥ every append the segment made.
-            let mut wal_gated: Vec<u64> = Vec::new();
-            for ((seq, cmd), outcome) in batched.into_iter().zip(outcomes) {
-                self.fill_reply(conn_id, seq, cmd, outcome, &mut wal_gated);
+            self.wal_gated.clear();
+            for (i, outcome) in outcomes.into_iter().enumerate() {
+                let (seq, op) = (self.batched[i], self.batch[i].clone());
+                self.fill_reply(conn_id, seq, op, outcome);
             }
-            if !wal_gated.is_empty() {
+            if !self.wal_gated.is_empty() {
                 if let Some(nid) = self.session.notify_wal_durable() {
                     let c = self.conns.get_mut(&conn_id).expect("conn present");
-                    for seq in wal_gated {
+                    for &seq in &self.wal_gated {
                         if let Some(r) = c.reply_mut(seq) {
                             r.wal = Some(nid);
-                            *self.wal_refs.entry(nid).or_insert(0) += 1;
                         }
                     }
+                    // Every gated slot was filled above and none has been
+                    // emitted since: one refcount update for the segment.
+                    self.wal_refs.insert(nid, self.wal_gated.len());
                 }
             }
         }
     }
 
-    /// Renders one batch outcome into its reply slot (or parks it pending).
+    /// Sets one batch outcome as its reply slot's body (or parks it pending).
     fn fill_reply(
         &mut self,
         conn_id: u64,
         seq: u64,
-        cmd: Command,
+        op: BatchOp<u64, u64, u64>,
         outcome: Result<Outcome<u64>, OpError>,
-        wal_gated: &mut Vec<u64>,
     ) {
         // INCR's sync read-back touches the session, so compute it before
         // borrowing the reply slot.
-        let incr_value = match (&cmd, &outcome) {
-            (Command::Incr(k, _), Ok(Outcome::Done)) => Some(self.read_back(*k)),
+        let incr_value = match (&op, &outcome) {
+            (BatchOp::Rmw { key, .. }, Ok(Outcome::Done)) => Some(self.read_back(*key)),
             _ => None,
         };
         let Some(c) = self.conns.get_mut(&conn_id) else { return };
         let Some(reply) = c.reply_mut(seq) else { return };
-        match cmd {
-            Command::Get(_) => match outcome {
-                Ok(Outcome::Value(v)) => resp::bulk_u64(&mut reply.bytes, v),
-                Err(OpError::NotFound) => resp::nil(&mut reply.bytes),
+        reply.body = match op {
+            BatchOp::Read { .. } => match outcome {
+                Ok(Outcome::Value(v)) => Body::Bulk(v),
+                Err(OpError::NotFound) => Body::Nil,
                 Err(OpError::Pending(id)) => {
                     reply.read = Some(Render::Value);
                     self.ops.insert(id, (conn_id, seq));
+                    return;
                 }
-                Err(OpError::Io(e)) => resp::error(&mut reply.bytes, &format!("ERR io: {e}")),
-                Err(e) => render_unexpected(&mut reply.bytes, &e),
-                Ok(Outcome::Done) => resp::error(&mut reply.bytes, "ERR internal: valueless read"),
+                Err(OpError::Io(e)) => Body::Error(format!("ERR io: {e}")),
+                Err(e) => unexpected(&e),
+                Ok(Outcome::Done) => Body::Error("ERR internal: valueless read".into()),
             },
-            Command::Set(..) => match outcome {
+            BatchOp::Upsert { .. } => match outcome {
                 Ok(_) => {
-                    resp::simple(&mut reply.bytes, "OK");
-                    wal_gated.push(seq);
+                    self.wal_gated.push(seq);
+                    Body::Ok
                 }
-                Err(e) => render_unexpected(&mut reply.bytes, &e),
+                Err(e) => unexpected(&e),
             },
-            Command::Del(_) => match outcome {
+            BatchOp::Delete { .. } => match outcome {
                 Ok(_) => {
-                    resp::integer(&mut reply.bytes, 1);
-                    wal_gated.push(seq);
+                    self.wal_gated.push(seq);
+                    Body::Int(1)
                 }
-                Err(e) => render_unexpected(&mut reply.bytes, &e),
+                Err(e) => unexpected(&e),
             },
-            Command::Incr(..) => match outcome {
+            BatchOp::Rmw { .. } => match outcome {
                 Ok(_) => {
+                    self.wal_gated.push(seq);
                     match incr_value.expect("computed above") {
-                        ReadBack::Value(v) => resp::integer(&mut reply.bytes, v),
+                        ReadBack::Value(v) => Body::Int(v),
                         ReadBack::Pending(id) => {
                             reply.read = Some(Render::Int);
                             self.ops.insert(id, (conn_id, seq));
+                            return;
                         }
-                        ReadBack::Failed(msg) => resp::error(&mut reply.bytes, &msg),
+                        ReadBack::Failed(msg) => Body::Error(msg),
                     }
-                    wal_gated.push(seq);
                 }
-                Err(e) => render_unexpected(&mut reply.bytes, &e),
+                Err(e) => unexpected(&e),
             },
-            Command::Ping | Command::Quit | Command::Bad(_) => unreachable!("never batched"),
-        }
+        };
     }
 
     /// Reads the post-RMW value for an `INCR` reply.
@@ -575,34 +609,25 @@ impl Worker {
         let Some(c) = self.conns.get_mut(&conn_id) else { return };
         let Some(reply) = c.reply_mut(seq) else { return };
         let Some(render) = reply.read.take() else { return };
-        match (result, render) {
-            (Ok(Outcome::Value(v)), Render::Value) => resp::bulk_u64(&mut reply.bytes, v),
-            (Ok(Outcome::Value(v)), Render::Int) => resp::integer(&mut reply.bytes, v),
-            (Err(OpError::NotFound), Render::Value) => resp::nil(&mut reply.bytes),
+        reply.body = match (result, render) {
+            (Ok(Outcome::Value(v)), Render::Value) => Body::Bulk(v),
+            (Ok(Outcome::Value(v)), Render::Int) => Body::Int(v),
+            (Err(OpError::NotFound), Render::Value) => Body::Nil,
             (Err(OpError::NotFound), Render::Int) => {
-                resp::error(&mut reply.bytes, "ERR key deleted during INCR");
+                Body::Error("ERR key deleted during INCR".into())
             }
-            (Err(OpError::Io(e)), _) => {
-                resp::error(&mut reply.bytes, &format!("ERR io: {e}"));
-            }
-            (other, _) => {
-                let e = other.err().unwrap_or(OpError::NotFound);
-                render_unexpected(&mut reply.bytes, &e);
-            }
-        }
+            (Err(OpError::Io(e)), _) => Body::Error(format!("ERR io: {e}")),
+            (other, _) => unexpected(&other.err().unwrap_or(OpError::NotFound)),
+        };
     }
 
     /// Pulls resolved durability notices out of the session.
     fn collect_wal_notices(&mut self) {
-        let unresolved: Vec<u64> = self
-            .wal_refs
-            .keys()
-            .filter(|id| !self.wal_results.contains_key(id))
-            .copied()
-            .collect();
-        for id in unresolved {
-            if let Some(r) = self.session.take_wal_notice(id) {
-                self.wal_results.insert(id, r);
+        for &id in self.wal_refs.keys() {
+            if !self.wal_results.contains_key(&id) {
+                if let Some(r) = self.session.take_wal_notice(id) {
+                    self.wal_results.insert(id, r);
+                }
             }
         }
     }
@@ -626,8 +651,7 @@ impl Worker {
                     Some(Ok(())) => {}
                     Some(Err(e)) => {
                         let front = c.replies.front_mut().expect("checked");
-                        front.bytes.clear();
-                        resp::error(&mut front.bytes, &format!("READONLY wal failed: {e}"));
+                        front.body = Body::Error(format!("READONLY wal failed: {e}"));
                     }
                 }
                 if let Some(n) = wal_refs.get_mut(&nid) {
@@ -636,22 +660,16 @@ impl Worker {
             }
             let reply = c.replies.pop_front().expect("checked");
             c.seq_base += 1;
-            c.outbuf.extend_from_slice(&reply.bytes);
+            reply.body.render(&mut c.outbuf);
         }
     }
 
     /// Drops durability bookkeeping nothing references anymore.
     fn gc_wal_entries(&mut self) {
-        let dead: Vec<u64> = self
-            .wal_refs
-            .iter()
-            .filter(|(id, n)| **n == 0 && self.wal_results.contains_key(id))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in dead {
-            self.wal_refs.remove(&id);
-            self.wal_results.remove(&id);
-        }
+        // An unreferenced entry goes once its result has arrived, and the
+        // result with it; one still in flight stays.
+        let results = &mut self.wal_results;
+        self.wal_refs.retain(|id, n| *n != 0 || results.remove(id).is_none());
     }
 }
 
@@ -661,10 +679,10 @@ enum ReadBack {
     Failed(String),
 }
 
-fn render_unexpected(out: &mut Vec<u8>, e: &OpError) {
+fn unexpected(e: &OpError) -> Body {
     match e {
-        OpError::ReadOnly(r) => resp::error(out, &format!("READONLY {r}")),
-        other => resp::error(out, &format!("ERR internal: {other}")),
+        OpError::ReadOnly(r) => Body::Error(format!("READONLY {r}")),
+        other => Body::Error(format!("ERR internal: {other}")),
     }
 }
 
@@ -724,6 +742,9 @@ impl Server {
                         ops: HashMap::new(),
                         wal_refs: HashMap::new(),
                         wal_results: HashMap::new(),
+                        batch: Vec::new(),
+                        batched: Vec::new(),
+                        wal_gated: Vec::new(),
                     };
                     worker.run();
                 },

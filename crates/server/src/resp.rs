@@ -41,6 +41,27 @@ const MAX_BULK: usize = 64 * 1024;
 const MAX_ARGS: usize = 1024;
 const MAX_INLINE: usize = 16 * 1024;
 
+/// A frame's tokens, borrowed from the input buffer. Every served command
+/// takes at most three arguments after its name, so only the first four
+/// tokens are kept; `len` is the true count, for the arity check.
+struct Args<'a> {
+    toks: [&'a [u8]; 4],
+    len: usize,
+}
+
+impl<'a> Args<'a> {
+    fn new() -> Self {
+        Args { toks: [&[]; 4], len: 0 }
+    }
+
+    fn push(&mut self, tok: &'a [u8]) {
+        if let Some(slot) = self.toks.get_mut(self.len) {
+            *slot = tok;
+        }
+        self.len += 1;
+    }
+}
+
 /// Outcome of one parse attempt against the front of the buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Parsed {
@@ -75,7 +96,7 @@ fn parse_array(buf: &[u8]) -> Result<Parsed, ParseError> {
     if count == 0 {
         return Ok(Parsed::Empty(at));
     }
-    let mut args: Vec<&[u8]> = Vec::with_capacity(count as usize);
+    let mut args = Args::new();
     for _ in 0..count {
         if at >= buf.len() {
             return Ok(Parsed::Partial);
@@ -112,8 +133,11 @@ fn parse_inline(buf: &[u8]) -> Result<Parsed, ParseError> {
     };
     let line = &buf[..nl];
     let line = line.strip_suffix(b"\r").unwrap_or(line);
-    let args: Vec<&[u8]> = line.split(|&b| b == b' ').filter(|t| !t.is_empty()).collect();
-    if args.is_empty() {
+    let mut args = Args::new();
+    for tok in line.split(|&b| b == b' ').filter(|t| !t.is_empty()) {
+        args.push(tok);
+    }
+    if args.len == 0 {
         return Ok(Parsed::Empty(nl + 1));
     }
     Ok(Parsed::Frame(decode(&args), nl + 1))
@@ -140,23 +164,21 @@ fn parse_int_line(buf: &[u8], from: usize) -> Result<Option<(i64, usize)>, Parse
 
 /// Maps a tokenized frame to a [`Command`]. Content errors (wrong arity,
 /// non-numeric key) stay inside the frame: the stream is still synchronized.
-fn decode(args: &[&[u8]]) -> Command {
-    // Callers filter empty frames out before decoding; never index blind.
-    let Some(first) = args.first() else { return Command::Bad("empty command".into()) };
-    let name = first.to_ascii_uppercase();
-    let int = |arg: &[u8]| -> Result<u64, Command> {
-        std::str::from_utf8(arg)
+/// The name is matched in place, ignoring ASCII case; only the error paths
+/// allocate.
+fn decode(args: &Args<'_>) -> Command {
+    let name = args.toks[0];
+    let is = |verb: &str| name.eq_ignore_ascii_case(verb.as_bytes());
+    let int = |i: usize| -> Result<u64, Command> {
+        std::str::from_utf8(args.toks[i])
             .ok()
             .and_then(|s| s.parse::<u64>().ok())
             .ok_or_else(|| Command::Bad("value is not an integer or out of range".into()))
     };
-    let arity = |want: usize| -> Option<Command> {
-        (args.len() != want + 1).then(|| {
-            Command::Bad(format!(
-                "wrong number of arguments for '{}' command",
-                String::from_utf8_lossy(&name).to_lowercase()
-            ))
-        })
+    // `verb` is the lowercase name the error text quotes.
+    let arity = |verb: &str, want: usize| -> Option<Command> {
+        (args.len != want + 1)
+            .then(|| Command::Bad(format!("wrong number of arguments for '{verb}' command")))
     };
     macro_rules! get {
         ($e:expr) => {
@@ -166,20 +188,22 @@ fn decode(args: &[&[u8]]) -> Command {
             }
         };
     }
-    match name.as_slice() {
-        b"PING" => Command::Ping,
-        b"QUIT" => Command::Quit,
-        b"GET" => arity(1).unwrap_or_else(|| Command::Get(get!(int(args[1])))),
-        b"SET" => arity(2).unwrap_or_else(|| Command::Set(get!(int(args[1])), get!(int(args[2])))),
-        b"DEL" => arity(1).unwrap_or_else(|| Command::Del(get!(int(args[1])))),
-        b"INCR" => arity(1).unwrap_or_else(|| Command::Incr(get!(int(args[1])), 1)),
-        b"INCRBY" => {
-            arity(2).unwrap_or_else(|| Command::Incr(get!(int(args[1])), get!(int(args[2]))))
-        }
-        other => Command::Bad(format!(
-            "unknown command '{}'",
-            String::from_utf8_lossy(other).to_lowercase()
-        )),
+    if is("ping") {
+        Command::Ping
+    } else if is("quit") {
+        Command::Quit
+    } else if is("get") {
+        arity("get", 1).unwrap_or_else(|| Command::Get(get!(int(1))))
+    } else if is("set") {
+        arity("set", 2).unwrap_or_else(|| Command::Set(get!(int(1)), get!(int(2))))
+    } else if is("del") {
+        arity("del", 1).unwrap_or_else(|| Command::Del(get!(int(1))))
+    } else if is("incr") {
+        arity("incr", 1).unwrap_or_else(|| Command::Incr(get!(int(1)), 1))
+    } else if is("incrby") {
+        arity("incrby", 2).unwrap_or_else(|| Command::Incr(get!(int(1)), get!(int(2))))
+    } else {
+        Command::Bad(format!("unknown command '{}'", String::from_utf8_lossy(name).to_lowercase()))
     }
 }
 
@@ -200,21 +224,46 @@ pub fn error(out: &mut Vec<u8>, msg: &str) {
     out.extend_from_slice(b"\r\n");
 }
 
+/// The decimal digits of a `u64`, formatted on the stack (at most 20).
+struct Digits {
+    buf: [u8; 20],
+    start: usize,
+}
+
+impl Digits {
+    fn new(mut n: u64) -> Self {
+        let mut d = Digits { buf: [0; 20], start: 20 };
+        loop {
+            d.start -= 1;
+            d.buf[d.start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return d;
+            }
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
 /// `:<n>\r\n`
 pub fn integer(out: &mut Vec<u8>, n: u64) {
     out.push(b':');
-    out.extend_from_slice(n.to_string().as_bytes());
+    out.extend_from_slice(Digits::new(n).as_bytes());
     out.extend_from_slice(b"\r\n");
 }
 
 /// `$<len>\r\n<decimal n>\r\n` — values are served as bulk strings, the way
 /// Redis serves integer-looking values.
 pub fn bulk_u64(out: &mut Vec<u8>, n: u64) {
-    let s = n.to_string();
+    let digits = Digits::new(n);
+    let s = digits.as_bytes();
     out.push(b'$');
-    out.extend_from_slice(s.len().to_string().as_bytes());
+    out.extend_from_slice(Digits::new(s.len() as u64).as_bytes());
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(s.as_bytes());
+    out.extend_from_slice(s);
     out.extend_from_slice(b"\r\n");
 }
 
@@ -226,6 +275,7 @@ pub fn nil(out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faster_util::XorShift64;
 
     fn one(buf: &[u8]) -> (Command, usize) {
         match parse(buf).expect("parse ok") {
@@ -320,5 +370,157 @@ mod tests {
             out,
             b"+OK\r\n:7\r\n$3\r\n123\r\n$-1\r\n-ERR bad  thing\r\n".to_vec()
         );
+    }
+
+    /// The stack digit helper against the `to_string` encoding: values of
+    /// 1, 2, 3, 10 and 20 digits, so bulk length prefixes of one and two.
+    #[test]
+    fn integer_encoders_match_to_string() {
+        for n in [0, 9, 10, 99, 100, 1_000_000_000, u64::MAX] {
+            let mut out = Vec::new();
+            integer(&mut out, n);
+            assert_eq!(out, format!(":{n}\r\n").into_bytes(), "integer {n}");
+            out.clear();
+            bulk_u64(&mut out, n);
+            let s = n.to_string();
+            assert_eq!(out, format!("${}\r\n{s}\r\n", s.len()).into_bytes(), "bulk {n}");
+        }
+    }
+
+    #[test]
+    fn command_names_ignore_ascii_case() {
+        assert_eq!(one(b"gEt 5\r\n").0, Command::Get(5));
+        assert_eq!(one(b"InCrBy 3 4\r\n").0, Command::Incr(3, 4));
+        assert_eq!(one(b"*2\r\n$3\r\ngEt\r\n$1\r\n5\r\n").0, Command::Get(5));
+        assert_eq!(one(b"*3\r\n$6\r\nInCrBy\r\n$1\r\n3\r\n$1\r\n4\r\n").0, Command::Incr(3, 4));
+    }
+
+    /// Array and inline encodings of one frame of `toks`.
+    fn both_forms(toks: &[String]) -> [Vec<u8>; 2] {
+        let mut array = format!("*{}\r\n", toks.len()).into_bytes();
+        for t in toks {
+            array.extend_from_slice(format!("${}\r\n{t}\r\n", t.len()).as_bytes());
+        }
+        [array, format!("{}\r\n", toks.join(" ")).into_bytes()]
+    }
+
+    /// Only four tokens are kept, but the count is exact: a longer frame is
+    /// framed in full and decodes to the arity error it always did.
+    #[test]
+    fn long_frames_keep_the_arity_error() {
+        let verbs = [("GET", "get"), ("set", "set"), ("Del", "del"), ("INCRBY", "incrby")];
+        for len in [4, 5, 1_000] {
+            for (verb, shown) in verbs {
+                let mut toks = vec![verb.to_string()];
+                toks.extend((1..len).map(|i| i.to_string()));
+                let want = Command::Bad(format!("wrong number of arguments for '{shown}' command"));
+                for frame in both_forms(&toks) {
+                    assert_eq!(one(&frame), (want.clone(), frame.len()), "{len} tokens");
+                }
+            }
+        }
+    }
+
+    /// One random well-framed command in a random form: its bytes and the
+    /// command it must decode to.
+    fn random_frame(rng: &mut XorShift64) -> (Vec<u8>, Option<Command>) {
+        let (k, v) = (rng.next_below(1 << 20), rng.next_u64());
+        let (mut toks, cmd) = match rng.next_below(10) {
+            0 => (vec!["get".to_string(), k.to_string()], Command::Get(k)),
+            1 => (vec!["set".into(), k.to_string(), v.to_string()], Command::Set(k, v)),
+            2 => (vec!["del".into(), k.to_string()], Command::Del(k)),
+            3 => (vec!["incr".into(), k.to_string()], Command::Incr(k, 1)),
+            4 => (vec!["incrby".into(), k.to_string(), v.to_string()], Command::Incr(k, v)),
+            5 => (vec!["ping".into()], Command::Ping),
+            6 => (
+                vec!["get".into(), k.to_string(), v.to_string()],
+                Command::Bad("wrong number of arguments for 'get' command".into()),
+            ),
+            7 => (
+                vec!["set".into(), "x".into(), v.to_string()],
+                Command::Bad("value is not an integer or out of range".into()),
+            ),
+            8 => (vec!["nope".into()], Command::Bad("unknown command 'nope'".into())),
+            _ => {
+                let empty: &[u8] = if rng.next_below(2) == 0 { b"*0\r\n" } else { b"\r\n" };
+                return (empty.to_vec(), None);
+            }
+        };
+        toks[0] = toks[0]
+            .chars()
+            .map(|ch| if rng.next_below(2) == 0 { ch.to_ascii_uppercase() } else { ch })
+            .collect();
+        let [array, inline] = both_forms(&toks);
+        (if rng.next_below(2) == 0 { array } else { inline }, Some(cmd))
+    }
+
+    /// Feeds `chunks` in turn into one buffer, consuming every complete
+    /// frame after each, the way a connection parses what each read adds.
+    fn parse_fed(chunks: &[&[u8]]) -> Vec<Command> {
+        let (mut buf, mut cmds) = (Vec::new(), Vec::new());
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            let mut at = 0;
+            loop {
+                match parse(&buf[at..]).expect("well-framed pipeline") {
+                    Parsed::Frame(cmd, n) => {
+                        cmds.push(cmd);
+                        at += n;
+                    }
+                    Parsed::Empty(n) => at += n,
+                    Parsed::Partial => break,
+                }
+            }
+            buf.drain(..at);
+        }
+        assert!(buf.is_empty(), "{} bytes left unparsed", buf.len());
+        cmds
+    }
+
+    #[test]
+    fn pipelines_parse_the_same_cut_at_every_offset() {
+        let mut rng = XorShift64::new(0x9A95E);
+        for _ in 0..150 {
+            let (mut wire, mut want) = (Vec::new(), Vec::new());
+            for _ in 0..1 + rng.next_below(12) {
+                let (bytes, cmd) = random_frame(&mut rng);
+                wire.extend_from_slice(&bytes);
+                want.extend(cmd);
+            }
+            assert_eq!(parse_fed(&[&wire]), want);
+            for cut in 0..=wire.len() {
+                assert_eq!(parse_fed(&[&wire[..cut], &wire[cut..]]), want, "cut at {cut}");
+            }
+        }
+    }
+
+    /// Hostile input: random bytes, biased towards RESP's own punctuation,
+    /// and valid pipelines with one byte corrupted. Every parse returns, and
+    /// every frame it reports lies inside the buffer.
+    #[test]
+    fn random_bytes_never_panic() {
+        const ALPHABET: &[u8] = b"*$-+:0123456789\r\n GETSETDELINCRBYPINGgetx\x00\xff";
+        let mut rng = XorShift64::new(0xBAD_B17E5);
+        for round in 0..20_000 {
+            let mut buf: Vec<u8> = if round % 2 == 0 {
+                (0..rng.next_below(80))
+                    .map(|_| match rng.next_below(4) {
+                        0 => rng.next_u64() as u8,
+                        _ => ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize],
+                    })
+                    .collect()
+            } else {
+                (0..1 + rng.next_below(4)).flat_map(|_| random_frame(&mut rng).0).collect()
+            };
+            if round % 2 == 1 {
+                let at = rng.next_below(buf.len() as u64) as usize;
+                buf[at] = ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize];
+            }
+            let mut at = 0;
+            while let Ok(Parsed::Frame(_, n) | Parsed::Empty(n)) = parse(&buf[at..]) {
+                assert!(n > 0 && at + n <= buf.len(), "frame of {n} bytes at {at} in {buf:?}");
+                at += n;
+            }
+        }
     }
 }
