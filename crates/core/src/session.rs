@@ -32,6 +32,7 @@ use faster_index::CreateOutcome;
 use faster_metrics::{SessionHub, SessionRecorder, Timer};
 use faster_storage::{CompletionRing, Cqe, Sqe};
 use faster_util::{Address, KeyHash, Pod};
+use faster_wal::Lsn;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -315,6 +316,10 @@ const IO_SCRATCH_MAX: usize = 1024;
 /// eviction triggers may be what our own I/O is stuck behind).
 const RING_WAIT: Duration = Duration::from_micros(200);
 
+/// The id every WAL durability notice's CQE carries. Pending-op ids start
+/// at 1, so a notice never collides with a parked continuation.
+const WAL_NOTICE: u64 = 0;
+
 /// A thread's handle onto the store. Not `Sync`: one session per thread,
 /// exactly like the paper's thread model.
 ///
@@ -358,17 +363,15 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     /// from the read cache; the caller classifies the read from it.
     read_rc_hit: Cell<bool>,
     /// Highest WAL LSN this session has appended (0 = none). Mutations are
-    /// durable once the WAL acks through this LSN (DESIGN.md §10).
-    wal_lsn: Cell<u64>,
-    /// Sticky WAL append failure: once an append is refused (the log hit a
-    /// commit failure), every later durability wait on this session errors.
+    /// durable once the WAL's watermark reaches it (DESIGN.md §10). A
+    /// latched failure sets it to `Lsn::MAX`, which no group ever covers.
+    wal_lsn: Cell<Lsn>,
+    /// Sticky WAL failure ([`Session::latch_wal_failure`]): once set, every
+    /// later durability wait and gate on this session errors.
     wal_error: RefCell<Option<faster_storage::IoError>>,
-    /// Ids of WAL durability notices registered on this session's ring
-    /// ([`Session::notify_wal_durable`]); their CQEs are routed here, not to
-    /// the continuation table.
-    wal_notices: RefCell<std::collections::HashSet<u64>>,
-    /// Resolved WAL notices awaiting pickup by [`Session::take_wal_notice`].
-    wal_notice_results: RefCell<HashMap<u64, Result<(), faster_storage::IoError>>>,
+    /// Durability notices registered on the ring whose [`WAL_NOTICE`] CQE
+    /// has not been reaped yet.
+    notices_in_flight: Cell<usize>,
 }
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
@@ -392,8 +395,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             read_rc_hit: Cell::new(false),
             wal_lsn: Cell::new(0),
             wal_error: RefCell::new(None),
-            wal_notices: RefCell::new(std::collections::HashSet::new()),
-            wal_notice_results: RefCell::new(HashMap::new()),
+            notices_in_flight: Cell::new(0),
         }
     }
 
@@ -765,9 +767,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// post-image of a key was read after every lower-LSN writer's update was
     /// visible. No-op for stores without a WAL — including a recovering
     /// store mid-replay, which only attaches its WAL after the suffix has
-    /// been reapplied. An append refused by a failed log latches into
-    /// `wal_error`; the mutation itself stands (it is applied, just not
-    /// durable), and every subsequent durability wait reports the loss.
+    /// been reapplied. A refused append is latched: the mutation itself
+    /// stands (it is applied, just in no log), and since the session's LSN is
+    /// then one no group covers, every later gate and wait reports the loss.
     fn wal_log(&self, kind: u8, rec: RecordRef<K, V>) {
         use crate::walrec::{encode_into, encoded_len, KIND_DELETE};
         let Some(wal) = self.store.inner.wal.get() else { return };
@@ -777,83 +779,73 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             encode_into(out, kind, &rec.key(), post.as_ref());
         });
         match appended {
-            Ok(lsn) => self.wal_lsn.set(lsn),
+            // `max` keeps a poisoned LSN poisoned.
+            Ok(lsn) => self.wal_lsn.set(self.wal_lsn.get().max(lsn)),
             Err(e) => {
-                // A refused append means per-op durability is gone for good
-                // (WAL failures are sticky): degrade the store to read-only.
-                self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                let mut err = self.wal_error.borrow_mut();
-                if err.is_none() {
-                    *err = Some(e);
-                }
+                self.latch_wal_failure(e);
             }
         }
+    }
+
+    /// The one WAL-failure latch — a refused append, a failed wait, a failed
+    /// notice: per-op durability is gone for good (WAL failures are sticky),
+    /// so degrade the store to read-only, keep the first error, and poison
+    /// the session's LSN so no group can ever cover it. Returns the latched
+    /// error.
+    fn latch_wal_failure(&self, e: faster_storage::IoError) -> faster_storage::IoError {
+        self.store.inner.health.to_read_only(HealthReason::WalFailed);
+        self.wal_lsn.set(Lsn::MAX);
+        self.wal_error.borrow_mut().get_or_insert(e).clone()
     }
 
     /// Blocks until every mutation this session has issued is group-commit
     /// durable in the WAL. `Err` means some mutation was **never acked** —
     /// either its append was refused or its group's flush barrier failed;
-    /// the error is sticky (the WAL refuses all further commits).
+    /// the error is latched, so later waits and gates agree with it.
     /// Immediately `Ok` on stores without a WAL.
     pub fn wait_wal_durable(&self) -> Result<(), faster_storage::IoError> {
-        if let Some(e) = self.wal_error.borrow().as_ref() {
-            return Err(e.clone());
+        let Some(wal) = self.store.inner.wal.get() else { return Ok(()) };
+        if let Some(e) = self.wal_error.borrow().clone() {
+            return Err(e);
         }
+        wal.wait_durable(self.wal_lsn.get()).map_err(|e| self.latch_wal_failure(e))
+    }
+
+    /// Non-blocking durability gate for one LSN (typically one
+    /// [`Session::notify_wal_durable`] returned): `Some(Ok(()))` once the
+    /// WAL's durable watermark covers `lsn`, `Some(Err(_))` once this session
+    /// has latched a WAL failure, `None` while the covering group is in
+    /// flight. Reads one atomic and the session's latch, never the WAL's
+    /// lock; a failed group reaches the latch through its notice's CQE.
+    pub fn poll_wal_durable(&self, lsn: Lsn) -> Option<Result<(), faster_storage::IoError>> {
         match self.store.inner.wal.get() {
-            Some(wal) => {
-                let r = wal.wait_durable(self.wal_lsn.get());
-                if r.is_err() {
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                }
-                r
-            }
-            None => Ok(()),
+            Some(wal) if wal.durable_lsn() < lsn => self.wal_error.borrow().clone().map(Err),
+            _ => Some(Ok(())),
         }
     }
 
-    /// Non-blocking durability check: `Some(Ok(()))` once everything this
-    /// session appended is durable, `Some(Err(_))` once the WAL has failed,
-    /// `None` while a group commit is still in flight.
-    pub fn poll_wal_durable(&self) -> Option<Result<(), faster_storage::IoError>> {
-        if let Some(e) = self.wal_error.borrow().as_ref() {
-            return Some(Err(e.clone()));
-        }
-        match self.store.inner.wal.get() {
-            Some(wal) => {
-                let r = wal.poll_durable(self.wal_lsn.get());
-                if matches!(&r, Some(Err(_))) {
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                }
-                r
-            }
-            None => Some(Ok(())),
-        }
-    }
-
-    /// Registers a ring-routed durability notice for everything this session
-    /// has appended (DESIGN.md §10 follow-on): when the WAL group covering
-    /// the session's last append commits (or the log fails), a CQE bearing
-    /// the returned id lands in this session's completion ring — the same
-    /// ring `complete_pending` reaps — so a pipelined caller can park once
-    /// for disk reads *and* durability acks. Returns `None` when there is
-    /// nothing to wait for (no WAL, or no append yet). Resolve the notice
-    /// with [`Session::take_wal_notice`] after a `complete_pending` pass.
-    pub fn notify_wal_durable(&self) -> Option<u64> {
+    /// Registers a durability wake-up for everything this session has
+    /// appended and returns the LSN it covers (DESIGN.md §10): gate replies
+    /// on that LSN with [`Session::poll_wal_durable`]. When the covering WAL
+    /// group commits — or the log fails — one CQE lands in this session's
+    /// completion ring, the ring `complete_pending` reaps and
+    /// [`Session::set_io_waker`] hooks, so a pipelined caller parks once for
+    /// disk reads *and* durability. The CQE only wakes; durability is the
+    /// watermark, and a failed group's error is latched when the CQE is
+    /// reaped. `None` when there is nothing to wait for (no WAL, or no append
+    /// yet). After a latched failure no notice is registered and the LSN is
+    /// one no group covers, so its gate fails at once.
+    pub fn notify_wal_durable(&self) -> Option<Lsn> {
         let wal = self.store.inner.wal.get()?;
-        if self.wal_lsn.get() == 0 {
+        let lsn = self.wal_lsn.get();
+        if lsn == 0 {
             return None;
         }
-        let id = self.fresh_id();
-        self.wal_notices.borrow_mut().insert(id);
-        wal.notify_durable(self.wal_lsn.get(), id, &self.ring);
-        Some(id)
-    }
-
-    /// Takes the resolved result of a durability notice registered with
-    /// [`Session::notify_wal_durable`], if `complete_pending` has reaped its
-    /// CQE. `None` = still in flight.
-    pub fn take_wal_notice(&self, id: u64) -> Option<Result<(), faster_storage::IoError>> {
-        self.wal_notice_results.borrow_mut().remove(&id)
+        if self.wal_error.borrow().is_none() {
+            self.notices_in_flight.set(self.notices_in_flight.get() + 1);
+            wal.notify_durable(lsn, WAL_NOTICE, &self.ring);
+        }
+        Some(lsn)
     }
 
     /// Installs `waker` as the ring's push hook: every CQE pushed into this
@@ -1443,7 +1435,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// never idle while the session waits.
     pub fn complete_pending(&self, wait: bool) -> Vec<Completion<F::Output>> {
         let mut done = Vec::new();
-        if self.outstanding.get() == 0 && self.wal_notices.borrow().is_empty() {
+        if self.outstanding.get() == 0 && self.notices_in_flight.get() == 0 {
             // Nothing outstanding: nothing queued, nothing parked, nothing
             // in flight (every counted op is one of those), and no WAL
             // durability notice waiting for its CQE. In particular `wait`
@@ -1515,20 +1507,14 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         self.ring.reap(&mut cqes);
         let reaped = cqes.len();
         for cqe in cqes.drain(..) {
-            // WAL durability notices share the ring but not the continuation
-            // table (they are acks, not I/O): route them to their own slot.
-            if self.wal_notices.borrow_mut().remove(&cqe.id) {
-                let r = cqe.result.map(|_| ());
-                if let Err(e) = &r {
-                    // A failed group commit is sticky: degrade, and latch the
-                    // session's own error so plain waits also report it.
-                    self.store.inner.health.to_read_only(HealthReason::WalFailed);
-                    let mut err = self.wal_error.borrow_mut();
-                    if err.is_none() {
-                        *err = Some(e.clone());
-                    }
+            // A WAL durability notice shares the ring but is a wake-up, not
+            // I/O: the watermark says what is durable. Only its failure is
+            // news, and it is latched.
+            if cqe.id == WAL_NOTICE {
+                self.notices_in_flight.set(self.notices_in_flight.get() - 1);
+                if let Err(e) = cqe.result {
+                    self.latch_wal_failure(e);
                 }
-                self.wal_notice_results.borrow_mut().insert(cqe.id, r);
                 continue;
             }
             // Scope the table borrow: continuations re-enter `issue_io`.

@@ -44,13 +44,18 @@
 //! ## Durability and degradation
 //!
 //! On a WAL-backed store, every mutation reply (`SET` → `+OK`, `DEL` →
-//! `:1`, `INCR` → `:n`) is **held until the covering WAL group commit is
-//! durable**: after each batch the worker registers a ring-routed
-//! durability notice ([`Session::notify_wal_durable`]) and gates those
-//! replies on it. An acked `SET` therefore survives killing the server
-//! process — the over-the-wire crash tests recover the store from the WAL
-//! and check exactly that. A store degraded to read-only (DESIGN.md §12)
-//! refuses mutations with `-READONLY <reason>` while reads keep serving.
+//! `:1`, `INCR` → `:n`) is **held until the WAL's durable watermark covers
+//! its LSN**: after each batch the worker takes the session's last appended
+//! LSN from [`Session::notify_wal_durable`], which also registers a
+//! ring-routed wake-up for the covering group commit, and gates the
+//! segment's mutation replies on it with [`Session::poll_wal_durable`]. An
+//! acked `SET` therefore survives killing the server process — the
+//! over-the-wire crash tests recover the store from the WAL and check
+//! exactly that. Once the session has latched a WAL failure — a failed group
+//! commit, or an append the log refused — a gated reply goes out as
+//! `-READONLY`: a refused append poisons the session's LSN, so no group ever
+//! covers it and it is never acked. A store degraded to read-only (DESIGN.md
+//! §12) refuses mutations with `-READONLY <reason>` while reads keep serving.
 //!
 //! ## Wire dialect
 //!
@@ -66,7 +71,6 @@ mod resp;
 pub use resp::Command;
 
 use faster_core::{BatchOp, CountStore, FasterKv, OpError, Outcome, Session};
-use faster_storage::IoError;
 use libc::{c_int, c_void, nfds_t, pollfd, O_NONBLOCK, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -176,11 +180,13 @@ impl Body {
     }
 }
 
-/// One in-order reply slot. Emittable when `read` and `wal` are both `None`.
+/// One in-order reply slot. Emittable once `read` is `None` and the WAL has
+/// made `wal` durable (or failed).
 struct Reply {
     body: Body,
     /// A read that went to disk; its completion's value renders the reply.
     read: Option<Render>,
+    /// The LSN a mutation's ack waits for ([`Session::poll_wal_durable`]).
     wal: Option<u64>,
 }
 
@@ -336,18 +342,12 @@ struct Worker {
     next_conn: u64,
     /// Pending op id → the reply it renders.
     ops: HashMap<u64, (u64, u64)>,
-    /// Durability notice id → replies still gated on it. An entry lives
-    /// until its result has arrived *and* no reply references it.
-    wal_refs: HashMap<u64, usize>,
-    wal_results: HashMap<u64, Result<(), IoError>>,
     // Scratch reused by every segment: cleared, never reallocated once
     // warm, so a command allocates nothing on its way to its reply.
     /// The segment being executed.
     batch: Vec<BatchOp<u64, u64, u64>>,
     /// The reply seq of each op of `batch`, positionally.
     batched: Vec<u64>,
-    /// Reply seqs of the segment's applied mutations.
-    wal_gated: Vec<u64>,
 }
 
 impl Worker {
@@ -417,30 +417,22 @@ impl Worker {
             }
 
             // One non-blocking pass drives continuations and reaps both I/O
-            // completions and WAL durability CQEs off the session ring.
+            // completions and WAL durability CQEs off the session ring (a
+            // failed group's CQE latches its error into the session).
             let done = self.session.complete_pending(false);
             for comp in done {
                 self.resolve(comp.id, comp.result);
             }
-            self.collect_wal_notices();
 
             for &id in &slots {
                 if let Some(c) = self.conns.get_mut(&id) {
-                    Self::emit_ready(c, &mut self.wal_refs, &self.wal_results);
+                    Self::emit_ready(c, &self.session);
                     c.flush();
                     if c.finished() {
-                        let dead = self.conns.remove(&id).expect("present");
-                        for r in &dead.replies {
-                            if let Some(nid) = r.wal {
-                                if let Some(n) = self.wal_refs.get_mut(&nid) {
-                                    *n -= 1;
-                                }
-                            }
-                        }
+                        self.conns.remove(&id);
                     }
                 }
             }
-            self.gc_wal_entries();
         }
         self.session.clear_io_waker();
     }
@@ -503,45 +495,39 @@ impl Worker {
 
             let outcomes = self.session.execute_batch(&self.batch);
             // Mutations that applied in this segment share one durability
-            // gate: the notice registered below covers the session's last
-            // appended LSN, which is ≥ every append the segment made.
-            self.wal_gated.clear();
+            // gate: the session's last appended LSN, which is ≥ every append
+            // the segment made. `None` until the first mutation asks for it.
+            let mut gate = None;
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 let (seq, op) = (self.batched[i], self.batch[i].clone());
-                self.fill_reply(conn_id, seq, op, outcome);
-            }
-            if !self.wal_gated.is_empty() {
-                if let Some(nid) = self.session.notify_wal_durable() {
-                    let c = self.conns.get_mut(&conn_id).expect("conn present");
-                    for &seq in &self.wal_gated {
-                        if let Some(r) = c.reply_mut(seq) {
-                            r.wal = Some(nid);
-                        }
-                    }
-                    // Every gated slot was filled above and none has been
-                    // emitted since: one refcount update for the segment.
-                    self.wal_refs.insert(nid, self.wal_gated.len());
-                }
+                self.fill_reply(conn_id, seq, op, outcome, &mut gate);
             }
         }
     }
 
-    /// Sets one batch outcome as its reply slot's body (or parks it pending).
+    /// Sets one batch outcome as its reply slot's body (or parks it pending),
+    /// gating an applied mutation on the segment's durability `gate`.
     fn fill_reply(
         &mut self,
         conn_id: u64,
         seq: u64,
         op: BatchOp<u64, u64, u64>,
         outcome: Result<Outcome<u64>, OpError>,
+        gate: &mut Option<Option<u64>>,
     ) {
-        // INCR's sync read-back touches the session, so compute it before
-        // borrowing the reply slot.
+        // INCR's sync read-back and the durability notice touch the session,
+        // so compute them before borrowing the reply slot.
         let incr_value = match (&op, &outcome) {
             (BatchOp::Rmw { key, .. }, Ok(Outcome::Done)) => Some(self.read_back(*key)),
             _ => None,
         };
+        let wal = match (&op, &outcome) {
+            (BatchOp::Read { .. }, _) | (_, Err(_)) => None,
+            _ => *gate.get_or_insert_with(|| self.session.notify_wal_durable()),
+        };
         let Some(c) = self.conns.get_mut(&conn_id) else { return };
         let Some(reply) = c.reply_mut(seq) else { return };
+        reply.wal = wal;
         reply.body = match op {
             BatchOp::Read { .. } => match outcome {
                 Ok(Outcome::Value(v)) => Body::Bulk(v),
@@ -556,32 +542,23 @@ impl Worker {
                 Ok(Outcome::Done) => Body::Error("ERR internal: valueless read".into()),
             },
             BatchOp::Upsert { .. } => match outcome {
-                Ok(_) => {
-                    self.wal_gated.push(seq);
-                    Body::Ok
-                }
+                Ok(_) => Body::Ok,
                 Err(e) => unexpected(&e),
             },
             BatchOp::Delete { .. } => match outcome {
-                Ok(_) => {
-                    self.wal_gated.push(seq);
-                    Body::Int(1)
-                }
+                Ok(_) => Body::Int(1),
                 Err(e) => unexpected(&e),
             },
             BatchOp::Rmw { .. } => match outcome {
-                Ok(_) => {
-                    self.wal_gated.push(seq);
-                    match incr_value.expect("computed above") {
-                        ReadBack::Value(v) => Body::Int(v),
-                        ReadBack::Pending(id) => {
-                            reply.read = Some(Render::Int);
-                            self.ops.insert(id, (conn_id, seq));
-                            return;
-                        }
-                        ReadBack::Failed(msg) => Body::Error(msg),
+                Ok(_) => match incr_value.expect("computed above") {
+                    ReadBack::Value(v) => Body::Int(v),
+                    ReadBack::Pending(id) => {
+                        reply.read = Some(Render::Int);
+                        self.ops.insert(id, (conn_id, seq));
+                        return;
                     }
-                }
+                    ReadBack::Failed(msg) => Body::Error(msg),
+                },
                 Err(e) => unexpected(&e),
             },
         };
@@ -621,55 +598,27 @@ impl Worker {
         };
     }
 
-    /// Pulls resolved durability notices out of the session.
-    fn collect_wal_notices(&mut self) {
-        for &id in self.wal_refs.keys() {
-            if !self.wal_results.contains_key(&id) {
-                if let Some(r) = self.session.take_wal_notice(id) {
-                    self.wal_results.insert(id, r);
-                }
-            }
-        }
-    }
-
-    /// Emits the resolved prefix of a connection's reply queue, consuming
-    /// durability gates as it goes. A failed group commit turns the gated
-    /// reply into `-READONLY` — the mutation was applied in memory but its
-    /// durability contract is broken, and the store has already degraded.
-    fn emit_ready(
-        c: &mut Conn,
-        wal_refs: &mut HashMap<u64, usize>,
-        wal_results: &HashMap<u64, Result<(), IoError>>,
-    ) {
-        while let Some(front) = c.replies.front() {
+    /// Emits the resolved prefix of a connection's reply queue, checking
+    /// each durability gate against the WAL's watermark. A latched WAL
+    /// failure turns the gated reply into `-READONLY` — the mutation was
+    /// applied in memory but is not (or may not be) in the log, and the
+    /// store has already degraded.
+    fn emit_ready(c: &mut Conn, session: &WorkerSession) {
+        while let Some(front) = c.replies.front_mut() {
             if front.read.is_some() {
                 break;
             }
-            if let Some(nid) = front.wal {
-                match wal_results.get(&nid) {
+            if let Some(lsn) = front.wal {
+                match session.poll_wal_durable(lsn) {
                     None => break,
                     Some(Ok(())) => {}
-                    Some(Err(e)) => {
-                        let front = c.replies.front_mut().expect("checked");
-                        front.body = Body::Error(format!("READONLY wal failed: {e}"));
-                    }
-                }
-                if let Some(n) = wal_refs.get_mut(&nid) {
-                    *n -= 1;
+                    Some(Err(e)) => front.body = Body::Error(format!("READONLY wal failed: {e}")),
                 }
             }
             let reply = c.replies.pop_front().expect("checked");
             c.seq_base += 1;
             reply.body.render(&mut c.outbuf);
         }
-    }
-
-    /// Drops durability bookkeeping nothing references anymore.
-    fn gc_wal_entries(&mut self) {
-        // An unreferenced entry goes once its result has arrived, and the
-        // result with it; one still in flight stays.
-        let results = &mut self.wal_results;
-        self.wal_refs.retain(|id, n| *n != 0 || results.remove(id).is_none());
     }
 }
 
@@ -740,11 +689,8 @@ impl Server {
                         conns: HashMap::new(),
                         next_conn: 0,
                         ops: HashMap::new(),
-                        wal_refs: HashMap::new(),
-                        wal_results: HashMap::new(),
                         batch: Vec::new(),
                         batched: Vec::new(),
-                        wal_gated: Vec::new(),
                     };
                     worker.run();
                 },

@@ -69,10 +69,12 @@
 //!
 //! ## Durability waits
 //!
-//! Durability has one notification route: a [`Cqe`] pushed into a
-//! [`CompletionRing`] when the covering group acks ([`Wal::notify_durable`]).
-//! [`Wal::wait_durable`] is that notice on a private ring, parked on with
-//! [`CompletionRing::wait_one`] — the shape of `Device::read_blocking`.
+//! What is durable is one watermark, [`Wal::durable_lsn`]: every record at
+//! or below it. Waiting for it has one notification route: a [`Cqe`] pushed
+//! into a [`CompletionRing`] when the covering group acks or the log fails
+//! ([`Wal::notify_durable`]). [`Wal::wait_durable`] is that notice on a
+//! private ring, parked on with [`CompletionRing::wait_one`] — the shape of
+//! `Device::read_blocking`.
 //!
 //! ## Failure contract
 //!
@@ -275,8 +277,8 @@ impl Wal {
     /// appender waits behind it.
     ///
     /// The record is **not durable** yet: pair with [`Wal::wait_durable`] /
-    /// [`Wal::poll_durable`]. Fails if the record cannot fit in a segment or
-    /// the log has already hit a sticky commit failure.
+    /// [`Wal::notify_durable`]. Fails if the record cannot fit in a segment
+    /// or the log has already hit a sticky commit failure.
     pub fn append_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Result<Lsn, IoError> {
         let seg = self.shared.cfg.segment_size;
         let total = RECORD_HEADER + len;
@@ -342,20 +344,6 @@ impl Wal {
         let ring = Arc::new(CompletionRing::new());
         self.notify_durable(lsn, 0, &ring);
         ring.wait_one().map(|_| ())
-    }
-
-    /// Non-blocking durability check: `Some(Ok(()))` once durable,
-    /// `Some(Err(_))` once the log has failed, `None` while still in
-    /// flight. Drives `complete_pending`-style polling.
-    pub fn poll_durable(&self, lsn: Lsn) -> Option<Result<(), IoError>> {
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            return Some(Ok(()));
-        }
-        let st = self.shared.state.lock().unwrap();
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            return Some(Ok(()));
-        }
-        st.failed.as_ref().map(|e| Err(e.clone()))
     }
 
     /// Registers a ring-routed durability notice: once every record with
@@ -823,10 +811,10 @@ mod tests {
         assert_eq!(wal.durable_lsn(), 0, "the group must never be acked");
         assert_eq!(metrics.commits.get(), 0);
         assert_eq!(metrics.commit_failures.get(), 1);
-        // The failure is sticky: later appends and polls see it too.
+        // The failure is sticky: later appends and waits see it too.
         assert!(wal.append(b"later").is_err());
-        assert!(matches!(wal.poll_durable(lsn), Some(Err(_))));
         assert!(wal.failure().is_some());
+        assert!(wal.wait_durable(lsn).is_err());
     }
 
     #[test]

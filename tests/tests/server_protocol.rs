@@ -8,7 +8,7 @@
 //! pipeline (reusing the WAL crash harness's store configuration).
 
 use faster_core::ckpt_manager::{self, CheckpointConfig};
-use faster_core::{CountStore, FasterKv, FasterKvConfig};
+use faster_core::{CountStore, FasterKv, FasterKvConfig, StoreHealth};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_integration_tests::fault_harness::wal_harness_cfg;
@@ -344,6 +344,97 @@ fn read_only_degradation_maps_to_readonly_errors() {
         }
     }
     assert_eq!(c.read_reply(), Some(Reply::Bulk("11".into())), "reads must keep serving");
+}
+
+/// A SET whose WAL append the log refused is in no log, so it must never be
+/// acked. Another session's group commit fails first, so the worker's own
+/// append is the one the WAL turns away — and the store is still `Healthy`
+/// when the SET arrives, so only the ack gate can refuse it. Two shapes: the
+/// worker never appended before (its session has no LSN to wait for), and
+/// the worker's last ack already covers an older, durable LSN.
+#[test]
+fn refused_append_is_never_acked() {
+    for worker_acked_first in [false, true] {
+        let wal_fault = FaultDevice::wrap(MemDevice::new(1));
+        let store: Store = FasterKv::new_with_wal(
+            wal_harness_cfg(),
+            CountStore,
+            MemDevice::new(2),
+            wal_fault.clone(),
+        );
+        let server =
+            Server::start(store.clone(), "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
+        let mut c = Client::connect(server.local_addr());
+        if worker_acked_first {
+            c.send(b"SET 1 11\r\n");
+            assert_eq!(c.read_reply(), Some(Reply::Simple("OK".into())));
+        }
+
+        // A second session's group fails its barrier; nobody waits on it, so
+        // the store has not degraded — only the WAL knows.
+        wal_fault.fail_flush_at(0);
+        {
+            let other = store.start_session();
+            other.upsert(&100, &1).unwrap();
+        }
+        let wal = store.wal().unwrap();
+        while wal.failure().is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(store.health(), StoreHealth::Healthy);
+
+        c.send(b"SET 2 22\r\n");
+        match c.read_reply() {
+            Some(Reply::Error(e)) => assert!(
+                e.starts_with("READONLY"),
+                "worker_acked_first={worker_acked_first}: expected -READONLY, got {e:?}"
+            ),
+            other => panic!(
+                "worker_acked_first={worker_acked_first}: a refused append was acked: {other:?}"
+            ),
+        }
+    }
+}
+
+/// A connection that closes with durability-gated replies still in flight
+/// is torn down without disturbing its worker: a second connection on the
+/// same worker is acked, and its acked key survives recovery from the WAL.
+#[test]
+fn closed_connection_with_gated_replies_leaves_the_worker_serving() {
+    let log_dev: Arc<dyn Device> = MemDevice::new(2);
+    let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
+    let wal_dev: Arc<dyn Device> = MemDevice::new(1);
+    let store: Store =
+        FasterKv::new_with_wal(wal_harness_cfg(), CountStore, log_dev.clone(), wal_dev.clone());
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
+
+    let mut a = Client::connect(server.local_addr());
+    let mut frame = Vec::new();
+    for k in 0..200u64 {
+        frame.extend_from_slice(format!("SET {k} {}\r\n", k + 1).as_bytes());
+    }
+    a.send(&frame);
+    drop(a); // closes without reading a single ack
+
+    let mut b = Client::connect(server.local_addr());
+    b.send(b"SET 1000 7\r\nGET 1000\r\n");
+    assert_eq!(b.read_reply(), Some(Reply::Simple("OK".into())));
+    assert_eq!(b.read_reply(), Some(Reply::Bulk("7".into())));
+    server.shutdown();
+    drop(server);
+    drop(b);
+
+    let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountStore>(
+        wal_harness_cfg(),
+        CountStore,
+        log_dev,
+        ckpt_dev,
+        wal_dev,
+        CheckpointConfig::default(),
+    )
+    .expect("recovery after server shutdown");
+    let session = rec.store.start_session();
+    assert_eq!(faster_integration_tests::read_blocking(&session, 1000), Some(7));
 }
 
 /// Kill-the-server-mid-pipeline durability: acked SETs survive. The client

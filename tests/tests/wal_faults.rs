@@ -253,7 +253,9 @@ fn failed_barrier_never_acks_a_group() {
     let _ = session.upsert(&1, &11);
     let err = session.wait_wal_durable();
     assert!(err.is_err(), "group acked across a failed barrier: {err:?}");
-    assert!(matches!(session.poll_wal_durable(), Some(Err(_))));
+    // The wait latched its error: a gate above the watermark agrees with it.
+    let above = store.wal().unwrap().durable_lsn() + 1;
+    assert!(matches!(session.poll_wal_durable(above), Some(Err(_))));
 
     // Sticky: later mutations apply in memory but never become durable.
     let _ = session.upsert(&2, &22);
