@@ -8,8 +8,8 @@
 //!   Aggregate throughput is pinned near `1 / fsync_latency` regardless of
 //!   session count.
 //! - `group`: sessions append concurrently and block on `wait_durable`;
-//!   the commit thread batches everything that arrived during the previous
-//!   barrier into one flush, so each fsync amortizes across the group.
+//!   whoever finds the log idle leads everything that arrived during the
+//!   previous barrier as one group, so each fsync amortizes across it.
 //!
 //! Prints one `json,...` row per configuration; `scripts/bench_smoke.sh`
 //! collects them into `BENCH_wal.json` and gates on group commit at 8
@@ -70,7 +70,7 @@ fn bench_config(mode: &str, sessions: usize, window: Duration, dur: Duration) ->
     let wal = Wal::new(device, WalConfig { batch_window: window, segment_size: 1 << 26 });
     let serialize = (mode == "per_op").then(|| Arc::new(Mutex::new(())));
 
-    // Short warmup so the commit thread and device pool are hot.
+    // Short warmup so the device pool is hot.
     run(&wal, sessions, Duration::from_millis(50), serialize.as_ref());
     let start = Instant::now();
     let ops = run(&wal, sessions, dur, serialize.as_ref());

@@ -32,7 +32,7 @@ use faster_index::CreateOutcome;
 use faster_metrics::{SessionHub, SessionRecorder, Timer};
 use faster_storage::{CompletionRing, Cqe, Sqe};
 use faster_util::{Address, KeyHash, Pod};
-use faster_wal::Lsn;
+use faster_wal::{Lsn, Wal};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -316,9 +316,12 @@ const IO_SCRATCH_MAX: usize = 1024;
 /// eviction triggers may be what our own I/O is stuck behind).
 const RING_WAIT: Duration = Duration::from_micros(200);
 
-/// The id every WAL durability notice's CQE carries. Pending-op ids start
-/// at 1, so a notice never collides with a parked continuation.
+/// The id of a WAL durability notice's CQE in the session's WAL ring (the
+/// other id there is [`Wal::SYNC_CQE`]).
 const WAL_NOTICE: u64 = 0;
+
+/// Re-check bound while parked on the WAL ring; a CQE wakes it sooner.
+const WAL_PARK: Duration = Duration::from_millis(100);
 
 /// A thread's handle onto the store. Not `Sync`: one session per thread,
 /// exactly like the paper's thread model.
@@ -369,9 +372,18 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     /// Sticky WAL failure ([`Session::latch_wal_failure`]): once set, every
     /// later durability wait and gate on this session errors.
     wal_error: RefCell<Option<faster_storage::IoError>>,
-    /// Durability notices registered on the ring whose [`WAL_NOTICE`] CQE
-    /// has not been reaped yet.
-    notices_in_flight: Cell<usize>,
+    /// WAL CQEs: durability notices and, when this session leads a group,
+    /// the group's sync. Kept apart from `ring` so a WAL wait never reaps
+    /// I/O completions; the I/O waker hooks both.
+    wal_ring: Arc<CompletionRing>,
+    /// The LSN the session has promised to wait for
+    /// ([`Session::notify_wal_durable`]); asked of the WAL once per
+    /// `complete_pending`.
+    wal_wanted: Cell<Lsn>,
+    /// The highest LSN asked of the WAL into `wal_ring`. While it is not
+    /// durable a CQE is bound for `wal_ring` — possibly a group's sync,
+    /// which every later group waits on.
+    wal_asked: Cell<Lsn>,
 }
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
@@ -395,7 +407,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             read_rc_hit: Cell::new(false),
             wal_lsn: Cell::new(0),
             wal_error: RefCell::new(None),
-            notices_in_flight: Cell::new(0),
+            wal_ring: Arc::new(CompletionRing::new()),
+            wal_wanted: Cell::new(0),
+            wal_asked: Cell::new(0),
         }
     }
 
@@ -787,24 +801,16 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         }
     }
 
-    /// The one WAL-failure latch — a refused append, a failed wait, a failed
-    /// notice: per-op durability is gone for good (WAL failures are sticky),
-    /// so degrade the store to read-only, keep the first error, and poison
-    /// the session's LSN so no group can ever cover it. Returns the latched
-    /// error.
-    fn latch_wal_failure(&self, e: faster_storage::IoError) -> faster_storage::IoError {
-        self.store.inner.health.to_read_only(HealthReason::WalFailed);
-        self.wal_lsn.set(Lsn::MAX);
-        self.wal_error.borrow_mut().get_or_insert(e).clone()
-    }
-
     /// Blocks until every mutation this session has issued is group-commit
     /// durable in the WAL. `Err` means some mutation was **never acked** —
     /// either its append was refused or its group's flush barrier failed;
     /// the error is latched, so later waits and gates agree with it.
-    /// Immediately `Ok` on stores without a WAL.
+    /// Immediately `Ok` on stores without a WAL. A group this session leads
+    /// is reaped off its own ring first; the rest is `Wal::wait_durable`,
+    /// which lingers for the batch window and may lead the next group.
     pub fn wait_wal_durable(&self) -> Result<(), faster_storage::IoError> {
         let Some(wal) = self.store.inner.wal.get() else { return Ok(()) };
+        self.drain_wal(wal);
         if let Some(e) = self.wal_error.borrow().clone() {
             return Err(e);
         }
@@ -824,41 +830,44 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         }
     }
 
-    /// Registers a durability wake-up for everything this session has
-    /// appended and returns the LSN it covers (DESIGN.md §10): gate replies
-    /// on that LSN with [`Session::poll_wal_durable`]. When the covering WAL
-    /// group commits — or the log fails — one CQE lands in this session's
-    /// completion ring, the ring `complete_pending` reaps and
-    /// [`Session::set_io_waker`] hooks, so a pipelined caller parks once for
-    /// disk reads *and* durability. The CQE only wakes; durability is the
-    /// watermark, and a failed group's error is latched when the CQE is
-    /// reaped. `None` when there is nothing to wait for (no WAL, or no append
-    /// yet). After a latched failure no notice is registered and the LSN is
-    /// one no group covers, so its gate fails at once.
+    /// Promises to wait for everything this session has appended and
+    /// returns the LSN that covers it (DESIGN.md §10): gate replies on that
+    /// LSN with [`Session::poll_wal_durable`]. The next `complete_pending`
+    /// asks the WAL for it, once per pass however many segments promised:
+    /// on an idle log this session leads the staged group, otherwise it
+    /// waits on a notice. Either way one CQE lands in the session's WAL
+    /// ring, which [`Session::set_io_waker`] hooks too, so a pipelined caller
+    /// parks once for disk reads *and* durability. The caller must keep
+    /// calling `complete_pending` until the gate opens: reaping a group's
+    /// sync is what publishes the watermark, for this session and every
+    /// group behind it. `None` when there is nothing to wait for (no WAL,
+    /// or no append yet). After a latched failure nothing is asked and the
+    /// LSN is one no group covers, so its gate fails at once.
     pub fn notify_wal_durable(&self) -> Option<Lsn> {
-        let wal = self.store.inner.wal.get()?;
+        self.store.inner.wal.get()?;
         let lsn = self.wal_lsn.get();
         if lsn == 0 {
             return None;
         }
-        if self.wal_error.borrow().is_none() {
-            self.notices_in_flight.set(self.notices_in_flight.get() + 1);
-            wal.notify_durable(lsn, WAL_NOTICE, &self.ring);
-        }
+        self.wal_wanted.set(lsn);
         Some(lsn)
     }
 
-    /// Installs `waker` as the ring's push hook: every CQE pushed into this
-    /// session's completion ring (I/O completions, WAL durability notices)
-    /// invokes it. A front-end points this at a self-pipe/eventfd so one
-    /// `poll` park covers ring CQEs *and* socket readiness.
+    /// Installs `waker` as the push hook of the session's rings: every CQE
+    /// pushed into them (I/O completions, WAL durability notices and group
+    /// syncs) invokes it. A front-end points this at a self-pipe/eventfd so
+    /// one `poll` park covers ring CQEs *and* socket readiness.
     pub fn set_io_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
-        self.ring.set_waker(waker);
+        let waker = Arc::new(waker);
+        let wal_waker = Arc::clone(&waker);
+        self.ring.set_waker(move || waker());
+        self.wal_ring.set_waker(move || wal_waker());
     }
 
     /// Removes the hook installed by [`Session::set_io_waker`].
     pub fn clear_io_waker(&self) {
         self.ring.clear_waker();
+        self.wal_ring.clear_waker();
     }
 
     // ============================================================== UPSERT
@@ -1435,11 +1444,11 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// never idle while the session waits.
     pub fn complete_pending(&self, wait: bool) -> Vec<Completion<F::Output>> {
         let mut done = Vec::new();
-        if self.outstanding.get() == 0 && self.notices_in_flight.get() == 0 {
+        self.drive_wal();
+        if self.outstanding.get() == 0 {
             // Nothing outstanding: nothing queued, nothing parked, nothing
-            // in flight (every counted op is one of those), and no WAL
-            // durability notice waiting for its CQE. In particular `wait`
-            // must not touch the ring or the epoch here.
+            // in flight (every counted op is one of those). In particular
+            // `wait` must not touch the I/O ring or the epoch here.
             debug_assert!(self.sq.borrow().is_empty() && self.pending.borrow().is_empty());
             self.wal_wait_if(wait);
             return done;
@@ -1472,9 +1481,25 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             // timeout forces another maintenance pass. No backoff spinning.
             self.refresh();
             self.ring.wait_nonempty(RING_WAIT);
+            self.drive_wal();
         }
         self.wal_wait_if(wait);
         done
+    }
+
+    /// The WAL half of a `complete_pending` pass: publish any group this
+    /// session leads, then ask the WAL, once per LSN, for the one the
+    /// session has promised to wait for — so a pass's mutations join one
+    /// group. On an idle log this session leads the staged group, whose
+    /// sync CQE lands in `wal_ring`; otherwise a notice waits there.
+    fn drive_wal(&self) {
+        let Some(wal) = self.store.inner.wal.get() else { return };
+        self.reap_wal(wal);
+        let lsn = self.wal_wanted.get();
+        if lsn > self.wal_asked.get().max(wal.durable_lsn()) && self.wal_error.borrow().is_none() {
+            self.wal_asked.set(lsn);
+            wal.notify_durable(lsn, WAL_NOTICE, &self.wal_ring);
+        }
     }
 
     /// Ack-aware completion (DESIGN.md §10): a waiting `complete_pending`
@@ -1507,16 +1532,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         self.ring.reap(&mut cqes);
         let reaped = cqes.len();
         for cqe in cqes.drain(..) {
-            // A WAL durability notice shares the ring but is a wake-up, not
-            // I/O: the watermark says what is durable. Only its failure is
-            // news, and it is latched.
-            if cqe.id == WAL_NOTICE {
-                self.notices_in_flight.set(self.notices_in_flight.get() - 1);
-                if let Err(e) = cqe.result {
-                    self.latch_wal_failure(e);
-                }
-                continue;
-            }
             // Scope the table borrow: continuations re-enter `issue_io`.
             let parked = self.pending.borrow_mut().remove(&cqe.id);
             let Some(Parked { mut op, issued, span }) = parked else {
@@ -1705,12 +1720,63 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 }
 
+/// The WAL paths a dropping session runs too.
+impl<K: Pod, V: Pod, F: Functions<K, V>> Session<K, V, F> {
+    /// The one WAL-failure latch — a refused append, a failed wait, a failed
+    /// notice or group: per-op durability is gone for good (WAL failures are
+    /// sticky), so degrade the store to read-only, keep the first error, and
+    /// poison the session's LSN so no group can ever cover it. Returns the
+    /// latched error.
+    fn latch_wal_failure(&self, e: faster_storage::IoError) -> faster_storage::IoError {
+        self.store.inner.health.to_read_only(HealthReason::WalFailed);
+        self.wal_lsn.set(Lsn::MAX);
+        self.wal_error.borrow_mut().get_or_insert(e).clone()
+    }
+
+    /// Reaps the WAL ring. The sync of a group this session leads publishes
+    /// the watermark (and may lead the next group into another waiter's
+    /// ring); a notice only wakes. Failures latch.
+    fn reap_wal(&self, wal: &Wal) {
+        let mut cqes = std::mem::take(&mut *self.io_scratch.borrow_mut());
+        self.wal_ring.reap(&mut cqes);
+        for cqe in cqes.drain(..) {
+            let reaped = match cqe.id {
+                Wal::SYNC_CQE => wal.reap_sync(cqe.result, &self.wal_ring),
+                _ => cqe.result.map(drop),
+            };
+            if let Err(e) = reaped {
+                self.latch_wal_failure(e);
+            }
+        }
+        *self.io_scratch.borrow_mut() = cqes;
+    }
+
+    /// Reaps the WAL ring until everything asked of the WAL is durable or
+    /// failed. Run before a blocking WAL wait and on drop: a group this
+    /// session leads is published by nobody else, and every later group
+    /// waits behind it.
+    fn drain_wal(&self, wal: &Wal) {
+        loop {
+            self.reap_wal(wal);
+            if self.wal_asked.get() <= wal.durable_lsn() || self.wal_error.borrow().is_some() {
+                return;
+            }
+            self.wal_ring.wait_nonempty(WAL_PARK);
+        }
+    }
+}
+
 impl<K: Pod, V: Pod, F: Functions<K, V>> Drop for Session<K, V, F> {
     fn drop(&mut self) {
         // Outstanding I/O only pushes CQEs into the Arc'd ring; results for a
-        // dropped session are simply discarded. The guard's Drop releases the
-        // epoch slot (§2.5 Release). The recorder folds into the hub's
-        // retired accumulator so store-wide totals survive session churn.
+        // dropped session are simply discarded. A WAL group it leads is not:
+        // every later group waits on its sync, so it is reaped first. The
+        // guard's Drop releases the epoch slot (§2.5 Release). The recorder
+        // folds into the hub's retired accumulator so store-wide totals
+        // survive session churn.
+        if let Some(wal) = self.store.inner.wal.get() {
+            self.drain_wal(wal);
+        }
         self.hub.retire(&self.rec);
     }
 }

@@ -100,7 +100,6 @@ impl MetricsRegistry {
             wal: WalSnapshot {
                 appends: self.wal.appends.get(),
                 bytes: self.wal.bytes.get(),
-                wakes: self.wal.wakes.get(),
                 commits: self.wal.commits.get(),
                 commit_failures: self.wal.commit_failures.get(),
                 group_size: self.wal.group_size.snapshot(),
@@ -287,8 +286,6 @@ impl SessionsSnapshot {
 pub struct WalSnapshot {
     pub appends: u64,
     pub bytes: u64,
-    /// Appends that woke the parked commit thread.
-    pub wakes: u64,
     pub commits: u64,
     pub commit_failures: u64,
     /// Records per acked group (counts, not nanoseconds).
@@ -433,7 +430,6 @@ impl StoreMetrics {
         push_line(&mut out, "storage.device_reads", self.storage.device_reads);
         push_line(&mut out, "wal.appends", self.wal.appends);
         push_line(&mut out, "wal.bytes", self.wal.bytes);
-        push_line(&mut out, "wal.wakes", self.wal.wakes);
         push_line(&mut out, "wal.commits", self.wal.commits);
         push_line(&mut out, "wal.commit_failures", self.wal.commit_failures);
         for (name, h, unit) in [
@@ -591,7 +587,6 @@ impl StoreMetrics {
                 obj(&[
                     ("appends", self.wal.appends.to_string()),
                     ("bytes", self.wal.bytes.to_string()),
-                    ("wakes", self.wal.wakes.to_string()),
                     ("commits", self.wal.commits.to_string()),
                     ("commit_failures", self.wal.commit_failures.to_string()),
                     ("group_size", hist_unit(&self.wal.group_size, "")),

@@ -12,8 +12,9 @@
 //! `poll` call that wakes for either kind of event:
 //!
 //! * socket readiness — bytes to parse, or room to flush replies;
-//! * ring CQEs — disk-read completions and WAL group-commit durability
-//!   notices, pushed by I/O and commit threads.
+//! * ring CQEs — disk-read completions, and the syncs of WAL groups the
+//!   worker leads, pushed by the devices' I/O threads (plus durability
+//!   notices, when another session publishes the group that covers it).
 //!
 //! ## Pipelining → batching
 //!
@@ -46,9 +47,12 @@
 //! On a WAL-backed store, every mutation reply (`SET` → `+OK`, `DEL` →
 //! `:1`, `INCR` → `:n`) is **held until the WAL's durable watermark covers
 //! its LSN**: after each batch the worker takes the session's last appended
-//! LSN from [`Session::notify_wal_durable`], which also registers a
-//! ring-routed wake-up for the covering group commit, and gates the
-//! segment's mutation replies on it with [`Session::poll_wal_durable`]. An
+//! LSN from [`Session::notify_wal_durable`] and gates the segment's mutation
+//! replies on it with [`Session::poll_wal_durable`]. The pass's
+//! `complete_pending` asks the WAL for that LSN once: on an idle log the
+//! worker leads the staged group — its write and sync go to the WAL device —
+//! and reaping the sync's CQE off its own ring, in a later pass, publishes
+//! the watermark. No commit thread sits between the worker and its acks. An
 //! acked `SET` therefore survives killing the server process — the
 //! over-the-wire crash tests recover the store from the WAL and check
 //! exactly that. Once the session has latched a WAL failure — a failed group
@@ -416,9 +420,10 @@ impl Worker {
                 self.execute_queued(id);
             }
 
-            // One non-blocking pass drives continuations and reaps both I/O
-            // completions and WAL durability CQEs off the session ring (a
-            // failed group's CQE latches its error into the session).
+            // One non-blocking pass drives continuations, publishes a WAL
+            // group whose sync has landed (a failed group latches its error
+            // into the session), and asks for this pass's mutations — so
+            // they commit as one group, led from this worker.
             let done = self.session.complete_pending(false);
             for comp in done {
                 self.resolve(comp.id, comp.result);

@@ -52,8 +52,9 @@
 //! private single-device domain, which preserves the original behavior.
 //!
 //! Crashes can also be armed on **flush boundaries**
-//! ([`FaultDomain::arm_crash_at_flush`]): the k-th `flush_barrier` from now
-//! marks the domain crashed — every write acknowledged before it persists,
+//! ([`FaultDomain::arm_crash_at_flush`]): the k-th barrier from now (a
+//! `submit_sync` or a `flush_barrier`, counted when submitted) marks the
+//! domain crashed — every write acknowledged before it persists,
 //! every operation after it is refused — modelling power loss at the exact
 //! fsync edge of a commit protocol. A crash-point barrier reports `Err`:
 //! the sync never completed, so a commit protocol waiting on it must not
@@ -66,7 +67,7 @@
 //! treat such a barrier exactly like a crash for acking purposes: the
 //! group's durability is unknown, so it must never be acknowledged.
 
-use crate::ring::{Sqe, SqeOp};
+use crate::ring::{CompletionRing, Cqe, Sqe, SqeOp};
 use crate::{Device, DeviceStats, IoError, StatCells};
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -352,26 +353,20 @@ impl FaultDomain {
         None
     }
 
-    /// True when the scripted transient failure for this barrier fires
-    /// (one-shot: the script entry is consumed).
-    fn take_flush_failure(&self, fsn: u64) -> bool {
-        self.state.plan.lock().fail_flushes.remove(&fsn)
-    }
-
-    /// True when this flush barrier is the crash point (marks the domain
-    /// crashed as a side effect).
-    fn decide_flush_crash(&self, fsn: u64) -> bool {
+    /// The scripted outcome of barrier `fsn`: the crash point (marking the
+    /// domain crashed) or a one-shot transient failure; `None` forwards it.
+    fn decide_flush(&self, fsn: u64) -> Option<IoError> {
         if self.crashed() {
-            return true;
+            return Some(IoError::Failed("device crashed at flush barrier".into()));
         }
-        let plan = self.state.plan.lock();
-        match plan.crash_at_flush {
-            Some(c) if fsn >= c => {
-                self.state.crashed.store(true, Ordering::SeqCst);
-                true
-            }
-            _ => false,
+        let mut plan = self.state.plan.lock();
+        if plan.crash_at_flush.is_some_and(|c| fsn >= c) {
+            self.state.crashed.store(true, Ordering::SeqCst);
+            // The sync never completed; a commit protocol waiting on this
+            // barrier must not acknowledge its group.
+            return Some(IoError::Failed("device crashed at flush barrier".into()));
         }
+        plan.fail_flushes.remove(&fsn).then(|| IoError::Failed("injected flush failure".into()))
     }
 }
 
@@ -533,17 +528,21 @@ impl Device for FaultDevice {
         }
     }
 
+    /// The one barrier path: a blocking barrier is a sync on a private ring.
     fn flush_barrier(&self) -> Result<(), IoError> {
+        let ring = Arc::new(CompletionRing::new());
+        self.submit_sync(0, &ring);
+        ring.wait_one().map(|_| ())
+    }
+
+    /// Draws the flush sequence number at submission, like writes: the
+    /// scripted barrier fails in submit order, whenever it completes.
+    fn submit_sync(&self, id: u64, ring: &Arc<CompletionRing>) {
         let fsn = self.domain.state.fsn.fetch_add(1, Ordering::SeqCst);
-        if self.domain.decide_flush_crash(fsn) {
-            // The sync never completed; a commit protocol waiting on this
-            // barrier must not acknowledge its group.
-            return Err(IoError::Failed("device crashed at flush barrier".into()));
+        match self.domain.decide_flush(fsn) {
+            Some(err) => ring.push(Cqe { id, result: Err(err) }),
+            None => self.inner.submit_sync(id, ring),
         }
-        if self.domain.take_flush_failure(fsn) {
-            return Err(IoError::Failed("injected flush failure".into()));
-        }
-        self.inner.flush_barrier()
     }
 
     fn truncate_below(&self, offset: u64) {
@@ -721,6 +720,36 @@ mod tests {
         d.write_blocking(64, vec![4u8; 64]).unwrap();
         assert_eq!(d.read_blocking(64, 64).unwrap(), vec![4u8; 64]);
         assert_eq!(d.domain().flushes_issued(), 4);
+    }
+
+    /// The scripted barrier fails by its place in submission order: here it
+    /// completes first (refused at submit) while the two around it wait
+    /// behind a slow write.
+    #[test]
+    fn syncs_fail_at_the_scripted_fsn_in_submit_order() {
+        let latency = crate::LatencyModel {
+            fixed: std::time::Duration::from_millis(5),
+            bytes_per_sec: 0,
+        };
+        let d = FaultDevice::wrap(MemDevice::with_latency(2, latency));
+        let ring = Arc::new(CompletionRing::new());
+        d.fail_flush_at(1);
+        d.submit(Sqe::write(9, 0, vec![1u8; 512], &ring));
+        for id in 0..3 {
+            d.submit_sync(id, &ring);
+        }
+        let mut cqes = Vec::new();
+        while cqes.len() < 4 {
+            if ring.reap(&mut cqes) == 0 {
+                ring.wait_nonempty(std::time::Duration::from_millis(100));
+            }
+        }
+        assert_eq!(cqes[0].id, 1, "the refused sync completes first");
+        for c in &cqes {
+            assert_eq!(c.result.is_err(), c.id == 1, "CQE {}: {:?}", c.id, c.result);
+        }
+        assert_eq!(d.domain().flushes_issued(), 3);
+        assert!(!d.crashed());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `pread`/`pwrite` style positioned operations so concurrent requests never
 //! contend on a shared cursor.
 
-use crate::ring::{Sqe, SqeOp};
+use crate::ring::{CompletionRing, Sqe, SqeCompletion, SqeOp};
 use crate::worker::IoPool;
 use crate::{Device, DeviceStats, IoError, StatCells};
 use std::fs::{File, OpenOptions};
@@ -113,6 +113,15 @@ impl Device for FileDevice {
         self.state.file.sync_data().map_err(|e| IoError::Failed(e.to_string()))
     }
 
+    fn submit_sync(&self, id: u64, ring: &Arc<CompletionRing>) {
+        let completion = SqeCompletion::new(id, ring);
+        let state = self.state.clone();
+        self.pool.submit_ordered(move || {
+            let synced = state.file.sync_data().map_err(|e| IoError::Failed(e.to_string()));
+            completion.complete(synced.map(|()| Vec::new()));
+        });
+    }
+
     fn truncate_below(&self, offset: u64) {
         // Files cannot cheaply punch holes portably; we just refuse reads
         // below `begin` (the space-reclaim aspect is a device detail).
@@ -143,6 +152,9 @@ mod tests {
             d.write_blocking(4096, vec![0xAB; 512]).unwrap();
             assert_eq!(d.read_blocking(0, 5).unwrap(), b"hello");
             d.flush_barrier().unwrap();
+            let ring = Arc::new(CompletionRing::new());
+            d.submit_sync(7, &ring);
+            assert_eq!(ring.wait_one(), Ok(Vec::new()));
         }
         {
             let d = FileDevice::open(&path, 1).unwrap();

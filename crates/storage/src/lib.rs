@@ -101,7 +101,8 @@ pub struct DeviceStats {
 ///
 /// [`Device::read_blocking`] / [`Device::write_blocking`] are the one
 /// blocking wait, for maintenance and recovery paths that have nothing to
-/// overlap the I/O with.
+/// overlap the I/O with. A durability barrier is either blocking
+/// ([`Device::flush_barrier`]) or a CQE of its own ([`Device::submit_sync`]).
 pub trait Device: Send + Sync + 'static {
     /// Sector size; write offsets and lengths should be multiples of this
     /// (the circular buffer allocates frames sector-aligned, §5.1).
@@ -139,11 +140,22 @@ pub trait Device: Send + Sync + 'static {
 
     /// Blocks until every operation queued before this call has completed
     /// *and is durable*, reporting any synchronization failure. Used by
-    /// checkpointing, WAL group commit, and orderly shutdown. An `Err`
-    /// means durability of previously acknowledged writes is unknown — a
-    /// commit protocol must treat the barrier's group as not persisted and
-    /// must never acknowledge it.
+    /// checkpointing and orderly shutdown. An `Err` means durability of
+    /// previously acknowledged writes is unknown — a commit protocol must
+    /// treat the barrier's group as not persisted and must never
+    /// acknowledge it.
     fn flush_barrier(&self) -> Result<(), IoError>;
+
+    /// Queues a barrier whose CQE (echoing `id`, empty bytes) lands in
+    /// `ring` once every write submitted before it is durable — or carries
+    /// the error that leaves their durability unknown, with the same
+    /// contract as [`Device::flush_barrier`]. WAL group commit submits one
+    /// behind each group write. The default runs the blocking barrier on
+    /// the caller's thread and pushes the CQE; pooled devices queue it
+    /// behind their writes instead.
+    fn submit_sync(&self, id: u64, ring: &Arc<CompletionRing>) {
+        ring.push(Cqe { id, result: self.flush_barrier().map(|()| Vec::new()) });
+    }
 
     /// Drops all data below `offset` (log GC / expiration, Appendix C).
     /// Subsequent reads below `offset` fail with [`IoError::Truncated`].

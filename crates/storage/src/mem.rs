@@ -5,7 +5,7 @@
 //! [`LatencyModel`]. Fault injection (`fail_next_reads`) lets failure tests
 //! exercise the pending-operation error path without a flaky filesystem.
 
-use crate::ring::{Sqe, SqeOp};
+use crate::ring::{CompletionRing, Sqe, SqeCompletion, SqeOp};
 use crate::worker::{precise_sleep, DeadlineTimer, IoPool};
 use crate::{Device, DeviceStats, IoError, LatencyModel, StatCells};
 use parking_lot::RwLock;
@@ -169,6 +169,13 @@ impl Device for MemDevice {
         Ok(())
     }
 
+    /// A write is stable once its pool job has run, so a sync is a pool job
+    /// queued behind every earlier write, with no latency of its own.
+    fn submit_sync(&self, id: u64, ring: &Arc<CompletionRing>) {
+        let completion = SqeCompletion::new(id, ring);
+        self.pool.submit_ordered(move || completion.complete(Ok(Vec::new())));
+    }
+
     fn truncate_below(&self, offset: u64) {
         self.state.begin.fetch_max(offset, Ordering::SeqCst);
         // Drop whole chunks strictly below the new begin.
@@ -293,6 +300,30 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(elapsed >= latency);
         assert!(elapsed < latency * 32, "64 reads took {elapsed:?}: serialised on the pool");
+    }
+
+    /// On a four-worker pool a zero-delay sync job would finish long before
+    /// three 2 ms writes queued ahead of it; it must wait them out.
+    #[test]
+    fn sync_never_completes_before_an_earlier_write() {
+        let latency = LatencyModel { fixed: std::time::Duration::from_millis(2), bytes_per_sec: 0 };
+        let d = MemDevice::with_latency(4, latency);
+        let ring = Arc::new(crate::CompletionRing::new());
+        for round in 0..20u64 {
+            for w in 0..3u64 {
+                d.submit(Sqe::write(w, (round * 3 + w) * 512, vec![w as u8; 512], &ring));
+            }
+            d.submit_sync(99, &ring);
+            let mut cqes = Vec::new();
+            while cqes.len() < 4 {
+                if ring.reap(&mut cqes) == 0 {
+                    ring.wait_nonempty(std::time::Duration::from_millis(100));
+                }
+            }
+            let ids: Vec<u64> = cqes.iter().map(|c| c.id).collect();
+            assert_eq!(ids[3], 99, "round {round}: sync completed before a write: {ids:?}");
+            assert!(cqes.iter().all(|c| c.result.is_ok()));
+        }
     }
 
     #[test]

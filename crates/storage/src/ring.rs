@@ -66,6 +66,12 @@ pub struct SqeCompletion {
 }
 
 impl SqeCompletion {
+    /// A completion with no operation attached: a barrier's
+    /// ([`Device::submit_sync`](crate::Device::submit_sync)).
+    pub(crate) fn new(id: u64, ring: &Arc<CompletionRing>) -> Self {
+        Self { id, ring: Some(Arc::clone(ring)), fail: None }
+    }
+
     /// The submitter's id, echoed in the CQE.
     pub fn id(&self) -> u64 {
         self.id
@@ -105,7 +111,7 @@ pub struct Sqe {
 
 impl Sqe {
     fn new(id: u64, op: SqeOp, ring: &Arc<CompletionRing>) -> Self {
-        Self { op, completion: SqeCompletion { id, ring: Some(Arc::clone(ring)), fail: None } }
+        Self { op, completion: SqeCompletion::new(id, ring) }
     }
 
     /// A read: the CQE (echoing `id`) lands in `ring`.

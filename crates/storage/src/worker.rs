@@ -7,7 +7,7 @@
 //! issuer reaps (§5.3).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -15,19 +15,35 @@ use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// A pool of I/O worker threads with an in-flight counter that supports
-/// barrier semantics.
+/// A pool of I/O worker threads. Every job holds a ticket in queue order
+/// until it finishes, so the pool knows whether anything queued before a
+/// given job is still running: enough for a barrier that waits out
+/// everything in flight and for an ordered job that runs only once
+/// everything queued before it has.
 pub(crate) struct IoPool {
     tx: Option<Sender<Job>>,
-    in_flight: Arc<AtomicU64>,
+    tickets: Arc<Mutex<Tickets>>,
     workers: Vec<JoinHandle<()>>,
+}
+
+#[derive(Default)]
+struct Tickets {
+    next: u64,
+    /// Tickets of the jobs queued or running, oldest first.
+    unfinished: VecDeque<u64>,
+}
+
+/// Spins until `done(tickets)` holds.
+fn wait_for(tickets: &Mutex<Tickets>, done: impl Fn(&Tickets) -> bool) {
+    while !done(&tickets.lock().unwrap()) {
+        std::thread::yield_now();
+    }
 }
 
 impl IoPool {
     pub fn new(threads: usize) -> Self {
         assert!(threads >= 1);
         let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
-        let in_flight = Arc::new(AtomicU64::new(0));
         let workers = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
@@ -41,17 +57,37 @@ impl IoPool {
                     .expect("spawn I/O worker")
             })
             .collect();
-        Self { tx: Some(tx), in_flight, workers }
+        Self { tx: Some(tx), tickets: Arc::default(), workers }
     }
 
-    /// Queues a job. The in-flight counter is decremented only after the job
-    /// (including its CQE push and the ring's waker) finishes.
+    /// Queues a job. It counts as finished only once it has returned,
+    /// including its CQE push and the ring's waker.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let in_flight = self.in_flight.clone();
+        self.enqueue(false, job);
+    }
+
+    /// Queues a job that runs only once every job queued before it has
+    /// finished: a barrier's CQE. Jobs queued earlier were dequeued earlier,
+    /// so it waits only on jobs other workers are already running.
+    pub fn submit_ordered<F: FnOnce() + Send + 'static>(&self, job: F) {
+        self.enqueue(true, job);
+    }
+
+    fn enqueue<F: FnOnce() + Send + 'static>(&self, ordered: bool, job: F) {
+        let tickets = self.tickets.clone();
+        // Ticket and send under one lock: queue order is ticket order.
+        let mut t = self.tickets.lock().unwrap();
+        let ticket = t.next;
+        t.next += 1;
+        t.unfinished.push_back(ticket);
         let wrapped: Job = Box::new(move || {
+            if ordered {
+                wait_for(&tickets, |t| t.unfinished.front() == Some(&ticket));
+            }
             job();
-            in_flight.fetch_sub(1, Ordering::SeqCst);
+            let mut t = tickets.lock().unwrap();
+            let at = t.unfinished.iter().position(|&u| u == ticket).expect("queued ticket");
+            t.unfinished.remove(at);
         });
         self.tx
             .as_ref()
@@ -60,11 +96,10 @@ impl IoPool {
             .expect("I/O workers alive");
     }
 
-    /// Spins until every submitted job has completed.
+    /// Spins until no job is queued or running, including any submitted
+    /// while it waits.
     pub fn barrier(&self) {
-        while self.in_flight.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
+        wait_for(&self.tickets, |t| t.unfinished.is_empty());
     }
 }
 

@@ -7,11 +7,14 @@
 //! last checkpoint's t2"; some deployments need the stricter contract that a
 //! *acknowledged* operation survives any crash. This crate provides that as a
 //! sidecar log: sessions append one record per mutating operation and learn
-//! durability when the record's **group** is flushed. A single commit thread
-//! batches appends from all sessions under a tunable batch window, writes the
-//! group with one device write, and issues one `flush_barrier` for the whole
-//! group — amortizing the fsync across every session in the batch, which is
-//! what makes per-op durability affordable at high session counts.
+//! durability when the record's **group** is flushed. There is no commit
+//! thread. Whoever waits on records that no group has taken yet *leads*
+//! them: it takes everything staged, writes it with one device write, and
+//! queues one sync barrier behind it whose completion lands in the leader's
+//! own ring — the way the paper's sessions drive their own I/O completions
+//! (`CompletePending`, §5.3). One barrier covers every session in the
+//! group, which is what makes per-op durability affordable at high session
+//! counts.
 //!
 //! ## Record format
 //!
@@ -59,22 +62,35 @@
 //! prefix-persisted crash model keeps them intact no matter where the tear
 //! lands.
 //!
-//! The commit thread takes the whole staging buffer as the group's block and
-//! leaves a spare in its place, seeded with the new tail-sector image. The
-//! block's write CQE hands the buffer back, and it becomes the next spare:
-//! two buffers alternate, so in steady state neither appenders nor the
-//! commit thread allocate per group. Appenders wake the commit thread only
-//! when it is parked (it marks itself idle under the mutex before waiting),
-//! so a group costs one wake however many records it holds.
+//! A group is **kicked**: the whole staging buffer becomes its block and a
+//! spare seeded with the new tail-sector image takes its place; the write
+//! goes to the log's own ring and a [`Device::submit_sync`] barrier to the
+//! leader's ring, as a [`Wal::SYNC_CQE`]. One group is in flight at a time.
+//! The write's CQE hands the block back and it becomes the next spare: two
+//! buffers alternate, so in steady state nobody allocates per group. What
+//! kicks is [`Wal::notify_durable`] on an idle log (a session's
+//! once-per-pass durability request, or a blocking [`Wal::wait_durable`],
+//! which first lingers for [`WalConfig::batch_window`]); an append that
+//! finds the stage past 64 KiB with no group in flight, so a bulk load that
+//! never waits still commits in bounded memory; and dropping the log, so
+//! staged records still reach the device.
+//!
+//! An append has no ring of its own and does not wait: the sync of a group
+//! it leads goes to a ring the log owns, and the next full-stage append or
+//! the first waiter — whichever comes first — reaps it before anything
+//! else. A bulk load's device time therefore overlaps its appends.
 //!
 //! ## Durability waits
 //!
 //! What is durable is one watermark, [`Wal::durable_lsn`]: every record at
-//! or below it. Waiting for it has one notification route: a [`Cqe`] pushed
-//! into a [`CompletionRing`] when the covering group acks or the log fails
-//! ([`Wal::notify_durable`]). [`Wal::wait_durable`] is that notice on a
-//! private ring, parked on with [`CompletionRing::wait_one`] — the shape of
-//! `Device::read_blocking`.
+//! or below it. The leader publishes it. Handing the reaped sync CQE to
+//! [`Wal::reap_sync`] stores the group's last LSN, pushes a notice CQE into
+//! every other covered waiter's ring, and kicks the next staged group into
+//! the ring of a waiter it does not yet cover — so the sync of every group
+//! a waiter leads is bound for a ring whose owner is waiting, and a waiter
+//! never waits on a group an append leads without reaping it itself. None
+//! of this runs in a device completion or a ring waker, and the reaper
+//! pushes no notice into the ring it is reaping, so it never wakes itself.
 //!
 //! ## Failure contract
 //!
@@ -87,7 +103,7 @@
 use faster_metrics::WalMetrics;
 use faster_storage::{CompletionRing, Cqe, Device, IoError, Sqe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Log sequence number. 1-based; 0 means "nothing" (no record, no coverage).
@@ -97,16 +113,21 @@ pub type Lsn = u64;
 pub const RECORD_HEADER: usize = 24;
 
 /// Capacity each staging buffer is given and keeps between groups (a
-/// multiple of any sector size). A larger group — a bulk load — grows its
-/// buffer; the commit thread trims it back before reusing it.
+/// multiple of any sector size). An append that finds the stage past it
+/// with no group in flight kicks one; appends while a group is in flight
+/// grow the buffer, and [`Wal::reap_sync`] trims it back before reuse.
 const STAGE_CAPACITY: usize = 64 << 10;
+
+/// Re-check bound for a waiter parked on its ring; a CQE wakes it sooner.
+const PARK: Duration = Duration::from_millis(100);
 
 /// Tuning knobs for the log.
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
-    /// How long the commit thread lingers after the first append of a group
-    /// to let more sessions join before the single flush. Zero = commit as
-    /// fast as the device allows (groups still form under barrier latency).
+    /// How long a blocking [`Wal::wait_durable`] lingers before it leads a
+    /// group, to let more sessions join before the single sync. Zero =
+    /// commit as fast as the device allows (groups still form while a sync
+    /// is in flight).
     pub batch_window: Duration,
     /// Segment size in bytes; records never span segments. Must be a
     /// multiple of the device sector size and larger than any record.
@@ -141,6 +162,17 @@ impl Notice {
     }
 }
 
+/// The group on the device: its write completes into the log's own ring,
+/// its sync into its leader's.
+struct Group {
+    last_lsn: Lsn,
+    records: u64,
+    /// When its first record was appended (commit latency).
+    started: Instant,
+    /// Led by an append: its sync completes into `Wal::appends`.
+    by_append: bool,
+}
+
 struct WalState {
     /// Logical end of the log: the byte after the last staged record (or
     /// pad).
@@ -150,45 +182,49 @@ struct WalState {
     /// The next group's device block, covering `[tail - stage.len(), tail)`:
     /// the image of the partial tail sector already on disk (sector-aligned
     /// start, rewritten byte-identically), then every record appended since
-    /// the commit thread last took the stage.
+    /// the last kick.
     stage: Vec<u8>,
-    /// Records in `stage`; zero means there is nothing to commit.
+    /// Records in `stage`.
     staged: u64,
-    /// When the first record in `stage` was appended (commit latency).
+    /// When the first record in `stage` was appended.
     group_started: Instant,
-    /// Set by the commit thread, under this lock, just before it parks on
-    /// `appended`; the append that finds it set clears it and wakes it.
-    committer_idle: bool,
+    /// The group whose write and sync are outstanding; `None` = idle, and
+    /// every record above the watermark is staged.
+    in_flight: Option<Group>,
+    /// The last group's block, handed back by its write CQE: the next stage.
+    spare: Vec<u8>,
     /// `(offset, first lsn)` of every segment that holds records, for
     /// LSN-addressed truncation.
     segment_starts: Vec<(u64, Lsn)>,
     /// Sticky group-commit failure: set once, never cleared.
     failed: Option<IoError>,
-    shutdown: bool,
-    /// Outstanding durability notices, delivered by the commit thread on
-    /// every ack (and failed wholesale on a sticky failure or shutdown).
+    /// Waiters on LSNs not yet durable. Only while a group a waiter leads is
+    /// in flight: its reap answers the covered ones and leads the next group
+    /// for the rest.
     notices: Vec<Notice>,
-}
-
-struct Shared {
-    device: Arc<dyn Device>,
-    cfg: WalConfig,
-    metrics: Arc<WalMetrics>,
-    state: Mutex<WalState>,
-    /// Wakes the parked commit thread when a group's first record is
-    /// appended (or on shutdown).
-    appended: Condvar,
-    /// Highest LSN known durable (all LSNs ≤ this are durable).
-    durable: AtomicU64,
 }
 
 /// The group-committed write-ahead log. See module docs.
 pub struct Wal {
-    shared: Arc<Shared>,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    device: Arc<dyn Device>,
+    cfg: WalConfig,
+    metrics: Arc<WalMetrics>,
+    state: Mutex<WalState>,
+    /// Highest LSN known durable (all LSNs ≤ this are durable).
+    durable: AtomicU64,
+    /// Where group writes complete; read by whoever reaps the group's sync.
+    writes: Arc<CompletionRing>,
+    /// Where the sync of a group an append led completes.
+    appends: Arc<CompletionRing>,
+    /// Held while reaping `appends`, whose one CQE only one thread can take.
+    append_reaper: Mutex<()>,
 }
 
 impl Wal {
+    /// The id of a group's sync CQE in its leader's ring: hand that CQE to
+    /// [`Wal::reap_sync`].
+    pub const SYNC_CQE: u64 = u64::MAX;
+
     /// A fresh, empty log on `device`, starting at LSN 1.
     pub fn new(device: Arc<dyn Device>, cfg: WalConfig) -> Arc<Self> {
         Self::with_metrics(device, cfg, Arc::new(WalMetrics::default()))
@@ -200,7 +236,7 @@ impl Wal {
         cfg: WalConfig,
         metrics: Arc<WalMetrics>,
     ) -> Arc<Self> {
-        Self::start(device, cfg, metrics, ScanResult::fresh(), 0)
+        Self::start(device, cfg, metrics, ScanResult::default(), 0)
     }
 
     /// Scans the surviving log on `device`, returning the log (resumed at
@@ -235,7 +271,7 @@ impl Wal {
         let last = scan.last_lsn.max(skip_lsn);
         let mut stage = Vec::with_capacity(STAGE_CAPACITY);
         stage.extend_from_slice(&scan.tail_sector);
-        let shared = Arc::new(Shared {
+        Arc::new(Self {
             device,
             cfg,
             metrics,
@@ -246,24 +282,18 @@ impl Wal {
                 stage,
                 staged: 0,
                 group_started: Instant::now(),
-                committer_idle: false,
+                in_flight: None,
+                spare: Vec::with_capacity(STAGE_CAPACITY),
                 segment_starts: scan.segment_starts,
                 failed: None,
-                shutdown: false,
                 notices: Vec::new(),
             }),
-            appended: Condvar::new(),
             // Everything that survived on disk is durable by definition.
             durable: AtomicU64::new(scan.last_lsn),
-        });
-        let worker = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("faster-wal-commit".into())
-                .spawn(move || commit_loop(&shared))
-                .expect("spawn WAL commit thread")
-        };
-        Arc::new(Self { shared, worker: Mutex::new(Some(worker)) })
+            writes: Arc::new(CompletionRing::new()),
+            appends: Arc::new(CompletionRing::new()),
+            append_reaper: Mutex::new(()),
+        })
     }
 
     /// Appends one record of `len` payload bytes and returns its LSN. Under
@@ -277,17 +307,20 @@ impl Wal {
     /// appender waits behind it.
     ///
     /// The record is **not durable** yet: pair with [`Wal::wait_durable`] /
-    /// [`Wal::notify_durable`]. Fails if the record cannot fit in a segment
-    /// or the log has already hit a sticky commit failure.
+    /// [`Wal::notify_durable`]. An append that leaves the stage past its
+    /// capacity leads it as a group unless one is in flight — first reaping
+    /// the previous group an append led, if that is the one. Fails if the
+    /// record cannot fit in a segment or the log has already hit a sticky
+    /// commit failure.
     pub fn append_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Result<Lsn, IoError> {
-        let seg = self.shared.cfg.segment_size;
+        let seg = self.cfg.segment_size;
         let total = RECORD_HEADER + len;
         if total as u64 > seg {
             return Err(IoError::Failed(format!(
                 "WAL record of {total} bytes exceeds segment size {seg}"
             )));
         }
-        let mut guard = self.shared.state.lock().unwrap();
+        let mut guard = self.state.lock().unwrap();
         let st = &mut *guard;
         if let Some(e) = &st.failed {
             return Err(e.clone());
@@ -317,15 +350,28 @@ impl Wal {
         fill(&mut rec[RECORD_HEADER..]);
         let sum = faster_util::hash_bytes(&rec[8..]);
         rec[..8].copy_from_slice(&sum.to_le_bytes());
-        self.shared.metrics.appends.inc();
-        self.shared.metrics.bytes.add(total as u64);
-        let wake = std::mem::take(&mut st.committer_idle);
+        self.metrics.appends.inc();
+        self.metrics.bytes.add(total as u64);
+        let full = st.stage.len() > STAGE_CAPACITY;
         drop(guard);
-        if wake {
-            self.shared.metrics.wakes.inc();
-            self.shared.appended.notify_one();
+        if full {
+            self.reap_append_led();
+            let st = self.state.lock().unwrap();
+            if st.in_flight.is_none() && st.failed.is_none() {
+                self.kick(st, &self.appends, true);
+            }
         }
         Ok(lsn)
+    }
+
+    /// Waits for the sync of the group in flight and publishes it, if an
+    /// append led that group: whoever touches the log next owns it.
+    fn reap_append_led(&self) {
+        let _reaper = self.append_reaper.lock().unwrap();
+        if self.state.lock().unwrap().in_flight.as_ref().is_some_and(|g| g.by_append) {
+            // A failed group is sticky: every later wait reports it.
+            let _ = self.reap_sync(self.appends.wait_one(), &self.appends);
+        }
     }
 
     /// Appends one record holding `payload`; see [`Wal::append_with`].
@@ -335,72 +381,174 @@ impl Wal {
 
     /// Blocks until every record with LSN ≤ `lsn` is durable, or the log
     /// fails. An `Err` means the record's group was **never acknowledged**.
-    /// A [`Wal::notify_durable`] notice on a private ring, parked on until
-    /// its one CQE arrives.
+    /// Lingers for the batch window, then waits on a private ring — leading
+    /// the staged group itself if the log is idle.
     pub fn wait_durable(&self, lsn: Lsn) -> Result<(), IoError> {
         if self.durable_lsn() >= lsn {
             return Ok(());
         }
-        let ring = Arc::new(CompletionRing::new());
-        self.notify_durable(lsn, 0, &ring);
-        ring.wait_one().map(|_| ())
+        std::thread::sleep(self.cfg.batch_window); // a zero window does not sleep
+        self.wait_on(lsn, &Arc::new(CompletionRing::new()))
     }
 
-    /// Registers a ring-routed durability notice: once every record with
-    /// LSN ≤ `lsn` is durable, a [`Cqe`] echoing `id` (empty bytes) is
-    /// pushed into `ring`; if the log fails first — or has already failed,
-    /// or is shutting down — the CQE carries the error instead. Exactly one
-    /// CQE is delivered per call, immediately when the answer is already
-    /// known. This is the log's one durability route: a consumer
-    /// multiplexing a [`CompletionRing`] (disk reads, socket readiness)
-    /// learns group-commit durability through the same reap loop, and
-    /// [`Wal::wait_durable`] parks on a private ring for it.
+    /// Parks on the private `ring` until `lsn` is durable or the log fails,
+    /// reaping the sync of any group the wait leads.
+    fn wait_on(&self, lsn: Lsn, ring: &Arc<CompletionRing>) -> Result<(), IoError> {
+        self.notify_durable(lsn, 0, ring);
+        let mut cqes = Vec::new();
+        while self.durable_lsn() < lsn {
+            while ring.reap(&mut cqes) == 0 {
+                ring.wait_nonempty(PARK);
+            }
+            for cqe in cqes.drain(..) {
+                match cqe.id {
+                    Self::SYNC_CQE => self.reap_sync(cqe.result, ring)?,
+                    _ => cqe.result.map(drop)?,
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Asks for one CQE in `ring` once every record with LSN ≤ `lsn` is
+    /// durable: a [`Cqe`] echoing `id` (empty bytes), or the error if the
+    /// log fails first. It is pushed at once when the answer is known (the
+    /// LSN is durable, or the log has failed); while a group is in flight it
+    /// waits as a notice. On an idle log — every record above the watermark
+    /// staged — the caller instead **leads** the staged group, which covers
+    /// `lsn`: its sync CQE lands in `ring` as [`Wal::SYNC_CQE`].
+    ///
+    /// A notice can also become a lead: the reap of the group in flight
+    /// kicks the next group into the ring of a waiter it does not cover. So
+    /// whoever passes a ring here must keep reaping it and hand any
+    /// `SYNC_CQE` to [`Wal::reap_sync`] — every later group waits on that.
+    /// This is the log's one durability route: a consumer multiplexing a
+    /// [`CompletionRing`] (disk reads, socket readiness) learns group-commit
+    /// durability through the same reap loop, and [`Wal::wait_durable`]
+    /// parks on a private ring for it.
     pub fn notify_durable(&self, lsn: Lsn, id: u64, ring: &Arc<CompletionRing>) {
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            ring.push(Cqe { id, result: Ok(Vec::new()) });
-            return;
+        let mut st = self.state.lock().unwrap();
+        // Checked under the lock, so no reap can answer its notices between
+        // the check and the registration.
+        let answer = loop {
+            if self.durable_lsn() >= lsn {
+                break Ok(());
+            }
+            if let Some(e) = st.failed.clone() {
+                break Err(e);
+            }
+            match &st.in_flight {
+                None => return self.kick(st, ring, false),
+                // Nobody is woken by the sync of a group an append leads:
+                // the first waiter reaps it before it waits on anything.
+                Some(g) if g.by_append => {
+                    drop(st);
+                    self.reap_append_led();
+                    st = self.state.lock().unwrap();
+                }
+                Some(_) => return st.notices.push(Notice { lsn, id, ring: Arc::clone(ring) }),
+            }
+        };
+        drop(st);
+        ring.push(Cqe { id, result: answer.map(|()| Vec::new()) });
+    }
+
+    /// Kicks the staged group: takes the stage as its block under the lock,
+    /// then submits the write into the log's own ring and the sync behind
+    /// it into the leader's `ring`.
+    fn kick(&self, mut st: MutexGuard<'_, WalState>, ring: &Arc<CompletionRing>, by_append: bool) {
+        let sector = self.device.sector_size() as u64;
+        let tail = st.tail;
+        let write_off = tail - st.stage.len() as u64;
+        debug_assert_eq!(write_off % sector, 0);
+        // The spare replaces the stage, seeded with the new partial tail
+        // sector — the identical prefix the next group rewrites, so tearing
+        // that write cannot damage this group.
+        let spare = std::mem::take(&mut st.spare);
+        let mut block = std::mem::replace(&mut st.stage, spare);
+        let sector_start = (tail / sector * sector - write_off) as usize;
+        st.stage.extend_from_slice(&block[sector_start..]);
+        let records = std::mem::take(&mut st.staged);
+        let started = st.group_started;
+        st.in_flight = Some(Group { last_lsn: st.next_lsn - 1, records, started, by_append });
+        drop(st);
+        block.resize(block.len().next_multiple_of(sector as usize), 0);
+        self.device.submit(Sqe::write(0, write_off, block, &self.writes));
+        self.device.submit_sync(Self::SYNC_CQE, ring);
+    }
+
+    /// Publishes the group a reaped [`Wal::SYNC_CQE`] answers; its leader,
+    /// the owner of `ring`, hands the CQE's result here. The group's write
+    /// has completed by then. On success the group's last LSN becomes the
+    /// watermark, every other ring with a covered notice gets its CQE, and
+    /// the next staged group is led into the ring of the first waiter it
+    /// does not cover. On failure the log fails for good, every other
+    /// waiter learns it, and the error is returned.
+    pub fn reap_sync(
+        &self,
+        synced: Result<Vec<u8>, IoError>,
+        ring: &Arc<CompletionRing>,
+    ) -> Result<(), IoError> {
+        let written = self.writes.wait_one();
+        let mut st = self.state.lock().unwrap();
+        let group = st.in_flight.take().expect("a sync CQE answers the group in flight");
+        let mine = |n: &Notice| Arc::ptr_eq(&n.ring, ring);
+        let mut block = match written.and_then(|block| synced.map(|_| block)) {
+            Ok(block) => block,
+            Err(e) => {
+                // Sticky: the group (and everything after) is never acked.
+                self.metrics.commit_failures.inc();
+                st.failed = Some(e.clone());
+                for n in std::mem::take(&mut st.notices).iter().filter(|n| !mine(n)) {
+                    n.deliver(Err(e.clone()));
+                }
+                return Err(e);
+            }
+        };
+        block.clear();
+        block.shrink_to(STAGE_CAPACITY);
+        block.reserve(STAGE_CAPACITY);
+        st.spare = block;
+        self.durable.store(group.last_lsn, Ordering::SeqCst);
+        self.metrics.commits.inc();
+        self.metrics.group_size.record(group.records);
+        self.metrics.commit_latency.record(group.started.elapsed().as_nanos() as u64);
+        // Everything above the watermark is staged, so the group kicked into
+        // the first uncovered waiter's ring covers every notice left.
+        let next = st.notices.iter().find(|n| n.lsn > group.last_lsn).map(|n| n.ring.clone());
+        st.notices.retain(|n| {
+            let covered = n.lsn <= group.last_lsn;
+            if covered && !mine(n) {
+                n.deliver(Ok(()));
+            }
+            !covered
+        });
+        if let Some(leader) = next {
+            self.kick(st, &leader, false);
         }
-        let mut st = self.shared.state.lock().unwrap();
-        // Re-check under the lock: an ack that raced us has already drained
-        // the notice list and would never see this registration.
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            drop(st);
-            ring.push(Cqe { id, result: Ok(Vec::new()) });
-            return;
-        }
-        if let Some(e) = st.failed.clone() {
-            drop(st);
-            ring.push(Cqe { id, result: Err(e) });
-            return;
-        }
-        if st.shutdown {
-            drop(st);
-            ring.push(Cqe { id, result: Err(IoError::Failed("WAL shut down".into())) });
-            return;
-        }
-        st.notices.push(Notice { lsn, id, ring: Arc::clone(ring) });
+        Ok(())
     }
 
     /// Highest LSN known durable (0 = none).
     pub fn durable_lsn(&self) -> Lsn {
-        self.shared.durable.load(Ordering::SeqCst)
+        self.durable.load(Ordering::SeqCst)
     }
 
     /// Highest LSN handed out by [`Wal::append_with`] (0 = none).
     pub fn last_appended_lsn(&self) -> Lsn {
-        self.shared.state.lock().unwrap().next_lsn - 1
+        self.state.lock().unwrap().next_lsn - 1
     }
 
     /// The sticky failure, if the log has hit one.
     pub fn failure(&self) -> Option<IoError> {
-        self.shared.state.lock().unwrap().failed.clone()
+        self.state.lock().unwrap().failed.clone()
     }
 
     /// Reclaims whole segments whose records are all ≤ `lsn` (typically a
     /// checkpoint's recorded WAL truncation point). Conservative: a segment
     /// survives unless every byte below its start is covered.
     pub fn truncate_below_lsn(&self, lsn: Lsn) {
-        let mut st = self.shared.state.lock().unwrap();
+        let mut st = self.state.lock().unwrap();
         let mut cut = 0u64;
         for &(off, first) in &st.segment_starts {
             // Records strictly below `off` all have LSN < `first`.
@@ -410,115 +558,29 @@ impl Wal {
         }
         if cut > 0 {
             st.segment_starts.retain(|&(off, _)| off >= cut);
-            self.shared.device.truncate_below(cut);
+            self.device.truncate_below(cut);
         }
     }
 
     /// The device this log writes to.
     pub fn device(&self) -> &Arc<dyn Device> {
-        &self.shared.device
+        &self.device
     }
 }
 
 impl Drop for Wal {
+    /// Staged records still reach the device: the drop leads them. A group a
+    /// waiter leads that is still in flight lost its leader with the last
+    /// handle on the log, and is left to the device.
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.appended.notify_all();
-        }
-        if let Some(h) = self.worker.lock().unwrap().take() {
-            let _ = h.join();
+        if self.state.lock().is_ok_and(|st| st.in_flight.as_ref().is_none_or(|g| g.by_append)) {
+            let _ = self.wait_on(self.last_appended_lsn(), &Arc::new(CompletionRing::new()));
         }
     }
 }
 
-/// The commit thread: take the stage, write, barrier, ack — one iteration
-/// per group.
-fn commit_loop(shared: &Shared) {
-    let sector = shared.device.sector_size() as u64;
-    // Group writes ride the submission/completion ring (DESIGN.md §9): the
-    // commit thread owns a private ring and submits each group block as a
-    // ring-routed SQE (id = the group's last LSN). One SQE is in flight at
-    // a time, and its CQE hands the block back as the next spare.
-    let ring = Arc::new(CompletionRing::new());
-    let mut spare = Vec::with_capacity(STAGE_CAPACITY);
-    loop {
-        let mut st = shared.state.lock().unwrap();
-        while st.staged == 0 {
-            if st.shutdown || st.failed.is_some() {
-                let err = st.failed.clone().unwrap_or(IoError::Failed("WAL shut down".into()));
-                fail_notices(&mut st, err);
-                return;
-            }
-            st.committer_idle = true;
-            st = shared.appended.wait(st).unwrap();
-        }
-        // Batch window: let more sessions join the group before the flush.
-        if !shared.cfg.batch_window.is_zero() && !st.shutdown {
-            drop(st);
-            std::thread::sleep(shared.cfg.batch_window);
-            st = shared.state.lock().unwrap();
-        }
-
-        // Take the stage as the group's block; the spare replaces it, seeded
-        // with the new partial tail sector — the identical prefix the next
-        // group rewrites, so tearing that write cannot damage this group.
-        let tail = st.tail;
-        let write_off = tail - st.stage.len() as u64;
-        debug_assert_eq!(write_off % sector, 0);
-        let mut block = std::mem::replace(&mut st.stage, std::mem::take(&mut spare));
-        let sector_start = (tail / sector * sector - write_off) as usize;
-        st.stage.extend_from_slice(&block[sector_start..]);
-        let records = std::mem::take(&mut st.staged);
-        let started = st.group_started;
-        let last_lsn = st.next_lsn - 1;
-        drop(st);
-
-        block.resize(block.len().next_multiple_of(sector as usize), 0);
-        shared.device.submit(Sqe::write(last_lsn, write_off, block, &ring));
-        let res = ring.wait_one().and_then(|mut written| {
-            written.clear();
-            written.shrink_to(STAGE_CAPACITY);
-            written.reserve(STAGE_CAPACITY);
-            spare = written;
-            shared.device.flush_barrier()
-        });
-
-        let mut st = shared.state.lock().unwrap();
-        match res {
-            Ok(()) => {
-                shared.durable.store(last_lsn, Ordering::SeqCst);
-                shared.metrics.commits.inc();
-                shared.metrics.group_size.record(records);
-                shared.metrics.commit_latency.record(started.elapsed().as_nanos() as u64);
-                // Deliver every notice the ack covers.
-                st.notices.retain(|n| {
-                    let covered = n.lsn <= last_lsn;
-                    if covered {
-                        n.deliver(Ok(()));
-                    }
-                    !covered
-                });
-            }
-            Err(e) => {
-                // Sticky: the group (and everything after) is never acked.
-                shared.metrics.commit_failures.inc();
-                st.failed = Some(e.clone());
-                fail_notices(&mut st, e);
-                return;
-            }
-        }
-    }
-}
-
-/// Fails every outstanding notice (sticky failure or shutdown).
-fn fail_notices(st: &mut WalState, err: IoError) {
-    for n in std::mem::take(&mut st.notices) {
-        n.deliver(Err(err.clone()));
-    }
-}
-
+/// What [`scan_device`] found; the default is a fresh, empty log.
+#[derive(Default)]
 struct ScanResult {
     records: Vec<WalRecord>,
     tail: u64,
@@ -528,25 +590,12 @@ struct ScanResult {
     segment_starts: Vec<(u64, Lsn)>,
 }
 
-impl ScanResult {
-    fn fresh() -> Self {
-        Self {
-            records: Vec::new(),
-            tail: 0,
-            last_lsn: 0,
-            max_generation: 0,
-            tail_sector: Vec::new(),
-            segment_starts: Vec::new(),
-        }
-    }
-}
-
 /// Walks the surviving log: skips truncated front segments, validates each
 /// record (checksum, LSN continuity, generation monotonicity), stops at the
 /// first invalid one — the torn-record cutoff.
 fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
     let sector = device.sector_size() as u64;
-    let mut out = ScanResult::fresh();
+    let mut out = ScanResult::default();
 
     // Find the first readable segment (truncation reclaims whole segments).
     let mut off = 0u64;
@@ -617,7 +666,7 @@ fn scan_device(device: &Arc<dyn Device>, seg: u64) -> ScanResult {
     out.max_generation = prev_gen;
     let aligned = off / sector * sector;
     if off > aligned {
-        // Rebuild the partial-tail-sector image the commit thread rewrites.
+        // Rebuild the partial-tail-sector image the next group rewrites.
         out.tail_sector =
             device.read_blocking(aligned, (off - aligned) as usize).unwrap_or_default();
     }
@@ -643,6 +692,16 @@ mod tests {
         let mut p = vec![0u8; 16 + (i % 48) as usize];
         p[..8].copy_from_slice(&i.to_le_bytes());
         p
+    }
+
+    /// Parks on `ring` until exactly one CQE is in it, and returns it.
+    fn reap_one(ring: &CompletionRing) -> Cqe {
+        let mut out = Vec::new();
+        while ring.reap(&mut out) == 0 {
+            ring.wait_nonempty(Duration::from_millis(50));
+        }
+        assert_eq!(out.len(), 1, "one CQE expected");
+        out.pop().unwrap()
     }
 
     #[test]
@@ -857,57 +916,76 @@ mod tests {
         assert_eq!(replay2.len(), 2, "gen 1 then gen 2 records chain fine");
     }
 
+    /// On an idle log a notice leads: the staged group's sync CQE lands in
+    /// the caller's ring, and only handing it to `reap_sync` publishes the
+    /// watermark and answers the other waiters.
     #[test]
     fn notify_durable_delivers_cqes_for_acked_groups() {
-        let dev: Arc<dyn Device> = MemDevice::new(1);
-        let wal = fresh(dev, 2_000, 1 << 16);
-        let ring = Arc::new(CompletionRing::new());
+        let wal = fresh(MemDevice::new(1), 0, 1 << 16);
+        let (leader, other) = (Arc::new(CompletionRing::new()), Arc::new(CompletionRing::new()));
         let lsn = wal.append(b"hello").unwrap();
-        wal.notify_durable(lsn, 42, &ring);
-        // Park on the ring until the group commits — no condvar involved.
-        let mut out = Vec::new();
-        while out.is_empty() {
-            ring.wait_nonempty(Duration::from_millis(50));
-            ring.reap(&mut out);
-        }
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].id, 42);
-        assert!(out[0].result.is_ok());
+        wal.notify_durable(lsn, 42, &leader);
+        // A group is in flight now: this registration waits as a notice.
+        wal.notify_durable(lsn, 43, &other);
+        let sync = reap_one(&leader);
+        assert_eq!(sync.id, Wal::SYNC_CQE);
+        assert_eq!(wal.durable_lsn(), 0, "the device alone publishes nothing");
+        wal.reap_sync(sync.result, &leader).unwrap();
+        assert_eq!(wal.durable_lsn(), lsn);
+        let notice = reap_one(&other);
+        assert_eq!((notice.id, notice.result), (43, Ok(Vec::new())));
         // Already durable: the CQE is pushed synchronously.
-        wal.notify_durable(lsn, 43, &ring);
-        out.clear();
-        assert_eq!(ring.reap(&mut out), 1);
-        assert_eq!(out[0].id, 43);
+        wal.notify_durable(lsn, 44, &other);
+        assert_eq!(reap_one(&other).id, 44);
         // LSN 0 (nothing appended) is trivially durable.
-        wal.notify_durable(0, 44, &ring);
-        out.clear();
-        assert_eq!(ring.reap(&mut out), 1);
+        wal.notify_durable(0, 45, &other);
+        assert_eq!(reap_one(&other).id, 45);
+        assert!(leader.is_empty(), "the reaper pushes no notice into its own ring");
+    }
+
+    /// A reaped group leads the next one into the ring of a waiter it does
+    /// not cover, in place of that waiter's notice.
+    #[test]
+    fn reap_leads_the_next_group_into_an_uncovered_waiter() {
+        let wal = fresh(MemDevice::new(1), 0, 1 << 16);
+        let (a, b) = (Arc::new(CompletionRing::new()), Arc::new(CompletionRing::new()));
+        let first = wal.append(b"first").unwrap();
+        wal.notify_durable(first, 1, &a);
+        let second = wal.append(b"second").unwrap();
+        wal.notify_durable(second, 2, &b);
+        let sync = reap_one(&a);
+        wal.reap_sync(sync.result, &a).unwrap();
+        assert_eq!(wal.durable_lsn(), first);
+        let sync = reap_one(&b);
+        assert_eq!(sync.id, Wal::SYNC_CQE, "b leads the group holding its record");
+        wal.reap_sync(sync.result, &b).unwrap();
+        assert_eq!(wal.durable_lsn(), second);
+        assert!(a.is_empty() && b.is_empty());
     }
 
     #[test]
     fn notify_durable_fails_notices_on_sticky_failure() {
         let dev = FaultDevice::wrap(MemDevice::new(1));
         dev.fail_flush_at(0);
-        let wal = Wal::new(dev, WalConfig { batch_window: Duration::from_millis(20), segment_size: 1 << 16 });
-        let ring = Arc::new(CompletionRing::new());
+        let wal = Wal::new(dev, WalConfig::default());
+        let (leader, other) = (Arc::new(CompletionRing::new()), Arc::new(CompletionRing::new()));
         let lsn = wal.append(b"doomed").unwrap();
-        wal.notify_durable(lsn, 7, &ring);
-        let mut out = Vec::new();
-        while out.is_empty() {
-            ring.wait_nonempty(Duration::from_millis(50));
-            ring.reap(&mut out);
-        }
-        assert_eq!(out[0].id, 7);
-        assert!(out[0].result.is_err(), "failed group must fail its notices");
+        wal.notify_durable(lsn, 7, &leader);
+        wal.notify_durable(lsn, 8, &other);
+        let sync = reap_one(&leader);
+        assert!(wal.reap_sync(sync.result, &leader).is_err(), "the leader learns the failure");
+        let notice = reap_one(&other);
+        assert_eq!(notice.id, 8);
+        assert!(notice.result.is_err(), "failed group must fail its notices");
         // Registrations after the failure learn it immediately.
-        wal.notify_durable(lsn, 8, &ring);
-        out.clear();
-        assert_eq!(ring.reap(&mut out), 1);
-        assert!(out[0].result.is_err());
+        wal.notify_durable(lsn, 9, &other);
+        assert!(reap_one(&other).result.is_err());
     }
 
+    /// Groups are cut by kicks, not by scheduling: each round's one wait
+    /// commits exactly the round's 64 appends.
     #[test]
-    fn appends_wake_the_committer_at_most_once_per_group() {
+    fn one_wait_commits_one_group() {
         let metrics = Arc::new(WalMetrics::default());
         let wal = Wal::with_metrics(MemDevice::new(1), WalConfig::default(), metrics.clone());
         for group in 0..1_000u64 {
@@ -918,8 +996,25 @@ mod tests {
             wal.wait_durable(lsn).unwrap();
         }
         assert_eq!(metrics.appends.get(), 64_000);
-        let (wakes, commits) = (metrics.wakes.get(), metrics.commits.get());
-        assert!(wakes <= commits + 1, "{wakes} committer wakes for {commits} commits");
+        assert_eq!(metrics.commits.get(), 1_000);
+    }
+
+    /// Appends that never wait still commit, a stage's worth at a time: each
+    /// full stage reaps the group the previous one led and leads its own.
+    #[test]
+    fn a_full_stage_leads_a_group() {
+        let metrics = Arc::new(WalMetrics::default());
+        let wal = Wal::with_metrics(MemDevice::new(1), WalConfig::default(), metrics.clone());
+        let records = 5 * STAGE_CAPACITY as u64 / 64;
+        for i in 0..records {
+            wal.append(&[i as u8; 40]).unwrap();
+        }
+        let commits = metrics.commits.get();
+        assert!(commits >= 3, "{commits} groups committed for five stages of appends");
+        assert!(wal.durable_lsn() > 0);
+        // A waiter reaps the group the last full stage led, then leads the rest.
+        wal.wait_durable(records).unwrap();
+        assert_eq!(wal.durable_lsn(), records);
     }
 
     #[test]

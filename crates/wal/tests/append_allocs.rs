@@ -1,10 +1,11 @@
 //! An append allocates nothing on the appender's thread once the log has
 //! warmed up: the record is encoded straight into the staging buffer, and
-//! the commit thread swaps in a reused buffer when it takes a group.
+//! a group's kick swaps in the buffer the previous group's write handed
+//! back.
 //!
 //! The counting allocator counts only while the calling thread has switched
-//! counting on, so the commit thread's and the device threads' allocations
-//! never reach the total.
+//! counting on around an append, so the group commits the waits lead and
+//! the device threads' allocations never reach the total.
 
 use faster_storage::MemDevice;
 use faster_wal::{Wal, WalConfig};

@@ -24,7 +24,6 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -199,20 +198,22 @@ fn commands_allocate_nothing_between_bytes_and_reply() {
         (at_64 as f64 - at_1 as f64) / extra_commands
     );
 
-    // Group commits allocate on the commit path, and how many commits a
-    // window takes is up to scheduling: with no batch window the commit
-    // thread cuts a depth-64 window into about ten groups in a debug build.
-    // A 1 ms window lets each window's mutations share about one group at
-    // either depth, and the per-command share is bounded rather than zero.
-    let wal = WalConfig { batch_window: Duration::from_millis(1), ..WalConfig::default() };
+    // A group commit allocates (device jobs, CQEs), and the worker kicks one
+    // group per pass, so a window's mutations share one group at either
+    // depth. Depth-1 windows that only read commit nothing, so the share per
+    // extra command is small rather than zero.
     let wal_store = FasterKv::new_with_wal(
-        store_cfg().with_wal(wal),
+        store_cfg().with_wal(WalConfig::default()),
         CountStore,
         MemDevice::new(1),
         MemDevice::new(1),
     );
     let (at_64, at_1) = allocs_by_depth(wal_store, 8);
     let per_command = (at_64 as f64 - at_1 as f64) / extra_commands;
+    println!(
+        "with a WAL: {at_64} allocations at depth 64, {at_1} at depth 1, \
+         {per_command:.3} per extra command"
+    );
     assert!(
         per_command < 0.5,
         "with a WAL, {WINDOWS} windows allocated {at_64} times at depth 64 and {at_1} at \

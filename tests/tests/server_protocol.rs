@@ -370,17 +370,17 @@ fn refused_append_is_never_acked() {
             assert_eq!(c.read_reply(), Some(Reply::Simple("OK".into())));
         }
 
-        // A second session's group fails its barrier; nobody waits on it, so
-        // the store has not degraded — only the WAL knows.
+        // A second session's group fails its barrier. It is committed by a
+        // bare WAL wait no session sees, so the store has not degraded —
+        // only the WAL knows.
         wal_fault.fail_flush_at(0);
         {
             let other = store.start_session();
             other.upsert(&100, &1).unwrap();
         }
         let wal = store.wal().unwrap();
-        while wal.failure().is_none() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert!(wal.wait_durable(wal.last_appended_lsn()).is_err());
+        assert!(wal.failure().is_some());
         assert_eq!(store.health(), StoreHealth::Healthy);
 
         c.send(b"SET 2 22\r\n");

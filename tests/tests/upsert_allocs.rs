@@ -4,8 +4,8 @@
 //! log's staging buffer) all run on memory that already exists.
 //!
 //! The counting allocator counts only while the calling thread has switched
-//! counting on, so the WAL commit thread's and the device threads'
-//! allocations never reach the total.
+//! counting on around an upsert, so the group commits its durability waits
+//! lead and the device threads' allocations never reach the total.
 
 use faster_core::{CountStore, FasterKv, WalConfig};
 use faster_integration_tests::fault_harness::harness_cfg;

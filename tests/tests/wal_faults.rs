@@ -19,9 +19,10 @@ use faster_integration_tests::fault_harness::{
 };
 use faster_integration_tests::read_blocking as session_read;
 use faster_metrics::WalMetrics;
-use faster_storage::{Device, FaultDevice, MemDevice, TornWrite};
+use faster_storage::{Device, FaultDevice, LatencyModel, MemDevice, TornWrite};
 use faster_wal::Wal;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// Tentpole sweep, write axis: crash at every device write the run issues,
 /// cycling the torn-write model so the sweep sees nothing-persisted,
@@ -310,4 +311,162 @@ fn in_place_post_images_follow_lsn_order() {
     let inversions = posts.windows(2).filter(|w| w[1] < w[0]).count();
     assert_eq!(inversions, 0, "post-images went backwards {inversions} times in LSN order");
     assert_eq!(posts.last(), Some(&(2 * PER_THREAD)));
+}
+
+/// How long a durability wait may take in the leader-lifecycle tests: a
+/// group is a few milliseconds on their device, so only a stranded group
+/// comes near it.
+const PROMPT: Duration = Duration::from_secs(1);
+
+/// A WAL store whose group commits take a few milliseconds, so a group a
+/// session leads is still in flight when the test's next step runs.
+fn slow_wal_store() -> FasterKv<u64, u64, CountStore> {
+    let latency = LatencyModel { fixed: Duration::from_millis(5), bytes_per_sec: 0 };
+    FasterKv::new_with_wal(
+        wal_harness_cfg(),
+        CountStore,
+        MemDevice::new(2),
+        MemDevice::with_latency(1, latency),
+    )
+}
+
+/// Leads a group from `session`'s own ring the way a server pass does: the
+/// pass promises to wait for its appends, and `complete_pending` asks.
+fn lead_a_group(session: &faster_core::Session<u64, u64, CountStore>, key: u64) {
+    session.upsert(&key, &(key + 10)).unwrap();
+    session.notify_wal_durable().expect("an append to wait for");
+    session.complete_pending(false);
+}
+
+/// Joins a waiter's thread, failing instead of hanging if its group is
+/// stranded.
+fn join_promptly<T>(who: &str, waiter: std::thread::JoinHandle<T>) -> T {
+    let deadline = Instant::now() + PROMPT;
+    while !waiter.is_finished() {
+        assert!(Instant::now() < deadline, "{who}'s durability wait is stranded");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    waiter.join().unwrap()
+}
+
+/// A record appended after another session's group was taken rides the
+/// next group, and both sessions' waits return promptly.
+#[test]
+fn a_record_appended_behind_a_taken_group_commits() {
+    let store = slow_wal_store();
+    let (taken_tx, taken_rx) = mpsc::channel();
+    let (appended_tx, appended_rx) = mpsc::channel();
+    let a = std::thread::spawn({
+        let store = store.clone();
+        move || {
+            let session = store.start_session();
+            lead_a_group(&session, 1);
+            taken_tx.send(()).unwrap();
+            appended_rx.recv().unwrap();
+            session.wait_wal_durable().unwrap();
+        }
+    });
+    let b = std::thread::spawn({
+        let store = store.clone();
+        move || {
+            taken_rx.recv().unwrap();
+            let session = store.start_session();
+            session.upsert(&2, &12).unwrap();
+            assert_eq!(store.wal().unwrap().durable_lsn(), 0, "A's group is still in flight");
+            appended_tx.send(()).unwrap();
+            session.wait_wal_durable().unwrap();
+        }
+    });
+    join_promptly("B", b);
+    join_promptly("A", a);
+    assert_eq!(store.wal().unwrap().durable_lsn(), 2);
+    assert_eq!(store.metrics().wal.commits, 2, "B's record rode a group of its own");
+}
+
+/// A session dropped while it leads a group reaps that group first, so a
+/// waiter queued behind it is not stranded.
+#[test]
+fn a_dropped_leader_does_not_strand_the_next_group() {
+    let store = slow_wal_store();
+    let (taken_tx, taken_rx) = mpsc::channel();
+    let (waiting_tx, waiting_rx) = mpsc::channel();
+    let a = std::thread::spawn({
+        let store = store.clone();
+        move || {
+            let session = store.start_session();
+            lead_a_group(&session, 1);
+            taken_tx.send(()).unwrap();
+            waiting_rx.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            drop(session);
+            assert!(store.wal().unwrap().durable_lsn() >= 1, "the drop published its group");
+        }
+    });
+    let b = std::thread::spawn({
+        let store = store.clone();
+        move || {
+            taken_rx.recv().unwrap();
+            let session = store.start_session();
+            session.upsert(&2, &12).unwrap();
+            waiting_tx.send(()).unwrap();
+            session.wait_wal_durable().unwrap();
+        }
+    });
+    join_promptly("the waiter behind a dropped leader", b);
+    join_promptly("the dropped leader", a);
+    assert_eq!(store.wal().unwrap().durable_lsn(), 2);
+}
+
+/// Upserts nobody waited for still reach the WAL device: full stages commit
+/// as they fill, and dropping the store leads the rest.
+#[test]
+fn unawaited_upserts_survive_dropping_the_store() {
+    const KEYS: u64 = 5_000;
+    let log_dev: Arc<dyn Device> = MemDevice::new(2);
+    let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
+    let wal_dev: Arc<dyn Device> = MemDevice::new(1);
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new_with_wal(wal_harness_cfg(), CountStore, log_dev.clone(), wal_dev.clone());
+    {
+        let session = store.start_session();
+        for k in 0..KEYS {
+            session.upsert(&k, &(k + 7)).unwrap();
+        }
+    }
+    assert!(store.metrics().wal.commits >= 1, "full stages commit without a wait");
+    drop(store);
+    wal_dev.flush_barrier().unwrap();
+
+    let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountStore>(
+        wal_harness_cfg(),
+        CountStore,
+        log_dev,
+        ckpt_dev,
+        wal_dev,
+        CheckpointConfig::default(),
+    )
+    .expect("recovery");
+    assert_eq!(rec.wal_replayed, KEYS as usize);
+    let session = rec.store.start_session();
+    for k in 0..KEYS {
+        assert_eq!(session_read(&session, k), Some(k + 7), "key {k}");
+    }
+}
+
+/// Group commit runs on the threads that wait for it: a WAL store starts no
+/// commit thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_wal_store_runs_no_commit_thread() {
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new_with_wal(wal_harness_cfg(), CountStore, MemDevice::new(2), MemDevice::new(1));
+    let session = store.start_session();
+    session.upsert(&1, &1).unwrap();
+    session.wait_wal_durable().unwrap();
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .collect();
+    assert!(!names.is_empty());
+    assert!(!names.iter().any(|n| n.trim() == "faster-wal-commit"), "threads: {names:?}");
 }
