@@ -12,12 +12,16 @@
 //! Pending disk reads are continuation-driven over the device's
 //! submission/completion ring: each op that misses memory parks its context
 //! in a continuation table keyed by a fresh id, and queues a ring-routed
-//! SQE carrying that id. [`Session::complete_pending`] drives the cycle —
-//! submit every queued SQE in one batched handoff, reap CQEs straight off
-//! the session's [`CompletionRing`] (one atomic swap, no thread hop, no
-//! lock), and resume each continuation by id. A single session can
-//! therefore keep hundreds of disk reads in flight: issue a batch of
-//! reads, then call `complete_pending` to overlap all of their I/O.
+//! SQE carrying that id. A batch call (`execute_batch`, `read_batch`,
+//! `rmw_batch`) hands the SQEs it queued to the device in one batched
+//! handoff before it returns, so its cold reads are in flight while the
+//! caller does other work (§5.3). [`Session::complete_pending`] drives the
+//! rest of the cycle — submit what scalar ops and continuations queued,
+//! reap CQEs straight off the session's [`CompletionRing`] (one atomic
+//! swap, no thread hop, no lock), and resume each continuation by id. A
+//! single session can therefore keep hundreds of disk reads in flight:
+//! issue a batch of reads, then call `complete_pending` to overlap all of
+//! their I/O.
 
 use crate::functions::Functions;
 use crate::record::{
@@ -349,7 +353,8 @@ pub struct Session<K: Pod, V: Pod, F: Functions<K, V>> {
     /// with the last reference.
     ring: Arc<CompletionRing>,
     /// Locally queued SQEs, handed to the device in one `submit_all` batch
-    /// per `complete_pending` pass.
+    /// at the end of each batch call and in each `complete_pending` pass
+    /// (what scalar ops and continuations queued).
     sq: RefCell<Vec<Sqe>>,
     /// Continuation table: pending ops keyed by their SQE id.
     pending: RefCell<ContinuationTable<K, V, F::Input>>,
@@ -1117,7 +1122,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     // index probe that the execute stage re-validates exactly the way the
     // scalar path does. Epoch refresh is amortized to once per batch, which
     // is also the natural cadence for draining I/O completions
-    // ([`Session::complete_pending`] once per batch, not once per op).
+    // ([`Session::complete_pending`] once per batch, not once per op). A
+    // batch that queued cold reads submits them in one `submit_all` before
+    // it returns, so the device works while the caller moves on.
 
     /// Reads a batch of keys with one shared `input`, returning one result
     /// per key in order. Equivalent to calling [`Session::read`] per key;
@@ -1157,6 +1164,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             out.push(r);
         }
         self.batch_tick(keys.len());
+        self.submit_queued();
         out
     }
 
@@ -1203,6 +1211,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             out.push(self.rmw_internal(key, hashes[i], input, None));
         }
         self.batch_tick(ops.len());
+        self.submit_queued();
         out
     }
 
@@ -1260,6 +1269,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             });
         }
         self.batch_tick(ops.len());
+        self.submit_queued();
         out
     }
 
@@ -1439,9 +1449,11 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     ///
     /// Each pass: run fuzzy retries, hand every queued SQE to the device in
     /// one `submit_all` batch, reap CQEs straight off the ring, and resume
-    /// each continuation by id. Continuations that hop further down a chain
-    /// queue fresh SQEs, which go out before the pass parks — the device is
-    /// never idle while the session waits.
+    /// each continuation by id. Batch calls have already submitted their
+    /// own SQEs; what a pass submits was queued by scalar ops, retries and
+    /// continuations. Continuations that hop further down a chain queue
+    /// fresh SQEs, which go out before the pass parks — the device is never
+    /// idle while the session waits.
     pub fn complete_pending(&self, wait: bool) -> Vec<Completion<F::Output>> {
         let mut done = Vec::new();
         self.drive_wal();

@@ -392,6 +392,75 @@ fn read_batch_straddling_disk_goes_pending_and_completes() {
     }
 }
 
+/// A batch call submits the cold reads it queued before it returns (§5.3:
+/// the issuing thread keeps working while the device reads): the device
+/// has counted one read per `Pending` result before any `complete_pending`.
+#[test]
+fn batch_calls_submit_their_cold_reads_before_returning() {
+    use std::collections::HashMap;
+    let cfg = FasterKvConfig::small()
+        .with_index(faster_index::IndexConfig { k_bits: 10, tag_bits: 15, max_resize_chunks: 4 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 2, io_threads: 2 })
+        .with_max_sessions(8)
+        .with_refresh_interval(32);
+    // Non-mergeable, so an on-disk RMW reads its old value too.
+    let store = FasterKv::new(cfg, AddStore, MemDevice::new(2));
+    let s = store.start_session();
+    let n = 4_000u64;
+    for k in 0..n {
+        s.upsert(&k, &(k + 1)).unwrap();
+    }
+    store.log().flush_barrier().unwrap();
+    let device_reads = || store.log().device().stats().reads;
+    // Maps each pending id to its key once the batch that returned
+    // `results` for `keys` is known to have submitted a read for each.
+    let submitted = |what: &str, keys: &[u64], results: &[OpResult<u64>], before: u64| {
+        let pending: HashMap<u64, u64> = keys
+            .iter()
+            .zip(results)
+            .filter_map(|(&k, r)| match r {
+                Err(OpError::Pending(id)) => Some((*id, k)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pending.len(), keys.len(), "{what}: every key is on disk");
+        assert_eq!(device_reads() - before, pending.len() as u64, "{what}: reads not submitted");
+        pending
+    };
+
+    let keys: Vec<u64> = (0..64).collect();
+    let ops: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
+    let before = device_reads();
+    let pending = submitted("execute_batch", &keys, &s.execute_batch(&ops), before);
+    let done = s.complete_pending(true);
+    assert_eq!(done.len(), pending.len());
+    for c in done {
+        let k = pending[&c.id];
+        assert_eq!(c.result, Ok(Outcome::Value(k + 1)), "execute_batch key {k}");
+    }
+
+    let keys: Vec<u64> = (64..128).collect();
+    let before = device_reads();
+    let pending = submitted("read_batch", &keys, &s.read_batch(&keys, &0), before);
+    let done = s.complete_pending(true);
+    assert_eq!(done.len(), pending.len());
+    for c in done {
+        let k = pending[&c.id];
+        assert_eq!(c.result, Ok(Outcome::Value(k + 1)), "read_batch key {k}");
+    }
+
+    let keys: Vec<u64> = (128..192).collect();
+    let incs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 100)).collect();
+    let before = device_reads();
+    let pending = submitted("rmw_batch", &keys, &s.rmw_batch(&incs), before);
+    let done = s.complete_pending(true);
+    assert_eq!(done.len(), pending.len());
+    assert!(done.iter().all(|c| c.result == Ok(Outcome::Done)), "{done:?}");
+    for k in keys {
+        assert_eq!(read_now(&s, k), Some(k + 101), "rmw_batch key {k}");
+    }
+}
+
 #[test]
 fn larger_than_memory_spill_and_read_back() {
     // Tiny buffer: 4 pages of 4 KB = 16 KB memory for ~24 B records.

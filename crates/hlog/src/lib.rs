@@ -1104,8 +1104,9 @@ impl Inner {
     /// the record. Only *covered* groups — entirely below the footer's
     /// sealed prefix — are verified; a mismatch there is genuine corruption
     /// (sealed bytes never change in memory, see the `checksum` module) and
-    /// returns [`IoError::Corrupt`] instead of the bytes.
-    fn verify_extract(&self, span: &ReadSpan, bytes: Vec<u8>) -> Result<Vec<u8>, IoError> {
+    /// returns [`IoError::Corrupt`] instead of the bytes. The record comes
+    /// back in the device's own buffer, moved to its front and trimmed.
+    fn verify_extract(&self, span: &ReadSpan, mut bytes: Vec<u8>) -> Result<Vec<u8>, IoError> {
         let page_size = self.cfg.page_size();
         let g = checksum::group_size(page_size);
         let footer = match &span.footer {
@@ -1147,7 +1148,9 @@ impl Inner {
                 len: span.rec_len,
             });
         }
-        Ok(bytes[span.rec_off..end].to_vec())
+        bytes.copy_within(span.rec_off..end, 0);
+        bytes.truncate(span.rec_len);
+        Ok(bytes)
     }
 
     /// A tracked page write landed (or was abandoned): advance the contiguous

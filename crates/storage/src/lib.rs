@@ -115,8 +115,9 @@ pub trait Device: Send + Sync + 'static {
     fn submit(&self, sqe: Sqe);
 
     /// Batched submission handoff: drains `sqes` into the device. The
-    /// default forwards one by one; devices may override to amortize
-    /// per-op costs (locks, doorbells) across the batch.
+    /// default forwards one by one. [`MemDevice`] overrides it with one
+    /// doorbell per batch: the batch's reads execute, then their timed CQEs
+    /// reach its deadline timer under one lock and one wake.
     fn submit_all(&self, sqes: &mut Vec<Sqe>) {
         for sqe in sqes.drain(..) {
             self.submit(sqe);

@@ -1,17 +1,21 @@
 //! In-memory simulated SSD.
 //!
-//! Data lives in fixed-size chunks behind an `RwLock`ed map; requests are
-//! serviced asynchronously by an [`IoPool`](crate::worker::IoPool) applying a
-//! [`LatencyModel`]. Fault injection (`fail_next_reads`) lets failure tests
-//! exercise the pending-operation error path without a flaky filesystem.
+//! Data lives in fixed-size chunks behind an `RwLock`ed map. Writes and
+//! syncs are serviced asynchronously by an [`IoPool`](crate::worker::IoPool)
+//! applying a [`LatencyModel`]; reads execute at submission and a
+//! [`DeadlineTimer`] publishes their CQEs at the model's deadline, one
+//! doorbell per [`Device::submit_all`] batch. Fault injection
+//! (`fail_next_reads`) lets failure tests exercise the pending-operation
+//! error path without a flaky filesystem.
 
 use crate::ring::{CompletionRing, Sqe, SqeCompletion, SqeOp};
-use crate::worker::{precise_sleep, DeadlineTimer, IoPool};
+use crate::worker::{precise_sleep, DeadlineTimer, Deferred, IoPool};
 use crate::{Device, DeviceStats, IoError, LatencyModel, StatCells};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Chunk granularity of the backing store. Chosen larger than any log page
 /// so most writes touch one or two chunks.
@@ -93,7 +97,8 @@ pub struct MemDevice {
     /// Deadline scheduler for reads under a non-zero latency model: the
     /// read executes at submission and its CQE is published at the latency
     /// deadline, so in-flight depth is unbounded by the worker pool width
-    /// (`None` for zero-latency devices — those complete inline).
+    /// (`None` for zero-latency devices — those complete inline). A
+    /// `submit_all` batch reaches it with one lock and one wake.
     timer: Option<DeadlineTimer>,
 }
 
@@ -129,10 +134,15 @@ impl MemDevice {
     pub fn resident_bytes(&self) -> u64 {
         (self.state.chunks.read().len() * CHUNK_SIZE) as u64
     }
-}
 
-impl Device for MemDevice {
-    fn submit(&self, sqe: Sqe) {
+    /// Starts one SQE submitted at `now`. A write is queued on the pool,
+    /// which sleeps out its delay before it lands. A read executes now and
+    /// its CQE is due at `now` plus its delay — overlap is unbounded by pool
+    /// width. A read therefore sees exactly the writes whose CQE was
+    /// published before it was submitted; it does not queue behind one still
+    /// in flight. A timed read's CQE is returned for the caller to defer; an
+    /// untimed one completes inline.
+    fn start(&self, sqe: Sqe, now: Instant) -> Option<Deferred> {
         let (op, completion) = sqe.into_parts();
         match op {
             SqeOp::Write { offset, data } => {
@@ -144,20 +154,42 @@ impl Device for MemDevice {
                     state.write_sync(offset, &data);
                     completion.complete(Ok(data));
                 });
+                None
             }
             SqeOp::Read { offset, len } => {
                 self.state.stats.record_read(len);
                 let delay = self.state.latency.delay_for(len);
-                // Execute now, publish the CQE at the latency deadline —
-                // overlap is unbounded by pool width. A read therefore sees
-                // exactly the writes whose CQE was published before it was
-                // submitted; it does not queue behind one still in flight.
                 let res = self.state.service_read(offset, len);
-                match &self.timer {
-                    Some(t) if !delay.is_zero() => t.defer(delay, completion, res),
-                    _ => completion.complete(res),
+                if self.timer.is_some() && !delay.is_zero() {
+                    return Some((now + delay, completion, res));
                 }
+                completion.complete(res);
+                None
             }
+        }
+    }
+}
+
+impl Device for MemDevice {
+    fn submit(&self, sqe: Sqe) {
+        if let (Some(d), Some(t)) = (self.start(sqe, Instant::now()), &self.timer) {
+            t.defer_all([d]);
+        }
+    }
+
+    /// One doorbell per batch: every SQE counts as submitted when the call
+    /// begins, so no CQE publishes before that instant plus its delay. The
+    /// reads execute first, then their CQEs reach the timer under one queue
+    /// lock and one wake, whatever their deadlines.
+    fn submit_all(&self, sqes: &mut Vec<Sqe>) {
+        let Some(timer) = &self.timer else {
+            return sqes.drain(..).for_each(|sqe| self.submit(sqe));
+        };
+        let now = Instant::now();
+        let mut deferred = Vec::with_capacity(sqes.len());
+        deferred.extend(sqes.drain(..).filter_map(|sqe| self.start(sqe, now)));
+        if !deferred.is_empty() {
+            timer.defer_all(deferred);
         }
     }
 
@@ -191,6 +223,8 @@ impl Device for MemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cqe;
+    use std::time::Duration;
 
     #[test]
     fn write_read_round_trip() {
@@ -300,6 +334,73 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(elapsed >= latency);
         assert!(elapsed < latency * 32, "64 reads took {elapsed:?}: serialised on the pool");
+    }
+
+    /// Reaps `n` CQEs from `ring`, each stamped with the time since `start`.
+    fn reap_timed(ring: &CompletionRing, n: usize, start: Instant) -> Vec<(Cqe, Duration)> {
+        let mut out = Vec::new();
+        let mut cqes = Vec::new();
+        while out.len() < n {
+            if ring.reap(&mut cqes) == 0 {
+                ring.wait_nonempty(Duration::from_millis(100));
+            }
+            let at = start.elapsed();
+            out.extend(cqes.drain(..).map(|c| (c, at)));
+        }
+        out
+    }
+
+    /// Batching changes when the doorbell rings, not the device model: a
+    /// batch's reads still wait out the full latency, still overlap, and
+    /// reap in submission order when their deadlines tie.
+    #[test]
+    fn submit_all_keeps_the_latency_model() {
+        let latency = Duration::from_millis(2);
+        let d = MemDevice::with_latency(1, LatencyModel { fixed: latency, bytes_per_sec: 0 });
+        d.write_blocking(0, (0..64u8).collect()).unwrap();
+        let ring = Arc::new(CompletionRing::new());
+        let mut sqes: Vec<Sqe> = (0..64u64).map(|i| Sqe::read(i, i, 1, &ring)).collect();
+        let start = Instant::now();
+        d.submit_all(&mut sqes);
+        assert!(sqes.is_empty(), "submit_all drains the batch");
+        let cqes = reap_timed(&ring, 64, start);
+        for (cqe, at) in &cqes {
+            assert!(
+                *at >= latency,
+                "CQE {} reaped {at:?} after submit, before the latency",
+                cqe.id
+            );
+            assert_eq!(cqe.result, Ok(vec![cqe.id as u8]));
+        }
+        let last = cqes.iter().map(|&(_, at)| at).max().unwrap();
+        assert!(last < latency * 32, "64 batched reads took {last:?}: serialised");
+        let ids: Vec<u64> = cqes.iter().map(|(c, _)| c.id).collect();
+        assert_eq!(ids, (0..64).collect::<Vec<_>>(), "equal deadlines reap in submission order");
+
+        // A write in a batch of reads keeps its pool path; both complete.
+        let mut sqes = vec![
+            Sqe::read(1, 0, 8, &ring),
+            Sqe::write(2, 4096, vec![5; 512], &ring),
+            Sqe::read(3, 8, 8, &ring),
+        ];
+        let start = Instant::now();
+        d.submit_all(&mut sqes);
+        let mut cqes = reap_timed(&ring, 3, start);
+        cqes.sort_by_key(|(c, _)| c.id);
+        assert!(cqes.iter().all(|(_, at)| *at >= latency));
+        assert_eq!(cqes[0].0.result, Ok((0..8).collect()));
+        assert_eq!(cqes[1].0.result, Ok(vec![5; 512]), "the write hands its buffer back");
+        assert_eq!(cqes[2].0.result, Ok((8..16).collect()));
+        assert_eq!(d.read_blocking(4096, 512).unwrap(), vec![5; 512]);
+
+        // A zero-latency device completes the batch inline.
+        let z = MemDevice::new(1);
+        z.write_blocking(0, vec![9; 64]).unwrap();
+        let mut sqes: Vec<Sqe> = (0..8u64).map(|i| Sqe::read(i, i * 8, 8, &ring)).collect();
+        z.submit_all(&mut sqes);
+        let mut cqes = Vec::new();
+        assert_eq!(ring.reap(&mut cqes), 8, "zero-latency reads complete inline");
+        assert!(cqes.iter().all(|c| c.result == Ok(vec![9; 8])));
     }
 
     /// On a four-worker pool a zero-delay sync job would finish long before

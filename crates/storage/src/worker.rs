@@ -123,6 +123,8 @@ impl Drop for IoPool {
 /// copied immediately) and park their completion here; a single timer
 /// thread publishes each CQE at its latency deadline, so any number of
 /// simulated-latency operations overlap, exactly like a real NVMe queue.
+/// A submission batch parks all its CQEs with one lock and one wake
+/// ([`DeadlineTimer::defer_all`]).
 ///
 /// Sub-100µs residual waits are spun (mirroring [`precise_sleep`]) so the
 /// simulated 20µs NVMe latency is not distorted by OS timer granularity.
@@ -133,8 +135,18 @@ pub(crate) struct DeadlineTimer {
     handle: Option<JoinHandle<()>>,
 }
 
+/// A CQE parked until its deadline: `(due, completion, result)`.
+pub(crate) type Deferred = (Instant, crate::ring::SqeCompletion, Result<Vec<u8>, crate::IoError>);
+
+#[derive(Default)]
+struct TimerQueue {
+    heap: BinaryHeap<TimerEntry>,
+    /// Next submission sequence number (ties among equal deadlines).
+    next_seq: u64,
+}
+
 struct TimerShared {
-    queue: Mutex<BinaryHeap<TimerEntry>>,
+    queue: Mutex<TimerQueue>,
     wake: Condvar,
     /// Entries deferred but not yet completed (barrier support).
     pending: AtomicU64,
@@ -175,7 +187,7 @@ impl Ord for TimerEntry {
 impl DeadlineTimer {
     pub fn new() -> Self {
         let shared = Arc::new(TimerShared {
-            queue: Mutex::new(BinaryHeap::new()),
+            queue: Mutex::default(),
             wake: Condvar::new(),
             pending: AtomicU64::new(0),
             drained_lock: Mutex::new(()),
@@ -190,23 +202,20 @@ impl DeadlineTimer {
         Self { shared, handle: Some(handle) }
     }
 
-    /// Schedules `completion` to deliver `result` after `delay`.
-    pub fn defer(
-        &self,
-        delay: std::time::Duration,
-        completion: crate::ring::SqeCompletion,
-        result: Result<Vec<u8>, crate::IoError>,
-    ) {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        let entry = TimerEntry {
-            due: Instant::now() + delay,
-            seq: SEQ.fetch_add(1, Ordering::Relaxed),
-            completion,
-            result,
-        };
-        let mut q = self.shared.queue.lock().unwrap();
-        q.push(entry);
+    /// Schedules each completion to deliver its result at its `due`
+    /// instant, equal deadlines in iteration order: one queue lock and one
+    /// wake of the run loop for the lot, whatever their deadlines.
+    pub fn defer_all(&self, entries: impl IntoIterator<Item = Deferred>) {
+        let mut q = self.shared.queue.lock().expect("timer lock poisoned");
+        let before = q.heap.len();
+        for (due, completion, result) in entries {
+            let seq = q.next_seq;
+            q.next_seq += 1;
+            q.heap.push(TimerEntry { due, seq, completion, result });
+        }
+        // Counted before the lock drops, so the run loop cannot deliver
+        // (and decrement for) an entry not yet counted.
+        self.shared.pending.fetch_add((q.heap.len() - before) as u64, Ordering::SeqCst);
         drop(q);
         self.shared.wake.notify_one();
     }
@@ -234,22 +243,23 @@ impl Drop for DeadlineTimer {
 
 impl TimerShared {
     fn run(&self) {
+        // Reused across wake-ups: delivering a batch allocates nothing.
+        let mut due_now = Vec::new();
         loop {
-            let mut due_now = Vec::new();
             let mut draining = false;
             {
                 let mut q = self.queue.lock().unwrap();
                 if self.shutdown.load(Ordering::SeqCst) {
                     // Orderly teardown: deliver everything immediately.
-                    due_now.extend(q.drain());
+                    due_now.extend(q.heap.drain());
                     draining = true;
                 } else {
                     let now = Instant::now();
-                    while q.peek().is_some_and(|e| e.due <= now) {
-                        due_now.push(q.pop().expect("peeked"));
+                    while q.heap.peek().is_some_and(|e| e.due <= now) {
+                        due_now.push(q.heap.pop().expect("peeked"));
                     }
                     if due_now.is_empty() {
-                        match q.peek().map(|e| e.due) {
+                        match q.heap.peek().map(|e| e.due) {
                             Some(next) => {
                                 let wait = next.saturating_duration_since(now);
                                 if wait < std::time::Duration::from_micros(100) {
@@ -277,14 +287,15 @@ impl TimerShared {
             }
             // Deadline order within the batch (heap drain is unordered).
             due_now.sort_by(|a, b| a.due.cmp(&b.due).then(a.seq.cmp(&b.seq)));
-            for e in due_now {
+            let delivered = due_now.len() as u64;
+            for e in due_now.drain(..) {
                 e.completion.complete(e.result);
-                if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    // Take the barrier's lock before notifying so a waiter
-                    // between its pending check and its wait can't miss us.
-                    drop(self.drained_lock.lock().unwrap());
-                    self.drained.notify_all();
-                }
+            }
+            if self.pending.fetch_sub(delivered, Ordering::SeqCst) == delivered {
+                // Take the barrier's lock before notifying so a waiter
+                // between its pending check and its wait can't miss us.
+                drop(self.drained_lock.lock().unwrap());
+                self.drained.notify_all();
             }
             if draining {
                 return;
@@ -364,7 +375,7 @@ mod tests {
         let ring = Arc::new(crate::CompletionRing::new());
         let (_op, completion) = crate::Sqe::read(0, 0, 0, &ring).into_parts();
         let wait = std::time::Duration::from_millis(600);
-        timer.defer(wait, completion, Ok(Vec::new()));
+        timer.defer_all(Some((Instant::now() + wait, completion, Ok(Vec::new()))));
         let wall = Instant::now();
         let cpu0 = thread_cpu_ticks();
         timer.barrier();
