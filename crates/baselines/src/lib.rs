@@ -12,8 +12,6 @@
 //! * [`BTreeIndex`] — Masstree stand-in: a concurrent B+-tree with
 //!   hand-over-hand lock coupling. Point operations pay tree traversal +
 //!   ordering overhead, the property the comparison is about.
-//! * [`OrderedStore`] — a simpler range-partitioned ordered map, kept as a
-//!   second ordered-index data point.
 //! * [`MiniLsm`] — RocksDB stand-in: a log-structured merge store with a
 //!   memtable, sorted runs on a storage device, bloom filters, and
 //!   read-copy-update semantics (no in-place updates) — the design FASTER's
@@ -23,12 +21,10 @@
 
 pub mod btree;
 pub mod lsm;
-pub mod ordered;
 pub mod redis_like;
 pub mod shard_map;
 
 pub use btree::BTreeIndex;
 pub use lsm::{MiniLsm, MiniLsmConfig};
-pub use ordered::OrderedStore;
 pub use redis_like::{RedisClient, RedisLike};
 pub use shard_map::ShardMap;

@@ -12,7 +12,7 @@
 //! (default 64), `FASTER_BENCH_OPS` (default 4 M per mode).
 
 use faster_bench::{in_memory_log, SumStore};
-use faster_core::{FasterKv, FasterKvConfig, Outcome};
+use faster_core::{BatchOp, FasterKv, FasterKvConfig, Outcome};
 use faster_storage::MemDevice;
 use faster_util::XorShift64;
 use std::time::Instant;
@@ -59,9 +59,13 @@ fn main() {
     let mut rng = XorShift64::new(0xFA57E);
     let stream: Vec<u64> = (0..total_ops).map(|_| rng.next_below(keys)).collect();
 
+    // Batched modes reuse one op vector, rebuilt per chunk.
+    let mut ops: Vec<BatchOp<u64, u64, u64>> = Vec::with_capacity(batch);
     // Warm the index/log resident sets once.
     for chunk in stream[..stream.len().min(1 << 16)].chunks(batch) {
-        std::hint::black_box(session.read_batch(chunk, &0));
+        ops.clear();
+        ops.extend(chunk.iter().map(|&key| BatchOp::Read { key, input: 0 }));
+        std::hint::black_box(session.execute_batch(&ops));
     }
 
     println!("# batch_vs_scalar: {keys} keys, {total_ops} ops/mode, batch={batch}");
@@ -77,7 +81,9 @@ fn main() {
 
     let t = Instant::now();
     for chunk in stream.chunks(batch) {
-        for r in session.read_batch(chunk, &0) {
+        ops.clear();
+        ops.extend(chunk.iter().map(|&key| BatchOp::Read { key, input: 0 }));
+        for r in session.execute_batch(&ops) {
             if let Ok(Outcome::Value(v)) = r {
                 found += std::hint::black_box(v) & 1;
             }
@@ -92,11 +98,10 @@ fn main() {
     let scalar_rmw = report("scalar_rmw", 1, total_ops, t.elapsed().as_secs_f64());
 
     let t = Instant::now();
-    let mut rmw_buf: Vec<(u64, u64)> = Vec::with_capacity(batch);
     for chunk in stream.chunks(batch) {
-        rmw_buf.clear();
-        rmw_buf.extend(chunk.iter().map(|&k| (k, 1u64)));
-        std::hint::black_box(session.rmw_batch(&rmw_buf));
+        ops.clear();
+        ops.extend(chunk.iter().map(|&key| BatchOp::Rmw { key, input: 1 }));
+        std::hint::black_box(session.execute_batch(&ops));
     }
     let batched_rmw = report("batched_rmw", batch, total_ops, t.elapsed().as_secs_f64());
 

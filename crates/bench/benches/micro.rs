@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use faster_bench::SumStore;
-use faster_core::{FasterKv, FasterKvConfig, Outcome};
+use faster_core::{BatchOp, FasterKv, FasterKvConfig, Outcome};
 use faster_epoch::Epoch;
 use faster_hlog::{HLogConfig, HybridLog};
 use faster_index::{CreateOutcome, HashIndex, IndexConfig};
@@ -107,13 +107,13 @@ fn bench_store_ops(c: &mut Criterion) {
     });
     c.bench_function("faster_read_batch32_hot", |b| {
         let mut base = 0u64;
-        let mut keys = vec![0u64; 32];
+        let mut ops = vec![BatchOp::Read { key: 0u64, input: 0u64 }; 32];
         b.iter(|| {
-            for (i, k) in keys.iter_mut().enumerate() {
-                *k = (base + i as u64 * 97) & 0xFFFF;
+            for (i, op) in ops.iter_mut().enumerate() {
+                *op = BatchOp::Read { key: (base + i as u64 * 97) & 0xFFFF, input: 0 };
             }
             base = base.wrapping_add(1);
-            std::hint::black_box(session.read_batch(&keys, &0))
+            std::hint::black_box(session.execute_batch(&ops))
         })
     });
     c.bench_function("faster_rmw_in_place", |b| {

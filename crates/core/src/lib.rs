@@ -41,7 +41,6 @@ pub mod ckpt_manager;
 pub mod functions;
 pub mod gc;
 pub mod health;
-pub mod inmem;
 pub mod maintenance;
 pub mod read_cache;
 pub mod record;
@@ -54,7 +53,6 @@ pub use ckpt_manager::{
 };
 pub use functions::{BlindKv, CountStore, Functions, ValueCell};
 pub use health::{HealthReason, StoreError, StoreHealth};
-pub use inmem::{InMemKv, InMemSession};
 pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
 
 /// The documented public surface in one import: the store and its config

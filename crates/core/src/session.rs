@@ -12,10 +12,10 @@
 //! Pending disk reads are continuation-driven over the device's
 //! submission/completion ring: each op that misses memory parks its context
 //! in a continuation table keyed by a fresh id, and queues a ring-routed
-//! SQE carrying that id. A batch call (`execute_batch`, `read_batch`,
-//! `rmw_batch`) hands the SQEs it queued to the device in one batched
-//! handoff before it returns, so its cold reads are in flight while the
-//! caller does other work (§5.3). [`Session::complete_pending`] drives the
+//! SQE carrying that id. The one batch call, [`Session::execute_batch`],
+//! hands the SQEs it queued to the device in one batched handoff before it
+//! returns, so its cold reads are in flight while the caller does other
+//! work (§5.3). [`Session::complete_pending`] drives the
 //! rest of the cycle — submit what scalar ops and continuations queued,
 //! reap CQEs straight off the session's [`CompletionRing`] (one atomic
 //! swap, no thread hop, no lock), and resume each continuation by id. A
@@ -1109,151 +1109,85 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     // Batched issue (DESIGN.md §3 "Batched execution & prefetching"): the
     // scalar hot path pays a serial dependent-load chain per operation —
     // hash → bucket probe → record dereference — so each op stalls on two
-    // DRAM round-trips. The batched entry points run that chain as a
-    // MICA-style software pipeline over the whole batch: hash every key and
-    // prefetch every target bucket, then probe every bucket and prefetch
-    // every resolved record, then execute. The loads of one stage are
-    // independent across ops, so their cache misses overlap up to the
-    // memory-level parallelism of the core instead of serializing.
+    // DRAM round-trips. `execute_batch` runs that chain as a MICA-style
+    // software pipeline over the whole batch: hash every key and prefetch
+    // every target bucket, then probe every bucket and prefetch every chain
+    // head, then execute. The loads of one stage are independent across
+    // ops, so their cache misses overlap up to the memory-level parallelism
+    // of the core instead of serializing.
     //
     // Semantics are identical to issuing the ops sequentially on this
     // session: each op executes (and linearizes) one at a time in submission
-    // order in the final stage; the earlier stages are pure hints plus an
-    // index probe that the execute stage re-validates exactly the way the
-    // scalar path does. Epoch refresh is amortized to once per batch, which
-    // is also the natural cadence for draining I/O completions
-    // ([`Session::complete_pending`] once per batch, not once per op). A
-    // batch that queued cold reads submits them in one `submit_all` before
-    // it returns, so the device works while the caller moves on.
-
-    /// Reads a batch of keys with one shared `input`, returning one result
-    /// per key in order. Equivalent to calling [`Session::read`] per key;
-    /// pending results complete through [`Session::complete_pending`].
-    pub fn read_batch(&self, keys: &[K], input: &F::Input) -> Vec<OpResult<F::Output>> {
-        let inner = &self.store.inner;
-        self.rec.batches.inc();
-        self.rec.reads.add(keys.len() as u64);
-        // Stage 1: hash every key, prefetch every target bucket.
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(keys.len());
-        for key in keys {
-            let h = hash_key(key);
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        // Stage 2: probe the (now arriving) buckets; prefetch each resolved
-        // chain head so the record lines are in flight before stage 3.
-        let mut heads: Vec<Address> = Vec::with_capacity(keys.len());
-        for &hash in &hashes {
-            let head = self.entry_address(hash).unwrap_or(Address::INVALID);
-            if is_rc(head) {
-                if let Some(rc_log) = inner.rc.as_ref() {
-                    rc_log.prefetch(rc_untag(head));
-                }
-            } else if head.is_valid() {
-                inner.log.prefetch(head);
-            }
-            heads.push(head);
-        }
-        // Stage 3: execute in submission order — the same walk as scalar
-        // `read`, resumed from the already-probed chain head.
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            self.read_rc_hit.set(false);
-            let r = self.read_walk(key, hashes[i], input, Walk::new(heads[i]), None, None);
-            self.classify_read(&r);
-            out.push(r);
-        }
-        self.batch_tick(keys.len());
-        self.submit_queued();
-        out
-    }
-
-    /// Upserts a batch of key/value pairs. Equivalent to calling
-    /// [`Session::upsert`] per pair, in order; on a read-only store the
-    /// whole batch is refused (no prefix is applied).
-    pub fn upsert_batch(&self, pairs: &[(K, V)]) -> Result<(), OpError> {
-        self.writable()?;
-        let inner = &self.store.inner;
-        self.rec.batches.inc();
-        self.rec.upserts.add(pairs.len() as u64);
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(pairs.len());
-        for (key, _) in pairs {
-            let h = hash_key(key);
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        for (i, (key, value)) in pairs.iter().enumerate() {
-            self.upsert_internal(key, hashes[i], value);
-        }
-        self.batch_tick(pairs.len());
-        Ok(())
-    }
-
-    /// RMWs a batch of key/input pairs, returning one result per op in
-    /// order. Equivalent to calling [`Session::rmw`] per pair; pending
-    /// results complete through [`Session::complete_pending`]. On a
-    /// read-only store every slot is `Err(ReadOnly)`.
-    pub fn rmw_batch(&self, ops: &[(K, F::Input)]) -> Vec<OpResult<F::Output>> {
-        if let Err(e) = self.writable() {
-            return ops.iter().map(|_| Err(e.clone())).collect();
-        }
-        let inner = &self.store.inner;
-        self.rec.batches.inc();
-        self.rec.rmws.add(ops.len() as u64);
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(ops.len());
-        for (key, _) in ops {
-            let h = hash_key(key);
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        let mut out = Vec::with_capacity(ops.len());
-        for (i, (key, input)) in ops.iter().enumerate() {
-            out.push(self.rmw_internal(key, hashes[i], input, None));
-        }
-        self.batch_tick(ops.len());
-        self.submit_queued();
-        out
-    }
+    // order in the final stage. Mutations re-probe the index as the scalar
+    // path does; a read walks from the head its stage-2 probe saw until the
+    // batch's first mutation executes, and re-probes after it, so a read
+    // sees the writes ahead of it in the batch. Epoch refresh is amortized
+    // to once per batch, which is also the natural cadence for draining I/O
+    // completions ([`Session::complete_pending`] once per batch, not once
+    // per op). A batch that queued cold reads submits them in one
+    // `submit_all` before it returns, so the device works while the caller
+    // moves on.
 
     /// Executes a heterogeneous batch, returning one [`OpResult`] per op in
     /// submission order. Equivalent to issuing each op individually: reads
     /// yield `Value`/`NotFound`/`Pending`, mutations yield `Done` (or
     /// `Pending` for an RMW that went asynchronous). On a read-only store
-    /// the reads still execute; every mutation slot is `Err(ReadOnly)` —
-    /// exactly what a protocol front-end needs to keep serving GETs while
-    /// SETs bounce (DESIGN.md §12/§13).
+    /// the reads still execute; every mutation slot is `Err(ReadOnly)` and
+    /// counts as no op, as the scalar calls refuse — exactly what a protocol
+    /// front-end needs to keep serving GETs while SETs bounce (DESIGN.md
+    /// §12/§13).
     pub fn execute_batch(&self, ops: &[BatchOp<K, V, F::Input>]) -> Vec<OpResult<F::Output>> {
         let inner = &self.store.inner;
         self.rec.batches.inc();
         // One health check per batch, applied positionally to mutations.
         let refused = self.writable().err();
+        // Stage 1: count each op that will execute, hash its key and
+        // prefetch its bucket.
+        let mut probes: Vec<(KeyHash, Address)> = Vec::with_capacity(ops.len());
         for op in ops {
             match op {
                 BatchOp::Read { .. } => self.rec.reads.inc(),
+                _ if refused.is_some() => {}
                 BatchOp::Upsert { .. } => self.rec.upserts.inc(),
                 BatchOp::Rmw { .. } => self.rec.rmws.inc(),
                 BatchOp::Delete { .. } => self.rec.deletes.inc(),
             }
+            let hash = hash_key(op.key());
+            inner.index.prefetch_bucket(hash);
+            probes.push((hash, Address::INVALID));
         }
-        let mut hashes: Vec<KeyHash> = Vec::with_capacity(ops.len());
-        for op in ops {
-            let h = hash_key(op.key());
-            inner.index.prefetch_bucket(h);
-            hashes.push(h);
-        }
-        let mut out = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let hash = hashes[i];
-            if let Some(e) = &refused {
-                if !matches!(op, BatchOp::Read { .. }) {
-                    out.push(Err(e.clone()));
-                    continue;
+        // Stage 2: probe the (now arriving) buckets; prefetch each chain
+        // head, in the log or the read cache, so the record lines are in
+        // flight before stage 3.
+        for (hash, head) in &mut probes {
+            *head = self.entry_address(*hash).unwrap_or(Address::INVALID);
+            if is_rc(*head) {
+                if let Some(rc_log) = inner.rc.as_ref() {
+                    rc_log.prefetch(rc_untag(*head));
                 }
+            } else if head.is_valid() {
+                inner.log.prefetch(*head);
             }
+        }
+        // Stage 3: execute in submission order.
+        let mut out = Vec::with_capacity(ops.len());
+        // Reads walk from their stage-2 head until a mutation executes.
+        let mut carry = true;
+        for (op, &(hash, head)) in ops.iter().zip(&probes) {
+            let read = matches!(op, BatchOp::Read { .. });
+            if let (Some(e), false) = (&refused, read) {
+                out.push(Err(e.clone()));
+                continue;
+            }
+            carry &= read;
             out.push(match op {
                 BatchOp::Read { key, input } => {
                     self.read_rc_hit.set(false);
-                    let r = self.read_internal(key, hash, input);
+                    let r = if carry {
+                        self.read_walk(key, hash, input, Walk::new(head), None, None)
+                    } else {
+                        self.read_internal(key, hash, input)
+                    };
                     self.classify_read(&r);
                     r
                 }

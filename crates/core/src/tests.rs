@@ -268,11 +268,13 @@ fn concurrent_count_store_exactness() {
 fn batched_ops_match_scalar_inmemory() {
     let store = count_store(FasterKvConfig::small());
     let s = store.start_session();
-    let pairs: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, k * 3)).collect();
-    s.upsert_batch(&pairs).unwrap();
+    let upserts: Vec<_> =
+        (0..2_000u64).map(|key| BatchOp::Upsert { key, value: key * 3 }).collect();
+    assert!(s.execute_batch(&upserts).iter().all(|r| *r == Ok(Outcome::Done)));
     // Batch straddles present and absent keys.
     let keys: Vec<u64> = (0..2_100u64).collect();
-    let results = s.read_batch(&keys, &0);
+    let reads: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
+    let results = s.execute_batch(&reads);
     assert_eq!(results.len(), keys.len());
     for (k, r) in keys.iter().zip(&results) {
         match r {
@@ -281,8 +283,8 @@ fn batched_ops_match_scalar_inmemory() {
             other => panic!("key {k}: unexpected {other:?}"),
         }
     }
-    let incs: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, 5)).collect();
-    for r in s.rmw_batch(&incs) {
+    let incs: Vec<_> = (0..2_000u64).map(|key| BatchOp::Rmw { key, input: 5 }).collect();
+    for r in s.execute_batch(&incs) {
         assert!(r.is_ok(), "in-memory RMW never pends: {r:?}");
     }
     assert_eq!(read_now(&s, 10), Some(35));
@@ -305,7 +307,7 @@ fn batched_ops_match_scalar_inmemory() {
 
 #[test]
 fn concurrent_batched_rmw_exactness() {
-    // The CountStore exactness property, driven through rmw_batch: batching
+    // The CountStore exactness property, driven through all-RMW batches: batching
     // must not lose, duplicate, or reorder increments across threads.
     let cfg = FasterKvConfig::small()
         .with_index(faster_index::IndexConfig { k_bits: 8, tag_bits: 15, max_resize_chunks: 4 })
@@ -329,8 +331,10 @@ fn concurrent_batched_rmw_exactness() {
             let mut batch = Vec::with_capacity(batch_len);
             for _ in 0..batches {
                 batch.clear();
-                batch.extend((0..batch_len).map(|_| (rng.next_below(keys), 1u64)));
-                if s.rmw_batch(&batch).iter().any(|r| matches!(r, Err(OpError::Pending(_)))) {
+                batch.extend(
+                    (0..batch_len).map(|_| BatchOp::Rmw { key: rng.next_below(keys), input: 1 }),
+                );
+                if s.execute_batch(&batch).iter().any(|r| matches!(r, Err(OpError::Pending(_)))) {
                     s.complete_pending(true);
                 }
             }
@@ -371,7 +375,8 @@ fn read_batch_straddling_disk_goes_pending_and_completes() {
     assert!(store.log().head_address().raw() > 0, "data must have spilled");
     // Early keys are on disk, the newest keys still resident.
     let keys: Vec<u64> = (0..64u64).chain(n - 8..n).chain(n..n + 4).collect();
-    let results = s.read_batch(&keys, &0);
+    let reads: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
+    let results = s.execute_batch(&reads);
     let mut pending: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     let mut pending_seen = 0u32;
     for (k, r) in keys.iter().zip(&results) {
@@ -428,36 +433,44 @@ fn batch_calls_submit_their_cold_reads_before_returning() {
         pending
     };
 
+    // A mixed batch, whose reads re-probe after its first mutation.
     let keys: Vec<u64> = (0..64).collect();
-    let ops: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
+    let mut ops: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
+    ops.push(BatchOp::Upsert { key: n, value: 1 });
+    ops.extend([1, 0].map(|key| BatchOp::Read { key, input: 0 }));
     let before = device_reads();
-    let pending = submitted("execute_batch", &keys, &s.execute_batch(&ops), before);
+    let results = s.execute_batch(&ops);
+    let keys: Vec<u64> = keys.into_iter().chain([1, 0]).collect();
+    let results: Vec<_> = results.into_iter().filter(|r| *r != Ok(Outcome::Done)).collect();
+    let pending = submitted("mixed execute_batch", &keys, &results, before);
     let done = s.complete_pending(true);
     assert_eq!(done.len(), pending.len());
     for c in done {
         let k = pending[&c.id];
-        assert_eq!(c.result, Ok(Outcome::Value(k + 1)), "execute_batch key {k}");
+        assert_eq!(c.result, Ok(Outcome::Value(k + 1)), "mixed execute_batch key {k}");
     }
 
+    // All reads: every read walks from its stage-2 head.
     let keys: Vec<u64> = (64..128).collect();
+    let ops: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
     let before = device_reads();
-    let pending = submitted("read_batch", &keys, &s.read_batch(&keys, &0), before);
+    let pending = submitted("read execute_batch", &keys, &s.execute_batch(&ops), before);
     let done = s.complete_pending(true);
     assert_eq!(done.len(), pending.len());
     for c in done {
         let k = pending[&c.id];
-        assert_eq!(c.result, Ok(Outcome::Value(k + 1)), "read_batch key {k}");
+        assert_eq!(c.result, Ok(Outcome::Value(k + 1)), "read execute_batch key {k}");
     }
 
     let keys: Vec<u64> = (128..192).collect();
-    let incs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 100)).collect();
+    let ops: Vec<_> = keys.iter().map(|&key| BatchOp::Rmw { key, input: 100 }).collect();
     let before = device_reads();
-    let pending = submitted("rmw_batch", &keys, &s.rmw_batch(&incs), before);
+    let pending = submitted("rmw execute_batch", &keys, &s.execute_batch(&ops), before);
     let done = s.complete_pending(true);
     assert_eq!(done.len(), pending.len());
     assert!(done.iter().all(|c| c.result == Ok(Outcome::Done)), "{done:?}");
     for k in keys {
-        assert_eq!(read_now(&s, k), Some(k + 101), "rmw_batch key {k}");
+        assert_eq!(read_now(&s, k), Some(k + 101), "rmw execute_batch key {k}");
     }
 }
 

@@ -12,11 +12,14 @@
 //! With `--features metrics-off` every counter is compiled to a no-op, so
 //! the exact-count assertions are skipped (the identities hold trivially).
 
-use faster_core::{BatchOp, CountStore, FasterKv, FasterKvConfig};
+use faster_core::{
+    BatchOp, CountStore, FasterKv, FasterKvConfig, HealthReason, OpError, Outcome, StoreHealth,
+};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
+use faster_integration_tests::fault_harness::harness_cfg;
 use faster_integration_tests::{read_blocking, rmw_blocking};
-use faster_storage::MemDevice;
+use faster_storage::{FaultDevice, MemDevice};
 use std::sync::{Arc, Barrier};
 
 const THREADS: u64 = 4;
@@ -194,14 +197,15 @@ fn batched_ops_keep_the_identities() {
         FasterKv::new(small_cfg(), CountStore, MemDevice::new(2));
     let session = store.start_session();
     let keys: Vec<u64> = (0..256u64).collect();
-    let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 2)).collect();
-    session.upsert_batch(&pairs).unwrap();
+    let upserts: Vec<_> = keys.iter().map(|&key| BatchOp::Upsert { key, value: key * 2 }).collect();
+    assert!(session.execute_batch(&upserts).iter().all(|r| *r == Ok(Outcome::Done)));
     for k in 5_000..9_000u64 {
         session.upsert(&k, &1).unwrap(); // spill so some batched reads go pending
     }
     store.log().flush_barrier().unwrap();
 
-    let results = session.read_batch(&keys, &0);
+    let reads: Vec<_> = keys.iter().map(|&key| BatchOp::Read { key, input: 0 }).collect();
+    let results = session.execute_batch(&reads);
     assert_eq!(results.len(), keys.len());
     session.complete_pending(true);
 
@@ -225,10 +229,74 @@ fn batched_ops_keep_the_identities() {
     if cfg!(feature = "metrics-off") {
         return;
     }
-    assert_eq!(t.batches, 3, "upsert_batch + read_batch + execute_batch");
+    assert_eq!(t.batches, 3, "upserts, reads, mixed");
     assert_eq!(t.reads, 256 + 16);
     assert_eq!(t.upserts, 256 + 4_000 + 16);
     assert!(t.reads_pending > 0, "batched reads straddled the disk: {t:?}");
+
+    // A batched read probes the index once: its stage-2 probe is the one
+    // its walk starts from.
+    let resident: Vec<_> = (8_936..9_000u64).map(|key| BatchOp::Read { key, input: 0 }).collect();
+    let before = store.metrics().index.probes;
+    let results = session.execute_batch(&resident);
+    assert!(results.iter().all(|r| *r == Ok(Outcome::Value(1))), "{results:?}");
+    assert_eq!(store.metrics().index.probes - before, resident.len() as u64);
+}
+
+/// A mutation the read-only gate refuses is no op on either surface:
+/// `execute_batch` counts exactly what the scalar calls count.
+#[test]
+fn refused_mutations_count_alike_batched_and_scalar() {
+    let fault = FaultDevice::wrap(MemDevice::new(2));
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new(harness_cfg(), CountStore, fault.clone());
+    let session = store.start_session();
+    for k in 0..200u64 {
+        session.upsert(&k, &1).unwrap();
+    }
+    store.log().shift_read_only_to_tail();
+    store.log().wait_flush_quiesced();
+    // Everything flushed so far fits; the next flush trips the limit.
+    fault.set_full_after_bytes(Some(0));
+    for k in 0..2_000u64 {
+        let _ = session.upsert(&k, &2);
+    }
+    store.log().shift_read_only_to_tail();
+    store.log().wait_flush_quiesced();
+    assert_eq!(store.health(), StoreHealth::ReadOnly(HealthReason::DeviceFull));
+
+    // The op counters both surfaces must move alike.
+    let counts = || {
+        let t = store.metrics().sessions.totals;
+        [t.reads, t.upserts, t.rmws, t.deletes, t.writes]
+    };
+    let since = |before: [u64; 5]| {
+        let now = counts();
+        std::array::from_fn::<u64, 5, _>(|i| now[i] - before[i])
+    };
+    let before = counts();
+    let ops = [
+        BatchOp::Read { key: 1, input: 0 },
+        BatchOp::Upsert { key: 1, value: 3 },
+        BatchOp::Rmw { key: 1, input: 3 },
+        BatchOp::Delete { key: 1 },
+    ];
+    let out = session.execute_batch(&ops);
+    assert!(out[1..].iter().all(|r| matches!(r, Err(OpError::ReadOnly(_)))), "{out:?}");
+    session.complete_pending(true);
+    let batched = since(before);
+
+    let scalar = store.start_session();
+    let before = counts();
+    let _ = scalar.read(&1, &0);
+    assert!(matches!(scalar.upsert(&1, &3), Err(OpError::ReadOnly(_))));
+    assert!(matches!(scalar.rmw(&1, &3), Err(OpError::ReadOnly(_))));
+    assert!(matches!(scalar.delete(&1), Err(OpError::ReadOnly(_))));
+    scalar.complete_pending(true);
+    assert_eq!(batched, since(before), "[reads, upserts, rmws, deletes, writes]");
+    if !cfg!(feature = "metrics-off") {
+        assert_eq!(batched, [1, 0, 0, 0, 0]);
+    }
 }
 
 /// Scalar ops are the only timed ones, so under `metrics-timing` each
