@@ -12,7 +12,7 @@
 //! Knobs: `FASTER_BENCH_CKPT_KEYS` (upserts per generation, default 50 000),
 //! `FASTER_BENCH_CKPT_GENS` (generations committed, default 4).
 
-use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
+use faster_core::ckpt_manager::{CheckpointConfig, CheckpointManager};
 use faster_core::{CountStore, FasterKv, FasterKvConfig};
 use faster_storage::{Device, MemDevice};
 use std::sync::Arc;
@@ -30,10 +30,7 @@ fn main() {
     let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
     let cfg = FasterKvConfig::for_keys(keys_per_gen * gens);
     let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg, CountStore, log_dev.clone());
-    let mgr = CheckpointManager::new(
-        ckpt_dev.clone(),
-        CheckpointConfig { retain: gens as usize, auto_prune: true },
-    );
+    let mgr = CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig { retain: gens as usize });
 
     println!("# ckpt_latency: {keys_per_gen} upserts/gen, {gens} generations");
 
@@ -82,14 +79,11 @@ fn main() {
             ckpt_dev.write_blocking(victim.blob_offset, blob).unwrap();
         }
         let t = Instant::now();
-        let (recovered, _mgr, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(
-            cfg,
-            CountStore,
-            log_dev.clone(),
-            ckpt_dev.clone(),
-            CheckpointConfig::default(),
-        )
-        .expect("a generation must survive");
+        let (_mgr, rec) =
+            CheckpointManager::recover_latest(ckpt_dev.clone(), CheckpointConfig::default())
+                .expect("a generation must survive");
+        let recovered: FasterKv<u64, u64, CountStore> =
+            FasterKv::recover(cfg, CountStore, log_dev.clone(), &rec.data);
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(rec.fallbacks(), depth, "arbitration depth mismatch");
         println!(

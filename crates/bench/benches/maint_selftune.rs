@@ -57,7 +57,7 @@ fn main() {
     // non-index arm disabled — this gate pins the probe-length feedback
     // loop in isolation. `max_k_bits` 22 is ~2x the keyspace's natural
     // size, so the policy has headroom but a runaway is bounded.
-    let service = store.start_maintenance_with(
+    let service = store.start_maintenance(
         None,
         Policy::new(PolicyConfig {
             resize_cooldown_ticks: 2,

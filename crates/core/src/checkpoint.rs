@@ -14,6 +14,16 @@
 //! written since the previous checkpoint needs flushing, with no bitmap
 //! bookkeeping — "FASTER achieves this by organizing data differently."
 //!
+//! ## One path per step
+//!
+//! [`FasterKv::checkpoint`] hands back a [`CheckpointData`] only once the log
+//! through t2 is durable; a failed flush or barrier is an error, never a
+//! checkpoint. [`FasterKv::recover`] goes through the same constructor as a
+//! fresh store: it restores the index, reopens the log at t2, installs the
+//! hooks the config asks for (read cache included), and replays `[t1, t2)`.
+//! Committing the data atomically with a fallback chain is
+//! [`crate::ckpt_manager`]'s job.
+//!
 //! ## Consistency caveat (verbatim from the paper)
 //!
 //! In-place updates can violate monotonicity across a checkpoint: an update
@@ -23,10 +33,9 @@
 //! the paper's delivered semantics and documents the caveat.
 
 use crate::record::RecordRef;
-use crate::{FasterKv, FasterKvConfig, Functions, StoreInner};
-use faster_epoch::Epoch;
-use faster_hlog::{HybridLog, LogScanner};
-use faster_index::{CreateOutcome, HashIndex, IndexCheckpoint};
+use crate::{FasterKv, FasterKvConfig, Functions};
+use faster_hlog::LogScanner;
+use faster_index::{CreateOutcome, IndexCheckpoint};
 use faster_storage::{Device, IoError};
 use faster_util::{Address, Pod};
 use std::sync::Arc;
@@ -151,11 +160,16 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     /// is durable, which requires active sessions to keep refreshing their
     /// epochs (they do, automatically, every `refresh_interval` ops).
     ///
+    /// `Ok` means `[begin, t2)` reached the device: a page flush that failed
+    /// for good during the call, or a failed log barrier, is
+    /// [`CheckpointError::Io`] — the log cannot back that data.
+    ///
     /// Call from a maintenance thread that holds **no idle session**: the
     /// durability wait is epoch-gated, and this thread's own unrefreshed
     /// guard would stall it (see the `Session` liveness contract).
-    pub fn checkpoint(&self) -> CheckpointData {
+    pub fn checkpoint(&self) -> Result<CheckpointData, CheckpointError> {
         let inner = &self.inner;
+        let failures_before = inner.log.flush_failures();
         let t1 = inner.log.tail_address();
         let mut index = inner.index.checkpoint();
         // Appendix D: "Index checkpoints need to overwrite these [read-cache]
@@ -198,34 +212,13 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         // quiesce first so the barrier actually covers every attempt (and no
         // stale partial-page retry can land after a later full-page flush).
         inner.log.wait_flush_quiesced();
-        // A barrier failure is latched into the log's flush-failure counter,
-        // which `checkpoint_durable` samples; plain `checkpoint()` keeps its
-        // infallible signature for in-memory/test use.
-        let _ = inner.log.flush_barrier();
-        CheckpointData { t1, t2, begin: inner.log.begin_address(), index }
-    }
-
-    /// Like [`FasterKv::checkpoint`], but verifies that the log flushes the
-    /// checkpoint depends on actually reached the device. A plain
-    /// `checkpoint()` on a failing device still "completes" — page-flush and
-    /// barrier failures are latched into the log's failure counter rather
-    /// than propagated — and would hand the caller a `CheckpointData` whose
-    /// `[begin, t2)` range is not durable. This variant samples the log's
-    /// flush-failure counter around the checkpoint and refuses to return
-    /// data that the log cannot back.
-    ///
-    /// [`crate::ckpt_manager::CheckpointManager::checkpoint_store`] builds on
-    /// this: a generation is only committed to the manifest once its log
-    /// prefix is known durable.
-    pub fn checkpoint_durable(&self) -> Result<CheckpointData, CheckpointError> {
-        let failures_before = self.inner.log.flush_failures();
-        let data = self.checkpoint();
-        if self.inner.log.flush_failures() != failures_before {
-            return Err(CheckpointError::Io(faster_storage::IoError::Failed(
+        inner.log.flush_barrier()?;
+        if inner.log.flush_failures() != failures_before {
+            return Err(CheckpointError::Io(IoError::Failed(
                 "log flush failed during checkpoint".into(),
             )));
         }
-        Ok(data)
+        Ok(CheckpointData { t1, t2, begin: inner.log.begin_address(), index })
     }
 
     /// Rebuilds a store from a checkpoint over the surviving `device`
@@ -235,52 +228,24 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     /// scanning records in `[t1, t2)` in order and re-pointing each record's
     /// `(offset, tag)` entry at the newest such record — exactly the
     /// recovery rule of §6.5. Updates after t2 are lost (they were never
-    /// durable), satisfying the monotonicity discussion of §6.5.
+    /// durable), satisfying the monotonicity discussion of §6.5. The
+    /// recovered store runs the read cache `cfg` asks for: the snapshot
+    /// holds primary-log addresses only (Appendix D).
+    ///
+    /// Panics if `cfg.wal` is set; a WAL store recovers through
+    /// [`crate::ckpt_manager::recover_store_with_wal`].
     pub fn recover(
         cfg: FasterKvConfig,
         functions: F,
         device: Arc<dyn Device>,
         data: &CheckpointData,
     ) -> Self {
-        let metrics = Arc::new(faster_metrics::MetricsRegistry::new(cfg.metrics));
-        let epoch = Epoch::with_metrics(cfg.max_sessions, metrics.epoch.clone());
-        let index = HashIndex::restore_with_metrics(
-            &data.index,
-            cfg.index.max_resize_chunks,
-            epoch.clone(),
-            metrics.index.clone(),
-        );
-        let log = HybridLog::recover_with_metrics(
-            cfg.log,
-            epoch.clone(),
-            device,
-            data.begin,
-            data.t2,
-            metrics.hlog.clone(),
-        );
-        // Recovery starts without a read cache; enable it by recreating the
-        // store config if desired (cache contents are volatile anyway).
-        let store = Self {
-            inner: Arc::new(StoreInner {
-                epoch,
-                index,
-                log,
-                rc: None,
-                functions,
-                cfg,
-                metrics,
-                wal: std::sync::OnceLock::new(),
-                health: crate::health::HealthCell::new(),
-                _marker: std::marker::PhantomData,
-            }),
-        };
-        store.attach_health_hook();
-        store.replay(data.t1, data.t2);
-        store
+        assert!(cfg.wal.is_none(), "cfg.wal set: use ckpt_manager::recover_store_with_wal");
+        Self::build(cfg, functions, device, None, Some(data))
     }
 
     /// §6.5 replay: walk `[t1, t2)` and update the fuzzy index entries.
-    fn replay(&self, t1: Address, t2: Address) {
+    pub(crate) fn replay(&self, t1: Address, t2: Address) {
         let inner = &self.inner;
         let rec_size = RecordRef::<K, V>::size();
         for page in LogScanner::new(&inner.log, t1, t2) {

@@ -20,8 +20,8 @@
 //! ## Commit protocol (crash-atomic, no rename dependence)
 //!
 //! 1. Ensure the log itself is durable through `t2`
-//!    ([`FasterKv::checkpoint_durable`] — a flush that silently failed must
-//!    not produce a committed generation).
+//!    ([`FasterKv::checkpoint`] — a flush that failed must not produce a
+//!    committed generation).
 //! 2. Write the new generation's blob into fresh (or recycled) blob space —
 //!    never over a live generation — and issue a flush barrier.
 //! 3. Write the updated manifest (all retained generations + the new one,
@@ -29,6 +29,11 @@
 //!    did **not** write — and issue a flush barrier.
 //! 4. Only then update in-memory state and recycle blob space of generations
 //!    that retention dropped.
+//!
+//! [`CheckpointManager::commit`] is steps 2–4 and the only writer of the
+//! manifest; [`CheckpointManager::checkpoint_store`] is step 1 plus `commit`.
+//! Retention always rides in that manifest write: the slot flip that adds
+//! the new generation also drops the oldest beyond `retain`.
 //!
 //! A crash before step 3 completes leaves the previous manifest (and every
 //! generation it lists) fully intact: the torn slot simply loses the
@@ -79,20 +84,14 @@ pub const MAX_GENERATIONS: usize =
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointConfig {
     /// How many committed generations to keep recoverable (≥ 1, ≤
-    /// [`MAX_GENERATIONS`]).
+    /// [`MAX_GENERATIONS`]). Each commit drops the oldest beyond it in the
+    /// same atomic manifest write that adds the new one.
     pub retain: usize,
-    /// Apply retention inside each commit (the dropped generation leaves the
-    /// manifest in the same atomic slot write that adds the new one). With
-    /// `false`, superseded generations accumulate until [`prune`] is called
-    /// from a maintenance thread.
-    ///
-    /// [`prune`]: CheckpointManager::prune
-    pub auto_prune: bool,
 }
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        Self { retain: 4, auto_prune: true }
+        Self { retain: 4 }
     }
 }
 
@@ -154,14 +153,14 @@ struct ManagerState {
     cursor: u64,
     /// Recycled blob extents `(offset, aligned_len)`, first-fit allocated.
     free: Vec<(u64, u64)>,
-    retain: usize,
 }
 
 /// Manages checkpoint generations on a dedicated device. See module docs for
 /// the commit protocol and arbitration rules.
 pub struct CheckpointManager {
     device: Arc<dyn Device>,
-    auto_prune: bool,
+    /// `CheckpointConfig::retain`, clamped to `1..=MAX_GENERATIONS`.
+    retain: usize,
     state: Mutex<ManagerState>,
 }
 
@@ -171,14 +170,13 @@ impl CheckpointManager {
     pub fn new(device: Arc<dyn Device>, cfg: CheckpointConfig) -> Self {
         Self {
             device,
-            auto_prune: cfg.auto_prune,
+            retain: cfg.retain.clamp(1, MAX_GENERATIONS),
             state: Mutex::new(ManagerState {
                 seqno: 0,
                 next_gen: 1,
                 generations: Vec::new(),
                 cursor: BLOB_REGION_BASE,
                 free: Vec::new(),
-                retain: cfg.retain.clamp(1, MAX_GENERATIONS),
             }),
         }
     }
@@ -198,12 +196,6 @@ impl CheckpointManager {
         self.state.lock().unwrap().seqno
     }
 
-    /// Changes the retention target; takes effect at the next commit or
-    /// [`prune`](Self::prune).
-    pub fn set_retain(&self, retain: usize) {
-        self.state.lock().unwrap().retain = retain.clamp(1, MAX_GENERATIONS);
-    }
-
     /// Checkpoints `store` and atomically commits the result as a new
     /// generation. `Ok(gen)` means the generation is durable: the log is
     /// flushed through its `t2`, the blob is flushed, and the manifest write
@@ -220,14 +212,14 @@ impl CheckpointManager {
         // recovery; a racer may be both captured and replayed, which is
         // safe because WAL records are idempotent post-images (§10).
         let wal_cutoff = store.wal().map(|w| w.last_appended_lsn()).unwrap_or(0);
-        let data = store.checkpoint_durable()?;
+        let data = store.checkpoint()?;
         // GC/checkpoint invariant at birth: the log frontier cannot already
         // be above the begin this generation records.
         debug_assert!(
             store.log().begin_address() <= data.begin,
             "log frontier above a generation's begin at commit time"
         );
-        let gen = self.commit_with_wal_lsn(&data, wal_cutoff)?;
+        let gen = self.commit(&data, wal_cutoff)?;
         // Reclaim WAL segments no retained generation can ever replay:
         // recovery falls back at most to the oldest retained generation,
         // which replays strictly above its own recorded cutoff.
@@ -241,22 +233,14 @@ impl CheckpointManager {
         Ok(gen)
     }
 
-    /// Commits an already-taken checkpoint as a new generation. See
+    /// Commits an already-taken checkpoint as a new generation, recording
+    /// `wal_lsn` as the WAL truncation point in the same atomic manifest
+    /// slot write: recovery to this generation replays only WAL records
+    /// strictly above `wal_lsn` (0 = no WAL coverage). See
     /// [`checkpoint_store`](Self::checkpoint_store) for the durability
-    /// contract; this variant trusts the caller that the log is durable
+    /// contract; this call trusts the caller that the log is durable
     /// through `data.t2`.
-    pub fn commit(&self, data: &CheckpointData) -> Result<u64, CheckpointError> {
-        self.commit_with_wal_lsn(data, 0)
-    }
-
-    /// Like [`commit`](Self::commit), recording `wal_lsn` as the WAL
-    /// truncation point in the same atomic manifest slot write: recovery to
-    /// this generation replays only WAL records strictly above `wal_lsn`.
-    pub fn commit_with_wal_lsn(
-        &self,
-        data: &CheckpointData,
-        wal_lsn: u64,
-    ) -> Result<u64, CheckpointError> {
+    pub fn commit(&self, data: &CheckpointData, wal_lsn: u64) -> Result<u64, CheckpointError> {
         let blob = data.to_bytes();
         let blob_len = blob.len() as u64;
         let blob_checksum = faster_util::hash_bytes(&blob);
@@ -290,9 +274,8 @@ impl CheckpointManager {
         });
         // Retention rides in the same atomic manifest write: the slot flip
         // that commits the new generation also drops the superseded one.
-        let retain = if self.auto_prune { st.retain } else { MAX_GENERATIONS };
         let dropped: Vec<GenerationMeta> =
-            if gens.len() > retain { gens.drain(..gens.len() - retain).collect() } else { Vec::new() };
+            gens.drain(..gens.len().saturating_sub(self.retain)).collect();
 
         let seqno = st.seqno + 1;
         let manifest = encode_manifest(seqno, &gens);
@@ -316,30 +299,6 @@ impl CheckpointManager {
             st.free_blob(d.blob_offset, d.blob_len, sector);
         }
         Ok(gen)
-    }
-
-    /// Drops generations beyond the retention target with one manifest
-    /// commit, recycling their blob space. Returns how many were dropped.
-    /// Safe to call from a background maintenance thread.
-    pub fn prune(&self) -> Result<usize, CheckpointError> {
-        let sector = self.device.sector_size() as u64;
-        let mut st = self.state.lock().unwrap();
-        if st.generations.len() <= st.retain {
-            return Ok(0);
-        }
-        let drop_n = st.generations.len() - st.retain;
-        let survivors = st.generations[drop_n..].to_vec();
-        let seqno = st.seqno + 1;
-        let manifest = encode_manifest(seqno, &survivors);
-        self.device.write_blocking((seqno % 2) * MANIFEST_SLOT_SIZE, manifest)?;
-        self.device.flush_barrier().map_err(CheckpointError::Io)?;
-        st.seqno = seqno;
-        let dropped: Vec<GenerationMeta> = st.generations.drain(..drop_n).collect();
-        st.generations = survivors;
-        for d in &dropped {
-            st.free_blob(d.blob_offset, d.blob_len, sector);
-        }
-        Ok(drop_n)
     }
 
     /// Reads and fully verifies one retained generation's blob.
@@ -407,14 +366,13 @@ impl CheckpointManager {
                     retained.sort_by_key(|g| g.gen);
                     let mgr = Self {
                         device,
-                        auto_prune: cfg.auto_prune,
+                        retain: cfg.retain.clamp(1, MAX_GENERATIONS),
                         state: Mutex::new(ManagerState {
                             seqno: max_seqno,
                             next_gen: max_gen + 1,
                             generations: retained,
                             cursor,
                             free: Vec::new(),
-                            retain: cfg.retain.clamp(1, MAX_GENERATIONS),
                         }),
                     };
                     let rec = RecoveredGeneration {
@@ -469,24 +427,6 @@ impl CheckpointManager {
     }
 }
 
-/// What [`recover_store`] hands back: the rebuilt store, a manager that
-/// continues the generation sequence, and the arbitration verdict.
-pub type RecoveredStore<K, V, F> = (FasterKv<K, V, F>, CheckpointManager, RecoveredGeneration);
-
-/// Recover a store end-to-end: arbitrate the checkpoint device, then rebuild
-/// the store over the surviving log device from the recovered generation.
-pub fn recover_store<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
-    store_cfg: FasterKvConfig,
-    functions: F,
-    log_device: Arc<dyn Device>,
-    ckpt_device: Arc<dyn Device>,
-    ckpt_cfg: CheckpointConfig,
-) -> Result<RecoveredStore<K, V, F>, CheckpointError> {
-    let (mgr, rec) = CheckpointManager::recover_latest(ckpt_device, ckpt_cfg)?;
-    let store = FasterKv::recover(store_cfg, functions, log_device, &rec.data);
-    Ok((store, mgr, rec))
-}
-
 /// What [`recover_store_with_wal`] hands back.
 pub struct RecoveredStoreWithWal<K: Pod, V: Pod, F: Functions<K, V>> {
     /// The rebuilt store, WAL attached and accepting new appends.
@@ -527,10 +467,8 @@ pub fn recover_store_with_wal<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
             }
             Err(e) => return Err(e),
         };
-    let store = match &generation {
-        Some(rec) => FasterKv::recover(store_cfg, functions, log_device, &rec.data),
-        None => FasterKv::build(store_cfg, functions, log_device, None),
-    };
+    let recovery = generation.as_ref().map(|rec| &rec.data);
+    let store = FasterKv::build(store_cfg, functions, log_device, None, recovery);
     let skip = generation.as_ref().map(|r| r.wal_lsn).unwrap_or(0);
     let (wal, records) = faster_wal::Wal::recover(
         wal_device,
@@ -728,7 +666,7 @@ mod tests {
         let dev: Arc<dyn Device> = MemDevice::new(1);
         let mgr = CheckpointManager::new(dev.clone(), CheckpointConfig::default());
         let d1 = data(64, 128, 64);
-        assert_eq!(mgr.commit(&d1).unwrap(), 1);
+        assert_eq!(mgr.commit(&d1, 0).unwrap(), 1);
         let (mgr2, rec) =
             CheckpointManager::recover_latest(dev, CheckpointConfig::default()).unwrap();
         assert_eq!(rec.gen, 1);
@@ -744,8 +682,8 @@ mod tests {
         let mgr = CheckpointManager::new(dev.clone(), CheckpointConfig::default());
         let d1 = data(64, 128, 64);
         let d2 = data(128, 256, 64);
-        mgr.commit(&d1).unwrap();
-        mgr.commit(&d2).unwrap();
+        mgr.commit(&d1, 0).unwrap();
+        mgr.commit(&d2, 0).unwrap();
         // Smash one byte of generation 2's blob directly on the device.
         let g2 = mgr.generations().into_iter().find(|g| g.gen == 2).unwrap();
         let mut blob = dev.read_blocking(g2.blob_offset, g2.blob_len as usize).unwrap();
@@ -763,18 +701,15 @@ mod tests {
         assert_eq!(mgr2.generations().iter().map(|g| g.gen).collect::<Vec<_>>(), vec![1]);
         // But its generation number is not reused.
         let d3 = data(256, 512, 64);
-        assert_eq!(mgr2.commit(&d3).unwrap(), 3);
+        assert_eq!(mgr2.commit(&d3, 0).unwrap(), 3);
     }
 
     #[test]
     fn retention_drops_oldest_and_recycles_blob_space() {
         let dev: Arc<dyn Device> = MemDevice::new(1);
-        let mgr = CheckpointManager::new(
-            dev.clone(),
-            CheckpointConfig { retain: 2, auto_prune: true },
-        );
+        let mgr = CheckpointManager::new(dev.clone(), CheckpointConfig { retain: 2 });
         for i in 1..=4u64 {
-            mgr.commit(&data(64 * i, 64 * i + 32, 64)).unwrap();
+            mgr.commit(&data(64 * i, 64 * i + 32, 64), 0).unwrap();
         }
         let gens: Vec<u64> = mgr.generations().iter().map(|g| g.gen).collect();
         assert_eq!(gens, vec![3, 4]);
@@ -795,25 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_prune_without_auto() {
-        let dev: Arc<dyn Device> = MemDevice::new(1);
-        let mgr = CheckpointManager::new(
-            dev.clone(),
-            CheckpointConfig { retain: 1, auto_prune: false },
-        );
-        for i in 1..=3u64 {
-            mgr.commit(&data(64 * i, 64 * i + 32, 64)).unwrap();
-        }
-        assert_eq!(mgr.generations().len(), 3);
-        assert_eq!(mgr.prune().unwrap(), 2);
-        assert_eq!(mgr.generations().iter().map(|g| g.gen).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(mgr.prune().unwrap(), 0);
-        let (_m, rec) =
-            CheckpointManager::recover_latest(dev, CheckpointConfig::default()).unwrap();
-        assert_eq!(rec.gen, 3);
-    }
-
-    #[test]
     fn empty_device_reports_no_valid_generation() {
         let dev: Arc<dyn Device> = MemDevice::new(1);
         let res = CheckpointManager::recover_latest(dev, CheckpointConfig::default());
@@ -825,7 +741,7 @@ mod tests {
         let dev: Arc<dyn Device> = MemDevice::new(1);
         let mgr = CheckpointManager::new(dev, CheckpointConfig::default());
         let d1 = data(64, 128, 64);
-        let g = mgr.commit(&d1).unwrap();
+        let g = mgr.commit(&d1, 0).unwrap();
         assert_eq!(mgr.load_generation(g).unwrap(), d1);
         assert!(matches!(
             mgr.load_generation(99),

@@ -103,11 +103,6 @@ pub struct FasterKvConfig {
     /// store with [`FasterKv::new_with_wal`] (the plain constructor has no
     /// WAL device to hand the log).
     pub wal: Option<faster_wal::WalConfig>,
-    /// Tuning thresholds for the background maintenance service
-    /// (DESIGN.md §11). Stored here so `FasterKv::start_maintenance` can
-    /// spawn the service with no further ceremony; `None` uses
-    /// `PolicyConfig::default()`.
-    pub maintenance: Option<faster_maintenance::PolicyConfig>,
 }
 
 impl FasterKvConfig {
@@ -121,7 +116,6 @@ impl FasterKvConfig {
             read_cache: None,
             metrics: MetricsConfig::default(),
             wal: None,
-            maintenance: None,
         }
     }
 
@@ -140,7 +134,6 @@ impl FasterKvConfig {
             read_cache: None,
             metrics: MetricsConfig::default(),
             wal: None,
-            maintenance: None,
         }
     }
 
@@ -192,13 +185,6 @@ impl FasterKvConfig {
         self.wal = Some(wal);
         self
     }
-
-    /// Sets the maintenance-policy thresholds used by
-    /// [`FasterKv::start_maintenance`] (DESIGN.md §11).
-    pub fn with_maintenance(mut self, policy: faster_maintenance::PolicyConfig) -> Self {
-        self.maintenance = Some(policy);
-        self
-    }
 }
 
 impl Default for FasterKvConfig {
@@ -248,7 +234,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     /// [`FasterKv::new_with_wal`].
     pub fn new(cfg: FasterKvConfig, functions: F, device: Arc<dyn Device>) -> Self {
         assert!(cfg.wal.is_none(), "cfg.wal set: use FasterKv::new_with_wal");
-        Self::build(cfg, functions, device, None)
+        Self::build(cfg, functions, device, None, None)
     }
 
     /// Creates a store over `device` with a group-committed WAL on
@@ -260,19 +246,44 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         wal_device: Arc<dyn Device>,
     ) -> Self {
         let wal_cfg = cfg.wal.expect("new_with_wal requires cfg.wal");
-        Self::build(cfg, functions, device, Some((wal_device, wal_cfg)))
+        Self::build(cfg, functions, device, Some((wal_device, wal_cfg)), None)
     }
 
+    /// The one construction path. With a recovery point the index is
+    /// restored from its fuzzy snapshot and the log reopened at `t2` in
+    /// place of fresh ones, and the §6.5 replay of `[t1, t2)` runs once the
+    /// hooks are installed.
     pub(crate) fn build(
         cfg: FasterKvConfig,
         functions: F,
         device: Arc<dyn Device>,
         wal: Option<(Arc<dyn Device>, faster_wal::WalConfig)>,
+        recovery: Option<&CheckpointData>,
     ) -> Self {
         let metrics = Arc::new(MetricsRegistry::new(cfg.metrics));
         let epoch = Epoch::with_metrics(cfg.max_sessions, metrics.epoch.clone());
-        let index = HashIndex::with_metrics(cfg.index, epoch.clone(), metrics.index.clone());
-        let log = HybridLog::with_metrics(cfg.log, epoch.clone(), device, metrics.hlog.clone());
+        let (index, log) = match recovery {
+            Some(data) => (
+                HashIndex::restore_with_metrics(
+                    &data.index,
+                    cfg.index.max_resize_chunks,
+                    epoch.clone(),
+                    metrics.index.clone(),
+                ),
+                HybridLog::recover_with_metrics(
+                    cfg.log,
+                    epoch.clone(),
+                    device,
+                    data.begin,
+                    data.t2,
+                    metrics.hlog.clone(),
+                ),
+            ),
+            None => (
+                HashIndex::with_metrics(cfg.index, epoch.clone(), metrics.index.clone()),
+                HybridLog::with_metrics(cfg.log, epoch.clone(), device, metrics.hlog.clone()),
+            ),
+        };
         let rc = cfg.read_cache.map(|c| {
             HybridLog::with_metrics(
                 c,
@@ -301,7 +312,14 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         if let Some(w) = wal_log {
             let _ = store.inner.wal.set(w);
         }
-        store.attach_health_hook();
+        // The health cell follows the log's storage-fault stream
+        // (quarantined pages, corrupt reads).
+        let weak = Arc::downgrade(&store.inner);
+        store.inner.log.set_fault_hook(move |fault| {
+            if let Some(inner) = weak.upgrade() {
+                inner.health.on_log_fault(fault);
+            }
+        });
         if let Some(rc_log) = &store.inner.rc {
             // Eviction hook: restore index entries to the primary-log
             // addresses before cache frames are recycled (Appendix D).
@@ -312,19 +330,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 }
             });
         }
+        if let Some(data) = recovery {
+            store.replay(data.t1, data.t2);
+        }
         store
-    }
-
-    /// Subscribes the health cell to the log's storage-fault stream
-    /// (quarantined pages, corrupt reads). Every construction path — plain
-    /// build and checkpoint recovery — must call this once.
-    pub(crate) fn attach_health_hook(&self) {
-        let weak = Arc::downgrade(&self.inner);
-        self.inner.log.set_fault_hook(move |fault| {
-            if let Some(inner) = weak.upgrade() {
-                inner.health.on_log_fault(fault);
-            }
-        });
     }
 
     /// Where the store sits on the degradation ladder (DESIGN.md §12).

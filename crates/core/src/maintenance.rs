@@ -13,6 +13,9 @@
 //! | `ResizeReadCache`     | `set_active_pages` on the cache's HybridLog      |
 //! | `Checkpoint`          | [`CheckpointManager::checkpoint_store`]          |
 //!
+//! [`FasterKv::start_maintenance`] spawns the service with the [`Policy`]
+//! its caller hands it; the store's config holds no policy thresholds.
+//!
 //! ## Epoch interaction
 //!
 //! The service thread must hold **no idle session** across a tick:
@@ -125,11 +128,11 @@ where
         Arc::new(KvActuators::new(self.clone(), mgr))
     }
 
-    /// Spawns the background maintenance service over this store using the
-    /// thresholds from [`FasterKvConfig::maintenance`](crate::FasterKvConfig)
-    /// (defaults if unset). Pass the store's [`CheckpointManager`] to enable
-    /// the checkpoint-cadence actuator; without one, `Checkpoint` decisions
-    /// report failure and everything else still runs.
+    /// Spawns the background maintenance service over this store, driven
+    /// by `policy` (fresh, or pre-warmed from earlier observations). Pass
+    /// the store's [`CheckpointManager`] to enable the checkpoint-cadence
+    /// actuator; without one, `Checkpoint` decisions report failure and
+    /// everything else still runs.
     ///
     /// The returned handle owns the thread: drop it (or call
     /// [`MaintenanceService::stop`]) to stop the service and release its
@@ -137,14 +140,7 @@ where
     /// epoch-gated durability, so foreground sessions must keep refreshing
     /// (or be dropped) while the service runs — the same contract as calling
     /// [`FasterKv::checkpoint`] from any other thread.
-    pub fn start_maintenance(&self, mgr: Option<Arc<CheckpointManager>>) -> MaintenanceService {
-        let cfg = self.config().maintenance.unwrap_or_default();
-        self.start_maintenance_with(mgr, Policy::new(cfg))
-    }
-
-    /// Like [`start_maintenance`](Self::start_maintenance) with an explicit
-    /// (possibly pre-warmed) policy engine.
-    pub fn start_maintenance_with(
+    pub fn start_maintenance(
         &self,
         mgr: Option<Arc<CheckpointManager>>,
         policy: Policy,

@@ -148,15 +148,6 @@ impl<K: Pod, V: Pod> RecordRef<K, V> {
         self.header_atomic().fetch_or(bits, Ordering::SeqCst);
     }
 
-    /// CAS the full header (delete splices, prev rewrites during resize).
-    #[inline]
-    pub fn cas_header(&self, expected: RecordHeader, new: RecordHeader) -> Result<(), RecordHeader> {
-        self.header_atomic()
-            .compare_exchange(expected.0, new.0, Ordering::SeqCst, Ordering::SeqCst)
-            .map(|_| ())
-            .map_err(RecordHeader)
-    }
-
     /// Rewrites only the previous-address bits, preserving status bits.
     pub fn set_prev(&self, prev: Address) {
         let a = self.header_atomic();

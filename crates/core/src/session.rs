@@ -88,17 +88,6 @@ pub enum OpError {
     Io(faster_storage::IoError),
 }
 
-impl OpError {
-    /// The pending id, when the operation went asynchronous.
-    #[inline]
-    pub fn pending_id(&self) -> Option<u64> {
-        match self {
-            OpError::Pending(id) => Some(*id),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for OpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

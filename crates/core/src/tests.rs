@@ -775,7 +775,7 @@ fn checkpoint_recover_round_trip() {
             s.upsert(&k, &(k * 3)).unwrap();
         }
         drop(s); // quiesce so the checkpoint flush trigger can fire
-        data = store.checkpoint();
+        data = store.checkpoint().expect("checkpoint on a fault-free device");
         // Post-checkpoint updates are allowed to be lost.
         let s2 = store.start_session();
         s2.upsert(&0, &999_999).unwrap();
@@ -808,7 +808,7 @@ fn checkpoint_replay_catches_fuzzy_window_updates() {
             s.upsert(&k, &k).unwrap();
         }
     }
-    let data = store.checkpoint();
+    let data = store.checkpoint().expect("checkpoint on a fault-free device");
     assert!(data.t2 >= data.t1);
     let store2: FasterKv<u64, u64, CountStore> =
         FasterKv::recover(cfg, CountStore, device, &data);

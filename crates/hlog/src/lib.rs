@@ -673,11 +673,6 @@ impl HybridLog {
         }
     }
 
-    /// Bytes remaining on `addr`'s page (records never span pages).
-    pub fn bytes_to_page_end(&self, addr: Address) -> u64 {
-        self.inner.cfg.page_size() - (addr.raw() & (self.inner.cfg.page_size() - 1))
-    }
-
     /// Reads `len` bytes at `addr` from storage, verified, parking until
     /// they arrive (§5.3: "Being a record log, we retrieve only the record
     /// and not the entire logical page"). For maintenance paths (scan, gc,
@@ -797,8 +792,8 @@ impl HybridLog {
     /// Blocks until every issued page flush has completed on the device and
     /// is durable. A barrier failure means durability of already-acked page
     /// writes is unknown; it is latched into [`HybridLog::flush_failures`]
-    /// (and the metrics counter) so `checkpoint_durable`-style protocols
-    /// that sample the counter also observe it.
+    /// (and the metrics counter), so a checkpoint that samples the counter
+    /// around its flush also observes it.
     pub fn flush_barrier(&self) -> Result<(), faster_storage::IoError> {
         let res = self.inner.device.flush_barrier();
         if res.is_err() {
@@ -873,11 +868,6 @@ impl HybridLog {
         // A shrink should bite without waiting for the next page seal.
         self.maybe_advance_head(None);
         clamped
-    }
-
-    /// True if the page holding `addr` is resident in the buffer.
-    pub fn is_resident(&self, addr: Address) -> bool {
-        addr.raw() >= self.inner.head.load(Ordering::SeqCst) && addr < self.tail_address()
     }
 
     /// Copies a full page image, from memory if resident, otherwise from the
@@ -1019,7 +1009,7 @@ impl Inner {
                 }
                 // Failed attempts feed the `flushes_failed` metric but NOT
                 // `flush_failures`: a transient fault whose retry lands
-                // leaves the device bytes intact, and `checkpoint_durable`
+                // leaves the device bytes intact, and a checkpoint
                 // quiesces before sampling, so only *terminal* outcomes
                 // (quarantine, barrier failure) may poison its durability
                 // window.

@@ -329,11 +329,6 @@ impl HashIndex {
         self.active_array().k_bits()
     }
 
-    /// Number of primary buckets in the active table.
-    pub fn num_buckets(&self) -> usize {
-        self.active_array().len()
-    }
-
     /// The epoch framework this index coordinates with.
     pub fn epoch(&self) -> &Epoch {
         &self.epoch

@@ -30,7 +30,7 @@
 //! | log tail + WAL bytes since last ckpt    | `checkpoint()`               |
 
 use faster_metrics::StoreMetrics;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -390,16 +390,6 @@ pub struct MaintenanceStats {
     pub checkpoint_failures: AtomicU64,
 }
 
-impl MaintenanceStats {
-    pub fn actions_total(&self) -> u64 {
-        self.grows.load(Ordering::Relaxed)
-            + self.shrinks.load(Ordering::Relaxed)
-            + self.compactions.load(Ordering::Relaxed)
-            + self.rc_resizes.load(Ordering::Relaxed)
-            + self.checkpoints.load(Ordering::Relaxed)
-    }
-}
-
 /// One snapshot → decide → apply cycle. This is the entire body of the
 /// service thread's loop, exposed so deterministic tests (the cooperative
 /// stress scheduler, the fault harness) can drive ticks without threads.
@@ -453,7 +443,6 @@ struct StopFlag {
 pub struct MaintenanceService {
     stop: Arc<StopFlag>,
     stats: Arc<MaintenanceStats>,
-    running: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -465,8 +454,7 @@ impl MaintenanceService {
         let interval = policy.config().tick_interval;
         let stop = Arc::new(StopFlag { stopped: Mutex::new(false), cv: Condvar::new() });
         let stats = Arc::new(MaintenanceStats::default());
-        let running = Arc::new(AtomicBool::new(true));
-        let (stop2, stats2, running2) = (stop.clone(), stats.clone(), running.clone());
+        let (stop2, stats2) = (stop.clone(), stats.clone());
         let handle = std::thread::Builder::new()
             .name("faster-maintenance".into())
             .spawn(move || {
@@ -484,20 +472,14 @@ impl MaintenanceService {
                     }
                     run_tick(&mut policy, &*acts, &stats2);
                 }
-                running2.store(false, Ordering::SeqCst);
             })
             .expect("spawn maintenance thread");
-        Self { stop, stats, running, handle: Some(handle) }
+        Self { stop, stats, handle: Some(handle) }
     }
 
     /// Counters of applied actions (shared with the service thread).
     pub fn stats(&self) -> &Arc<MaintenanceStats> {
         &self.stats
-    }
-
-    /// True until the service thread has exited.
-    pub fn is_running(&self) -> bool {
-        self.running.load(Ordering::SeqCst)
     }
 
     /// Stops the thread and waits for the in-flight tick (if any) to finish.

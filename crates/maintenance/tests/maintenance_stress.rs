@@ -338,7 +338,7 @@ fn checkpoint_during_wal_traffic_case(seed: u64) {
             batch_window: Duration::ZERO,
             segment_size: 4096,
         });
-    let ckpt_cfg = CheckpointConfig { retain: 1, ..Default::default() };
+    let ckpt_cfg = CheckpointConfig { retain: 1 };
     let log_dev = MemDevice::new(2);
     let ckpt_dev = MemDevice::new(1);
     let wal_dev = MemDevice::new(1);

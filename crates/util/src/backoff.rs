@@ -40,11 +40,6 @@ impl Backoff {
         self.step = 0;
     }
 
-    /// True once `snooze` has escalated past spinning/yielding to sleeping.
-    pub fn is_sleeping(&self) -> bool {
-        self.step > SPIN_LIMIT + YIELD_LIMIT
-    }
-
     /// Waits one backoff step: `2^step` spin hints, then OS yields, then
     /// exponentially growing sleeps capped at [`MAX_SLEEP`].
     pub fn snooze(&mut self) {

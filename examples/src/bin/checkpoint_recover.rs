@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release -p faster-examples --bin checkpoint_recover`
 
-use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
+use faster_core::ckpt_manager::{CheckpointConfig, CheckpointManager};
 use faster_core::{CheckpointError, CountStore, FasterKv, FasterKvConfig, OpError, Outcome};
 use faster_storage::{Device, MemDevice};
 use std::sync::Arc;
@@ -77,16 +77,12 @@ fn main() {
         println!("corrupted generation {}'s blob (one bit)", victim.gen);
     }
 
-    // Recovery: arbitrate the manifest, skip the damaged generation, rebuild
-    // the index from the surviving fuzzy snapshot, replay [t1, t2).
-    let (store, mgr, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(
-        cfg,
-        CountStore,
-        log_dev,
-        ckpt_dev,
-        CheckpointConfig::default(),
-    )
-    .expect("an older generation must survive");
+    // Recovery: arbitrate the manifest, skip the damaged generation, then
+    // rebuild the index from the surviving fuzzy snapshot and replay [t1, t2).
+    let (mgr, rec) = CheckpointManager::recover_latest(ckpt_dev, CheckpointConfig::default())
+        .expect("an older generation must survive");
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::recover(cfg, CountStore, log_dev, &rec.data);
     assert_eq!(rec.gen, victim.gen - 1);
     assert_eq!(rec.fallbacks(), 1);
     assert!(matches!(rec.skipped[0], (g, CheckpointError::ChecksumMismatch) if g == victim.gen));

@@ -166,7 +166,9 @@ pub fn run_crash_recovery_case(
         }
         session.complete_pending(true);
     }
-    let ckpt = store.checkpoint();
+    let ckpt = store
+        .checkpoint()
+        .unwrap_or_else(|e| panic!("[{ctx}] checkpoint before the crash is armed failed: {e}"));
     let snapshot = oracle.clone();
 
     // Round-trip the checkpoint through its serialized form, as a real
@@ -348,14 +350,10 @@ pub fn run_in_checkpoint_crash_case(seed: u64, point: Option<CkptCrashPoint>) ->
     log_img.flush_barrier().unwrap();
     ckpt_img.flush_barrier().unwrap();
 
-    let (recovered, mgr2, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(
-        harness_cfg(),
-        CountStore,
-        log_img,
-        ckpt_img,
-        CheckpointConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("[{ctx}] recovery must always find a generation: {e}"));
+    let (mgr2, rec) = CheckpointManager::recover_latest(ckpt_img, CheckpointConfig::default())
+        .unwrap_or_else(|e| panic!("[{ctx}] recovery must always find a generation: {e}"));
+    let recovered: FasterKv<u64, u64, CountStore> =
+        FasterKv::recover(harness_cfg(), CountStore, log_img, &rec.data);
 
     // Which oracle snapshot must the store match? The in-flight generation
     // iff its manifest landed, else the baseline — never anything else.
@@ -807,14 +805,10 @@ pub fn run_maintenance_crash_case(seed: u64, point: Option<MaintCrashPoint>) -> 
     log_img.flush_barrier().unwrap();
     ckpt_img.flush_barrier().unwrap();
 
-    let (recovered, mgr2, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(
-        harness_cfg(),
-        CountStore,
-        log_img,
-        ckpt_img,
-        CheckpointConfig::default(),
-    )
-    .unwrap_or_else(|e| panic!("[{ctx}] recovery must always find a generation: {e}"));
+    let (mgr2, rec) = CheckpointManager::recover_latest(ckpt_img, CheckpointConfig::default())
+        .unwrap_or_else(|e| panic!("[{ctx}] recovery must always find a generation: {e}"));
+    let recovered: FasterKv<u64, u64, CountStore> =
+        FasterKv::recover(harness_cfg(), CountStore, log_img, &rec.data);
 
     // The window ran no foreground ops, so every generation the maintenance
     // checkpoint(s) produced carries the same logical state: the oracle at

@@ -12,7 +12,7 @@
 //! other fault sweeps; failures print their `(seed, point)` for replay.
 
 use faster_core::checkpoint::{CheckpointData, CheckpointError};
-use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager, MANIFEST_SLOT_SIZE};
+use faster_core::ckpt_manager::{CheckpointConfig, CheckpointManager, MANIFEST_SLOT_SIZE};
 use faster_core::{CountStore, FasterKv};
 use faster_integration_tests::fault_harness::{
     fault_seed_range, harness_cfg, run_in_checkpoint_crash_case, CkptCrashPoint, KEYSPACE,
@@ -155,14 +155,10 @@ fn fallback_chain_walks_multiple_generations() {
     drop(store);
     log_dev.flush_barrier().unwrap();
 
-    let (recovered, _mgr2, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(
-        harness_cfg(),
-        CountStore,
-        log_dev,
-        ckpt_dev,
-        CheckpointConfig::default(),
-    )
-    .expect("generation 1 must survive");
+    let (_mgr2, rec) = CheckpointManager::recover_latest(ckpt_dev, CheckpointConfig::default())
+        .expect("generation 1 must survive");
+    let recovered: FasterKv<u64, u64, CountStore> =
+        FasterKv::recover(harness_cfg(), CountStore, log_dev, &rec.data);
     assert_eq!(rec.gen, gens[0].gen);
     assert_eq!(rec.fallbacks(), 2);
     for (skipped_gen, err) in &rec.skipped {
@@ -179,14 +175,15 @@ fn fallback_chain_walks_multiple_generations() {
 }
 
 /// GC satellite: the truncation frontier can never climb above the `begin`
-/// of a retained generation, and pruning releases the clamp.
+/// of a retained generation, and a commit whose retention drops the oldest
+/// generation releases the clamp.
 #[test]
 fn gc_clamp_follows_retention() {
     let log_dev: Arc<dyn Device> = MemDevice::new(2);
     let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
     let store: FasterKv<u64, u64, CountStore> =
         FasterKv::new(harness_cfg(), CountStore, log_dev.clone());
-    let mgr = CheckpointManager::new(ckpt_dev, CheckpointConfig { retain: 8, auto_prune: true });
+    let mgr = CheckpointManager::new(ckpt_dev, CheckpointConfig { retain: 2 });
 
     // Two generations with log growth (and a begin shift) between them.
     {
@@ -216,18 +213,33 @@ fn gc_clamp_follows_retention() {
     assert_eq!(truncated, oldest_begin);
     assert!(store.log().begin_address() <= oldest_begin);
 
-    // ...and after pruning to the newest generation only, the clamp rises
-    // to that generation's begin.
-    mgr.set_retain(1);
-    assert_eq!(mgr.prune().unwrap(), gens.len() - 1);
+    // ...and once a third commit drops the oldest generation (retain 2),
+    // the clamp rises to the new oldest generation's begin.
+    {
+        let session = store.start_session();
+        for k in 0..4000u64 {
+            let _ = session.upsert(&(KEYSPACE + k), &(k + 1));
+        }
+        session.complete_pending(true);
+    }
+    mgr.checkpoint_store(&store).unwrap();
+    let retained = mgr.generations();
+    assert_eq!(
+        retained.iter().map(|g| g.gen).collect::<Vec<_>>(),
+        vec![gens[1].gen, gens[1].gen + 1],
+        "the commit's retention must drop the oldest generation"
+    );
     let new_bound = mgr.safe_truncation_bound().unwrap();
+    assert_eq!(new_bound, retained[0].begin);
     assert!(new_bound >= oldest_begin);
+    let tail = store.log().tail_address();
     let truncated = mgr.gc_truncate(&store, tail);
     assert_eq!(truncated, new_bound);
 
-    // The retained generation stays fully loadable after the truncation.
-    let g = mgr.generations()[0];
-    assert!(mgr.load_generation(g.gen).is_ok());
+    // The retained generations stay fully loadable after the truncation.
+    for g in &retained {
+        assert!(mgr.load_generation(g.gen).is_ok());
+    }
 }
 
 proptest! {
@@ -259,7 +271,7 @@ proptest! {
                     entries: vec![(i, i * 7), (i + 1, i * 11)],
                 },
             };
-            mgr.commit(&data).unwrap();
+            mgr.commit(&data, 0).unwrap();
             datas.push(data);
         }
         let gens = mgr.generations();

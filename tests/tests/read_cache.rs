@@ -127,7 +127,7 @@ fn checkpoint_with_read_cache_resolves_tagged_entries() {
             assert_eq!(read_blocking(&session, k), Some(k + 500));
         }
         drop(session);
-        data = store.checkpoint();
+        data = store.checkpoint().expect("checkpoint with tagged entries");
         // No tagged addresses may leak into the checkpoint.
         for &(_, raw) in &data.index.entries {
             let e = faster_index::HashBucketEntry(raw);
@@ -137,14 +137,40 @@ fn checkpoint_with_read_cache_resolves_tagged_entries() {
             );
         }
     }
-    let mut cfg = cfg_with_cache(8);
-    cfg.read_cache = None;
     let store2: FasterKv<u64, u64, CountStore> =
-        FasterKv::recover(cfg, CountStore, device, &data);
+        FasterKv::recover(cfg_with_cache(8), CountStore, device, &data);
     let session = store2.start_session();
     for k in 0..100u64 {
         assert_eq!(read_blocking(&session, k), Some(k + 500), "key {k} after recovery");
     }
+}
+
+#[test]
+fn recovered_store_keeps_its_read_cache() {
+    let device = MemDevice::new(2);
+    let data = {
+        let store: FasterKv<u64, u64, CountStore> =
+            FasterKv::new(cfg_with_cache(8), CountStore, device.clone());
+        let session = store.start_session();
+        for k in 0..100u64 {
+            session.upsert(&k, &(k + 500)).expect("writable");
+        }
+        drop(session);
+        store.checkpoint().expect("checkpoint on a fault-free device")
+    };
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::recover(cfg_with_cache(8), CountStore, device, &data);
+    assert!(store.read_cache_log().is_some(), "recovery dropped the configured read cache");
+    // The recovered log resumes on a fresh page, so every recovered key is
+    // cold: the first read goes to the device and fills the cache.
+    let session = store.start_session();
+    assert_eq!(read_blocking(&session, 5), Some(505));
+    let reads_after_first = store.log().device().stats().reads;
+    match session.read(&5, &0) {
+        Ok(Outcome::Value(v)) => assert_eq!(v, 505),
+        other => panic!("expected cache hit, got {other:?}"),
+    }
+    assert_eq!(store.log().device().stats().reads, reads_after_first, "no extra device read");
 }
 
 #[test]

@@ -41,7 +41,7 @@ fn checkpoint_under_concurrent_updates_recovers_consistently() {
             session.upsert(&k, &k).unwrap();
         }
     }
-    let data = store.checkpoint();
+    let data = store.checkpoint().expect("checkpoint under concurrent updates");
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     writer.join().unwrap();
     drop(store);
@@ -76,7 +76,7 @@ fn recovery_replays_fuzzy_window() {
             session.upsert(&k, &(k + 1)).unwrap();
         }
     }
-    let mut data = store.checkpoint();
+    let mut data = store.checkpoint().expect("checkpoint before the fuzzy-window replay");
     // Pretend the fuzzy capture started at the very beginning: replay must
     // then rebuild entries for *all* records and still match.
     data.t1 = store.log().begin_address();
@@ -118,7 +118,7 @@ fn checkpoint_bytes_survive_serialization() {
             session.upsert(&k, &(k * 5)).unwrap();
         }
     }
-    let data = store.checkpoint();
+    let data = store.checkpoint().expect("checkpoint before serialization");
     let bytes = data.to_bytes();
     drop(store);
     let parsed = faster_core::checkpoint::CheckpointData::from_bytes(&bytes).expect("parse");

@@ -197,7 +197,7 @@ fn file_device_checkpoint_recovery_round_trip() {
             }
             session.complete_pending(true);
         }
-        let ckpt = store.checkpoint();
+        let ckpt = store.checkpoint().expect("checkpoint on a file device");
         ckpt_bytes = ckpt.to_bytes();
         let stats = device.stats();
         assert!(stats.writes > 0, "checkpoint flushed no pages to the file");

@@ -19,8 +19,8 @@
 //! Seeded via `FASTER_FAULT_SEED_BASE` / `FASTER_FAULT_SEEDS` like the
 //! other fault sweeps.
 
-use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
-use faster_core::{CountStore, FasterKv, HealthReason, OpError, StoreHealth};
+use faster_core::ckpt_manager::{CheckpointConfig, CheckpointManager};
+use faster_core::{CheckpointError, CountStore, FasterKv, HealthReason, OpError, StoreHealth};
 use faster_integration_tests::fault_harness::{fault_seed_range, harness_cfg, KEYSPACE};
 use faster_integration_tests::{read_blocking, read_result};
 use faster_maintenance::Actuators;
@@ -122,14 +122,11 @@ fn transient_write_fault_at_every_position_is_absorbed() {
                 .checkpoint_store(&store)
                 .unwrap_or_else(|e| panic!("[{ctx}] checkpoint must commit: {e}"));
             drop(store);
-            let (recovered, _mgr2, rec) = ckpt_manager::recover_store::<u64, u64, CountStore>(
-                harness_cfg(),
-                CountStore,
-                fault.inner(),
-                ckpt_dev,
-                CheckpointConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("[{ctx}] recovery failed: {e}"));
+            let (_mgr2, rec) =
+                CheckpointManager::recover_latest(ckpt_dev, CheckpointConfig::default())
+                    .unwrap_or_else(|e| panic!("[{ctx}] recovery failed: {e}"));
+            let recovered: FasterKv<u64, u64, CountStore> =
+                FasterKv::recover(harness_cfg(), CountStore, fault.inner(), &rec.data);
             assert_eq!(rec.gen, gen, "[{ctx}] recovery skipped the committed generation");
             let session = recovered.start_session();
             for (&key, &want) in &oracle {
@@ -141,6 +138,33 @@ fn transient_write_fault_at_every_position_is_absorbed() {
             }
         }
     }
+}
+
+/// A failed log barrier fails the checkpoint: `checkpoint()` returns
+/// `Err(Io)` instead of data whose `[begin, t2)` the log cannot back, and
+/// `checkpoint_store` leaves the committed chain as it was.
+#[test]
+fn failed_log_barrier_fails_the_checkpoint_and_commits_nothing() {
+    let fault = FaultDevice::wrap(MemDevice::new(2));
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new(harness_cfg(), CountStore, fault.clone());
+    let mgr = CheckpointManager::new(MemDevice::new(1), CheckpointConfig::default());
+    let mut oracle = HashMap::new();
+    let mut rng = XorShift64::new(0xBA55);
+    run_workload(&store, &mut oracle, &mut rng, 200);
+    mgr.checkpoint_store(&store).expect("fault-free commit");
+    run_workload(&store, &mut oracle, &mut rng, 200);
+
+    fault.fail_flush_at(0);
+    let res = store.checkpoint();
+    assert!(matches!(res, Err(CheckpointError::Io(_))), "checkpoint past a failed barrier: {res:?}");
+
+    let (gens, seqno) = (mgr.generations(), mgr.seqno());
+    fault.fail_flush_at(0);
+    let res = mgr.checkpoint_store(&store);
+    assert!(res.is_err(), "a generation committed past a failed log barrier: {res:?}");
+    assert_eq!(mgr.generations(), gens, "the failed commit changed the chain");
+    assert_eq!(mgr.seqno(), seqno, "the failed commit wrote a manifest");
 }
 
 /// Scenario 2: a permanently failing device. Every flush exhausts its

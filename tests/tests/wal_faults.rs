@@ -192,7 +192,7 @@ fn truncation_after_checkpoint_leaves_wal_recoverable() {
     let wal_dev: Arc<dyn Device> = MemDevice::new(1);
     let store: FasterKv<u64, u64, CountStore> =
         FasterKv::new_with_wal(wal_harness_cfg(), CountStore, log_dev.clone(), wal_dev.clone());
-    let mgr = CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig { retain: 1, auto_prune: true });
+    let mgr = CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig { retain: 1 });
 
     // Enough appends to fill several 4 KiB segments, then two checkpoints:
     // with retain = 1 the second commit's truncation may reclaim every
@@ -221,7 +221,7 @@ fn truncation_after_checkpoint_leaves_wal_recoverable() {
         log_dev,
         ckpt_dev,
         wal_dev,
-        CheckpointConfig { retain: 1, auto_prune: true },
+        CheckpointConfig { retain: 1 },
     )
     .expect("recovery over a truncated WAL");
     assert_eq!(rec.wal_replayed, 0, "everything is below the cutoff");
