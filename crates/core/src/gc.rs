@@ -8,15 +8,19 @@
 //!   address are treated as dangling and lazily removed when encountered.
 //! * **Roll to tail** — [`FasterKv::compact_until`] scans a prefix and
 //!   copies *live* key-values to the tail before truncating. Liveness is
-//!   exact: a record is copied only if no newer record for its key exists
-//!   above it, checked by the same chain walk reads use — every merge fork
-//!   followed, blocking device reads for the cold part (compaction is a
-//!   maintenance path).
+//!   exact: a record is copied only if no newer base or tombstone for its
+//!   key exists above it, checked by the same chain walk reads use — every
+//!   merge fork followed, blocking device reads for the cold part
+//!   (compaction is a maintenance path). The roll carries what the walk
+//!   saw: a base folds the deltas above it (the copy lands above them),
+//!   once they are read-only, and it publishes only over the entry the walk
+//!   started from.
 
-use crate::record::{RecordHeader, RecordRef};
+use crate::record::RecordRef;
 use crate::session::{Step, Walk, WriteKind};
 use crate::{hash_key, FasterKv, Functions, Session};
 use faster_hlog::LogScanner;
+use faster_index::CreateOutcome;
 use faster_util::{Address, Pod};
 
 impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
@@ -67,9 +71,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 if header.is_invalid() || header.is_merge() || header.is_tombstone() {
                     continue;
                 }
-                if !self.superseded(&key, addr, session)
-                    && self.copy_to_tail(&key, &value, header, session)
-                {
+                if self.roll(&key, addr, value, header.is_delta(), session) {
                     rolled += 1;
                 }
                 session.refresh();
@@ -79,28 +81,52 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         rolled
     }
 
-    /// Exact liveness (Appendix C): whether a record for `key` above `bound`
-    /// supersedes the one at `bound`. A newer base or tombstone does; a
-    /// delta does not (deltas above a base do not supersede it). The walk
-    /// follows every merge fork, reading the chain's cold part from storage.
-    fn superseded(&self, key: &K, bound: Address, session: &Session<K, V, F>) -> bool {
-        let hash = hash_key(key);
-        let Some(head) = session.entry_address(hash) else { return false };
-        let mut walk = Walk::new(head);
+    /// Rolls the record at `bound`, holding `value`, to the tail if it is
+    /// live (Appendix C): no newer base or tombstone for `key` sits above
+    /// it (a delta does not supersede a base). The walk follows every merge
+    /// fork, reading the chain's cold part from storage. The copy lands
+    /// above the deltas the walk passed, so a base rolls with them folded
+    /// in (§6.3); and it publishes only over the entry the walk started
+    /// from — if a write moved the entry since, the record is judged again.
+    fn roll(&self, key: &K, bound: Address, value: V, delta: bool, session: &Session<K, V, F>) -> bool {
+        let (log, f, hash) = (&self.inner.log, &self.inner.functions, hash_key(key));
         let above = Address::new(bound.raw() + 1);
-        while let Some(view) = session.resolve_blocking(hash, &mut walk, above) {
-            if matches!(walk.step(view.get(), key), Step::Base | Step::Tombstone) {
+        loop {
+            let Some(head) = session.entry_address(hash) else { return false };
+            let mut walk = Walk::new(head);
+            let mut mutable = false;
+            while let Some(view) = session.resolve_blocking(hash, &mut walk, above) {
+                let (at, rec) = (walk.at(), view.get());
+                match walk.step(rec, key) {
+                    Step::Base | Step::Tombstone => return false,
+                    Step::Delta if !delta => {
+                        mutable |= at >= log.safe_ipu_boundary();
+                        walk.fold(f, rec.read_value());
+                    }
+                    _ => {}
+                }
+            }
+            if mutable {
+                // An RMW may still update a folded delta in place, which
+                // moves no entry. Once every thread has seen it read-only,
+                // an RMW appends instead, and the walk is taken again.
+                let to = log.shift_read_only_to_tail();
+                while log.safe_ipu_boundary() < to {
+                    session.refresh();
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            let rolled = walk.fold_onto(f, value);
+            let Some(slot) = self.inner.index.find_tag(hash, Some(session.guard())) else {
+                return false;
+            };
+            let kind = WriteKind::Roll { delta };
+            if slot.observed().address() == head
+                && session.publish(CreateOutcome::Found(slot), key, kind, |v| *v = rolled)
+            {
                 return true;
             }
         }
-        false
-    }
-
-    /// Re-appends `(key, value)` at the tail iff the entry is unchanged
-    /// since the probe; a lost CAS means a fresh update superseded the old
-    /// record anyway, so dropping it is correct.
-    fn copy_to_tail(&self, key: &K, value: &V, header: RecordHeader, session: &Session<K, V, F>) -> bool {
-        let at = self.inner.index.find_or_create_tag(hash_key(key), Some(session.guard()));
-        session.publish(at, key, WriteKind::Roll { delta: header.is_delta() }, |v| *v = *value)
     }
 }

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::functions::{BlindKv, CountStore, Functions, ValueCell};
     pub use crate::health::{HealthReason, StoreError, StoreHealth};
     pub use crate::session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
-    pub use crate::{FasterKv, FasterKvConfig, MetricsConfig};
+    pub use crate::{FasterKv, FasterKvConfig};
 }
 
 use faster_epoch::{Epoch, EpochGuard};
@@ -78,7 +78,6 @@ use faster_util::{Address, KeyHash, Pod};
 use record::RecordRef;
 use std::sync::Arc;
 
-pub use faster_metrics::MetricsConfig;
 /// Re-exported so WAL-backed stores need only `faster-core` in scope.
 pub use faster_wal::WalConfig;
 
@@ -94,8 +93,6 @@ pub struct FasterKvConfig {
     /// Optional read-hot record cache (Appendix D): a second HybridLog that
     /// is never flushed; its size/IPU split control the second-chance degree.
     pub read_cache: Option<HLogConfig>,
-    /// Observability configuration (DESIGN.md §8).
-    pub metrics: MetricsConfig,
     /// Optional group-committed write-ahead log (DESIGN.md §10). `None`
     /// keeps the classic FASTER durability model (CPR checkpoints only);
     /// `Some` makes every mutating op append a logical record to the WAL
@@ -114,7 +111,6 @@ impl FasterKvConfig {
             max_sessions: 32,
             refresh_interval: 64,
             read_cache: None,
-            metrics: MetricsConfig::default(),
             wal: None,
         }
     }
@@ -132,7 +128,6 @@ impl FasterKvConfig {
             max_sessions: 128,
             refresh_interval: 256,
             read_cache: None,
-            metrics: MetricsConfig::default(),
             wal: None,
         }
     }
@@ -169,12 +164,6 @@ impl FasterKvConfig {
     /// Enables the Appendix D read cache with the given cache-log shape.
     pub fn with_read_cache(mut self, cache: HLogConfig) -> Self {
         self.read_cache = Some(cache);
-        self
-    }
-
-    /// Sets the observability configuration (DESIGN.md §8).
-    pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -260,7 +249,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         wal: Option<(Arc<dyn Device>, faster_wal::WalConfig)>,
         recovery: Option<&CheckpointData>,
     ) -> Self {
-        let metrics = Arc::new(MetricsRegistry::new(cfg.metrics));
+        let metrics = Arc::new(MetricsRegistry::default());
         let epoch = Epoch::with_metrics(cfg.max_sessions, metrics.epoch.clone());
         let (index, log) = match recovery {
             Some(data) => (

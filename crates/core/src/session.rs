@@ -228,7 +228,7 @@ impl<V: Pod> Walk<V> {
     }
 
     /// Folds a delta's partial into the running CRDT value.
-    fn fold<K: Pod>(&mut self, f: &impl Functions<K, V>, part: V) {
+    pub(crate) fn fold<K: Pod>(&mut self, f: &impl Functions<K, V>, part: V) {
         self.acc = Some(match &self.acc {
             Some(a) => f.merge(a, &part),
             None => part,
@@ -238,11 +238,21 @@ impl<V: Pod> Walk<V> {
     /// The key's value once the walk stops: `base` (`None` = tombstone or
     /// chain end) merged with the folded deltas — which fold onto the
     /// identity when no base exists (§6.3).
-    fn value<K: Pod>(&self, f: &impl Functions<K, V>, base: Option<V>) -> Option<V> {
+    pub(crate) fn value<K: Pod>(&self, f: &impl Functions<K, V>, base: Option<V>) -> Option<V> {
         match &self.acc {
-            Some(a) => Some(f.merge(&base.unwrap_or_else(|| f.identity()), a)),
+            Some(_) => Some(self.fold_onto(f, base.unwrap_or_else(|| f.identity()))),
             None => base,
         }
+    }
+
+    /// `base` merged with the folded deltas.
+    pub(crate) fn fold_onto<K: Pod>(&self, f: &impl Functions<K, V>, base: V) -> V {
+        self.acc.as_ref().map_or(base, |a| f.merge(&base, a))
+    }
+
+    /// The record the walk visits next (the one `resolve_blocking` returned).
+    pub(crate) fn at(&self) -> Address {
+        self.addr
     }
 }
 
@@ -434,10 +444,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Starts a per-op latency timer (a no-op unless the crate is built
-    /// with `metrics-timing` and latency is enabled in `MetricsConfig`).
+    /// with `metrics-timing`).
     #[inline]
     fn op_timer(&self) -> Timer {
-        Timer::start(self.hub.latency_enabled)
+        Timer::start()
     }
 
     /// Counts one successful mutation: `writes` plus exactly one of the

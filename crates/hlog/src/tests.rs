@@ -347,7 +347,7 @@ fn inline_write_failures_are_retried_from_the_waker() {
     let epoch = Epoch::new(8);
     let dev = faster_storage::FaultDevice::wrap(MemDevice::new(1));
     let log = HybridLog::new(cfg, epoch.clone(), dev.clone());
-    dev.fail_next_writes(2);
+    dev.domain().fail_next_writes(2);
     let worker = {
         let log = log.clone();
         std::thread::spawn(move || {

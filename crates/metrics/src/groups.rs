@@ -211,11 +211,10 @@ impl SessionTotals {
 
 /// Registry of live session recorders plus the fold of retired ones, and
 /// the shared per-op latency histograms.
+#[derive(Default)]
 pub struct SessionHub {
     live: Mutex<Vec<Arc<SessionRecorder>>>,
     retired: Mutex<SessionTotals>,
-    /// Runtime switch for the (feature-gated) latency timers.
-    pub latency_enabled: bool,
     pub read_latency: LatencyHistogram,
     pub upsert_latency: LatencyHistogram,
     pub rmw_latency: LatencyHistogram,
@@ -232,20 +231,6 @@ pub struct SessionHub {
 }
 
 impl SessionHub {
-    pub fn new(latency_enabled: bool) -> Self {
-        SessionHub {
-            live: Mutex::new(Vec::new()),
-            retired: Mutex::new(SessionTotals::default()),
-            latency_enabled,
-            read_latency: LatencyHistogram::new(),
-            upsert_latency: LatencyHistogram::new(),
-            rmw_latency: LatencyHistogram::new(),
-            delete_latency: LatencyHistogram::new(),
-            io_depth: LatencyHistogram::new(),
-            io_latency: LatencyHistogram::new(),
-        }
-    }
-
     /// Create and track a fresh recorder for a new session.
     pub fn register(&self) -> Arc<SessionRecorder> {
         let rec = Arc::new(SessionRecorder::default());
@@ -292,7 +277,7 @@ mod tests {
 
     #[test]
     fn retire_folds_counts() {
-        let hub = SessionHub::new(false);
+        let hub = SessionHub::default();
         let a = hub.register();
         let b = hub.register();
         a.reads.add(5);

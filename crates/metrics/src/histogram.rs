@@ -142,31 +142,20 @@ impl HistogramSnapshot {
 }
 
 /// A scoped latency timer. Zero-sized and free unless the `timing` feature
-/// is compiled in; with `timing`, construction reads the monotonic clock
-/// when `enabled` is true (a runtime switch from `MetricsConfig`).
+/// is compiled in — the one switch; with `timing`, construction reads the
+/// monotonic clock.
 #[must_use]
 pub struct Timer {
     #[cfg(feature = "timing")]
-    start: Option<std::time::Instant>,
+    start: std::time::Instant,
 }
 
 impl Timer {
     #[inline]
-    pub fn start(enabled: bool) -> Timer {
-        #[cfg(feature = "timing")]
-        {
-            Timer {
-                start: if enabled {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                },
-            }
-        }
-        #[cfg(not(feature = "timing"))]
-        {
-            let _ = enabled;
-            Timer {}
+    pub fn start() -> Timer {
+        Timer {
+            #[cfg(feature = "timing")]
+            start: std::time::Instant::now(),
         }
     }
 
@@ -174,9 +163,7 @@ impl Timer {
     #[inline]
     pub fn observe(self, hist: &LatencyHistogram) {
         #[cfg(feature = "timing")]
-        if let Some(s) = self.start {
-            hist.record(s.elapsed().as_nanos() as u64);
-        }
+        hist.record(self.start.elapsed().as_nanos() as u64);
         #[cfg(not(feature = "timing"))]
         let _ = hist;
     }

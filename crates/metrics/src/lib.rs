@@ -33,18 +33,3 @@ pub use registry::{
     EpochSnapshot, HlogSnapshot, IndexSnapshot, MetricsRegistry, OpLatencies, ReadCacheSnapshot,
     SessionsSnapshot, StorageSnapshot, StoreMetrics, WalSnapshot,
 };
-
-/// Runtime metrics configuration, set via `FasterKvConfig::with_metrics`.
-#[derive(Clone, Copy, Debug)]
-pub struct MetricsConfig {
-    /// Runtime switch for per-op latency histograms. Only takes effect in
-    /// builds with the `timing` feature (`metrics-timing` downstream);
-    /// without it the timers are compiled out regardless of this flag.
-    pub latency: bool,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig { latency: true }
-    }
-}

@@ -12,11 +12,10 @@ use crate::groups::{
     WalMetrics,
 };
 use crate::histogram::HistogramSnapshot;
-use crate::MetricsConfig;
 use std::sync::Arc;
 
+#[derive(Default)]
 pub struct MetricsRegistry {
-    pub config: MetricsConfig,
     pub epoch: Arc<EpochMetrics>,
     pub index: Arc<IndexMetrics>,
     pub hlog: Arc<HlogMetrics>,
@@ -30,20 +29,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    pub fn new(config: MetricsConfig) -> Self {
-        let latency = config.latency;
-        MetricsRegistry {
-            config,
-            epoch: Arc::new(EpochMetrics::default()),
-            index: Arc::new(IndexMetrics::default()),
-            hlog: Arc::new(HlogMetrics::default()),
-            rc_log: Arc::new(HlogMetrics::default()),
-            read_cache: Arc::new(ReadCacheMetrics::default()),
-            sessions: Arc::new(SessionHub::new(latency)),
-            wal: Arc::new(WalMetrics::default()),
-        }
-    }
-
     /// Capture all counters. Gauge fields are left zero for the caller
     /// (the store) to fill from live structures.
     pub fn snapshot_counters(&self, with_read_cache: bool) -> StoreMetrics {
@@ -85,7 +70,7 @@ impl MetricsRegistry {
                 io_inflight: totals.io_issued.saturating_sub(totals.io_completed),
                 io_depth: self.sessions.io_depth.snapshot(),
                 io_latency: self.sessions.io_latency.snapshot(),
-                latency: if cfg!(feature = "timing") && self.config.latency {
+                latency: if cfg!(feature = "timing") {
                     Some(OpLatencies {
                         read: self.sessions.read_latency.snapshot(),
                         upsert: self.sessions.upsert_latency.snapshot(),
@@ -270,7 +255,7 @@ pub struct SessionsSnapshot {
     /// gated on `timing` — the clock read is noise next to the I/O itself.
     pub io_latency: HistogramSnapshot,
     /// Per-op latency histograms; `None` unless built with the timing
-    /// feature and enabled in `MetricsConfig`.
+    /// feature.
     pub latency: Option<OpLatencies>,
 }
 
@@ -630,7 +615,7 @@ mod tests {
 
     #[test]
     fn snapshot_exports_are_stable() {
-        let reg = MetricsRegistry::new(MetricsConfig::default());
+        let reg = MetricsRegistry::default();
         reg.index.probes.add(3);
         reg.index.probe_steps.add(7);
         let mut snap = reg.snapshot_counters(true);

@@ -18,18 +18,18 @@
 //! byte image a post-crash recovery would find on disk — recover from it
 //! directly.
 //!
-//! Dropped flushes ([`FaultDevice::drop_write_at`]) model a volatile write
+//! Dropped flushes ([`FaultDomain::drop_write_at`]) model a volatile write
 //! cache that lies: the write is acknowledged `Ok` to the caller but never
 //! reaches the inner device. Transient read faults model bus resets / ECC
 //! hiccups: the scripted read attempt fails with [`IoError::Failed`], while
 //! a retry (a later read sequence number) succeeds. Transient **write**
-//! faults ([`FaultDevice::fail_write_at`] / [`FaultDevice::fail_next_writes`]
-//! / [`FaultDevice::set_write_fault_rate`]) are the write-side mirror: the
+//! faults ([`FaultDomain::fail_write_at`] / [`FaultDomain::fail_next_writes`]
+//! / [`FaultDomain::set_write_fault_rate`]) are the write-side mirror: the
 //! scripted write fails with [`IoError::Failed`] and persists nothing, but
 //! the device stays alive and a resubmission (a later write sequence
 //! number) succeeds — the `EIO`-then-fine behavior the flush-retry path
 //! must survive. A scripted capacity limit
-//! ([`FaultDevice::set_full_after_bytes`]) fails every write that would
+//! ([`FaultDomain::set_full_after_bytes`]) fails every write that would
 //! push the forwarded byte total past the limit with [`IoError::Full`]
 //! (permanent until the limit is raised), modelling a disk running out of
 //! space mid-flush.
@@ -401,81 +401,6 @@ impl FaultDevice {
     pub fn domain(&self) -> FaultDomain {
         self.domain.clone()
     }
-
-    /// Arms a crash at the `after`-th write *from now* (0 = the very next
-    /// write), tearing that write per `torn`.
-    pub fn arm_crash(&self, after: u64, torn: TornWrite) {
-        self.domain.arm_crash(after, torn);
-    }
-
-    /// Arms a crash at the `after`-th flush barrier *from now*.
-    pub fn arm_crash_at_flush(&self, after: u64) {
-        self.domain.arm_crash_at_flush(after);
-    }
-
-    /// Scripts the write `after` submissions from now to be acknowledged
-    /// `Ok` but silently dropped (volatile-cache lie).
-    pub fn drop_write_at(&self, after: u64) {
-        self.domain.drop_write_at(after);
-    }
-
-    /// Scripts the read `after` submissions from now to fail transiently.
-    pub fn fail_read_at(&self, after: u64) {
-        self.domain.fail_read_at(after);
-    }
-
-    /// Scripts the flush barrier `after` barriers from now to fail
-    /// transiently (Err, no crash).
-    pub fn fail_flush_at(&self, after: u64) {
-        self.domain.fail_flush_at(after);
-    }
-
-    /// Fails the next `n` reads unconditionally (transient).
-    pub fn fail_next_reads(&self, n: u32) {
-        self.domain.fail_next_reads(n);
-    }
-
-    /// Installs (or clears) a seeded transient read-fault rate.
-    pub fn set_read_fault_rate(&self, rate: Option<ReadFaultRate>) {
-        self.domain.set_read_fault_rate(rate);
-    }
-
-    /// Scripts the write `after` submissions from now to fail transiently
-    /// (error returned, nothing persisted, device stays alive).
-    pub fn fail_write_at(&self, after: u64) {
-        self.domain.fail_write_at(after);
-    }
-
-    /// Fails the next `n` writes unconditionally (transient).
-    pub fn fail_next_writes(&self, n: u32) {
-        self.domain.fail_next_writes(n);
-    }
-
-    /// Installs (or clears) a seeded transient write-fault rate.
-    pub fn set_write_fault_rate(&self, rate: Option<ReadFaultRate>) {
-        self.domain.set_write_fault_rate(rate);
-    }
-
-    /// Scripts the device to run out of space after `n` more forwarded
-    /// bytes ([`IoError::Full`] on the write that would exceed it).
-    pub fn set_full_after_bytes(&self, n: Option<u64>) {
-        self.domain.set_full_after_bytes(n);
-    }
-
-    /// True once the crash point has been hit.
-    pub fn crashed(&self) -> bool {
-        self.domain.crashed()
-    }
-
-    /// Writes submitted so far (the domain's write-sequence frontier).
-    pub fn writes_issued(&self) -> u64 {
-        self.domain.writes_issued()
-    }
-
-    /// Reads submitted so far.
-    pub fn reads_issued(&self) -> u64 {
-        self.domain.reads_issued()
-    }
 }
 
 impl Device for FaultDevice {
@@ -546,7 +471,7 @@ impl Device for FaultDevice {
     }
 
     fn truncate_below(&self, offset: u64) {
-        if !self.crashed() {
+        if !self.domain.crashed() {
             self.inner.truncate_below(offset);
         }
     }
@@ -567,9 +492,9 @@ mod tests {
         let d = FaultDevice::wrap(inner);
         d.write_blocking(0, vec![7u8; 256]).unwrap();
         assert_eq!(d.read_blocking(0, 256).unwrap(), vec![7u8; 256]);
-        assert!(!d.crashed());
-        assert_eq!(d.writes_issued(), 1);
-        assert_eq!(d.reads_issued(), 1);
+        assert!(!d.domain().crashed());
+        assert_eq!(d.domain().writes_issued(), 1);
+        assert_eq!(d.domain().reads_issued(), 1);
         let s = d.stats();
         assert_eq!((s.writes, s.reads, s.bytes_written, s.bytes_read), (1, 1, 256, 256));
     }
@@ -579,10 +504,10 @@ mod tests {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![1u8; 512]).unwrap();
-        d.arm_crash(1, TornWrite::Nothing); // survives: write 1; crashes: write 2
+        d.domain().arm_crash(1, TornWrite::Nothing); // survives: write 1; crashes: write 2
         d.write_blocking(512, vec![2u8; 512]).unwrap();
         assert!(d.write_blocking(1024, vec![3u8; 512]).is_err());
-        assert!(d.crashed());
+        assert!(d.domain().crashed());
         assert!(d.write_blocking(1536, vec![4u8; 512]).is_err());
         // Surviving image: writes 0 and 1 in full, nothing of 2 or 3.
         assert_eq!(inner.read_blocking(0, 512).unwrap(), vec![1u8; 512]);
@@ -600,7 +525,7 @@ mod tests {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![0xAA; 1024]).unwrap();
-        d.arm_crash(0, TornWrite::Bytes(100));
+        d.domain().arm_crash(0, TornWrite::Bytes(100));
         assert!(d.write_blocking(0, vec![0xBB; 1024]).is_err());
         let bytes = inner.read_blocking(0, 1024).unwrap();
         assert!(bytes[..100].iter().all(|&b| b == 0xBB), "prefix persisted");
@@ -613,7 +538,7 @@ mod tests {
             let inner = MemDevice::new(1);
             let d = FaultDevice::wrap(inner.clone());
             d.write_blocking(0, vec![0x11; 4096]).unwrap();
-            d.arm_crash(0, TornWrite::SeededSectors { seed });
+            d.domain().arm_crash(0, TornWrite::SeededSectors { seed });
             assert!(d.write_blocking(0, vec![0x22; 4096]).is_err());
             let bytes = inner.read_blocking(0, 4096).unwrap();
             let kept = bytes.iter().take_while(|&&b| b == 0x22).count();
@@ -632,7 +557,7 @@ mod tests {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![5u8; 128]).unwrap();
-        d.drop_write_at(0);
+        d.domain().drop_write_at(0);
         d.write_blocking(0, vec![6u8; 128]).unwrap(); // acked Ok, dropped
         d.write_blocking(128, vec![7u8; 128]).unwrap(); // later write unaffected
         assert_eq!(inner.read_blocking(0, 128).unwrap(), vec![5u8; 128]);
@@ -644,19 +569,19 @@ mod tests {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner);
         d.write_blocking(0, vec![9u8; 64]).unwrap();
-        d.fail_read_at(0);
+        d.domain().fail_read_at(0);
         assert!(matches!(d.read_blocking(0, 8), Err(IoError::Failed(_))));
         assert_eq!(d.read_blocking(0, 8).unwrap(), vec![9u8; 8]);
-        d.fail_next_reads(2);
+        d.domain().fail_next_reads(2);
         assert!(d.read_blocking(0, 8).is_err());
         assert!(d.read_blocking(0, 8).is_err());
         assert!(d.read_blocking(0, 8).is_ok());
         // An always-failing rate fails every attempt; a zero rate none.
-        d.set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 1, den: 1 }));
+        d.domain().set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 1, den: 1 }));
         assert!(d.read_blocking(0, 8).is_err());
-        d.set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 0, den: 1 }));
+        d.domain().set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 0, den: 1 }));
         assert!(d.read_blocking(0, 8).is_ok());
-        d.set_read_fault_rate(None);
+        d.domain().set_read_fault_rate(None);
     }
 
     #[test]
@@ -674,7 +599,7 @@ mod tests {
         domain.arm_crash(1, TornWrite::Nothing);
         ckpt.write_blocking(128, vec![3u8; 128]).unwrap(); // wsn 2
         assert!(log.write_blocking(128, vec![4u8; 128]).is_err()); // wsn 3: crash
-        assert!(log.crashed() && ckpt.crashed() && domain.crashed());
+        assert!(log.domain().crashed() && ckpt.domain().crashed() && domain.crashed());
         assert!(ckpt.write_blocking(256, vec![5u8; 128]).is_err());
         assert!(matches!(log.read_blocking(0, 8), Err(IoError::Failed(_))));
         // Surviving images: everything acked before the crash point.
@@ -689,14 +614,14 @@ mod tests {
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![7u8; 64]).unwrap();
         d.flush_barrier().unwrap(); // fsn 0
-        d.arm_crash_at_flush(1); // fsn 1 from now = the second barrier below
+        d.domain().arm_crash_at_flush(1); // fsn 1 from now = the second barrier below
         d.write_blocking(64, vec![8u8; 64]).unwrap();
         d.flush_barrier().unwrap(); // fsn 1: survives
         d.write_blocking(128, vec![9u8; 64]).unwrap();
         // fsn 2: crash point — the sync never happened, so the barrier must
         // report failure (its group can never be acked).
         assert!(d.flush_barrier().is_err());
-        assert!(d.crashed());
+        assert!(d.domain().crashed());
         assert!(d.write_blocking(192, vec![1u8; 64]).is_err());
         // Every write acked before the crash-point barrier persisted.
         assert_eq!(inner.read_blocking(0, 64).unwrap(), vec![7u8; 64]);
@@ -711,11 +636,11 @@ mod tests {
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![3u8; 64]).unwrap();
         d.flush_barrier().unwrap(); // fsn 0
-        d.fail_flush_at(1); // fsn 2 = the second barrier from now
+        d.domain().fail_flush_at(1); // fsn 2 = the second barrier from now
         d.flush_barrier().unwrap(); // fsn 1
         assert!(matches!(d.flush_barrier(), Err(IoError::Failed(_)))); // fsn 2
         // Unlike a crash, the device stays alive and later barriers succeed.
-        assert!(!d.crashed());
+        assert!(!d.domain().crashed());
         d.flush_barrier().unwrap(); // fsn 3
         d.write_blocking(64, vec![4u8; 64]).unwrap();
         assert_eq!(d.read_blocking(64, 64).unwrap(), vec![4u8; 64]);
@@ -733,7 +658,7 @@ mod tests {
         };
         let d = FaultDevice::wrap(MemDevice::with_latency(2, latency));
         let ring = Arc::new(CompletionRing::new());
-        d.fail_flush_at(1);
+        d.domain().fail_flush_at(1);
         d.submit(Sqe::write(9, 0, vec![1u8; 512], &ring));
         for id in 0..3 {
             d.submit_sync(id, &ring);
@@ -749,7 +674,7 @@ mod tests {
             assert_eq!(c.result.is_err(), c.id == 1, "CQE {}: {:?}", c.id, c.result);
         }
         assert_eq!(d.domain().flushes_issued(), 3);
-        assert!(!d.crashed());
+        assert!(!d.domain().crashed());
     }
 
     #[test]
@@ -757,28 +682,28 @@ mod tests {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![1u8; 128]).unwrap();
-        d.fail_write_at(0);
+        d.domain().fail_write_at(0);
         assert!(matches!(
             d.write_blocking(0, vec![2u8; 128]),
             Err(IoError::Failed(_))
         ));
         // The failed write never reached the medium; the device stays alive
         // and the resubmission (a later wsn) succeeds.
-        assert!(!d.crashed());
+        assert!(!d.domain().crashed());
         assert_eq!(inner.read_blocking(0, 128).unwrap(), vec![1u8; 128]);
         d.write_blocking(0, vec![2u8; 128]).unwrap();
         assert_eq!(inner.read_blocking(0, 128).unwrap(), vec![2u8; 128]);
 
-        d.fail_next_writes(2);
+        d.domain().fail_next_writes(2);
         assert!(d.write_blocking(128, vec![3u8; 64]).is_err());
         assert!(d.write_blocking(128, vec![3u8; 64]).is_err());
         d.write_blocking(128, vec![3u8; 64]).unwrap();
 
-        d.set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 1, den: 1 }));
+        d.domain().set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 1, den: 1 }));
         assert!(d.write_blocking(256, vec![4u8; 64]).is_err());
-        d.set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 0, den: 1 }));
+        d.domain().set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 0, den: 1 }));
         d.write_blocking(256, vec![4u8; 64]).unwrap();
-        d.set_write_fault_rate(None);
+        d.domain().set_write_fault_rate(None);
     }
 
     #[test]
@@ -786,7 +711,7 @@ mod tests {
         let inner = MemDevice::new(1);
         let d = FaultDevice::wrap(inner.clone());
         d.write_blocking(0, vec![1u8; 256]).unwrap();
-        d.set_full_after_bytes(Some(512));
+        d.domain().set_full_after_bytes(Some(512));
         d.write_blocking(256, vec![2u8; 512]).unwrap(); // exactly at the limit
         assert_eq!(
             d.write_blocking(768, vec![3u8; 1]),
@@ -797,9 +722,9 @@ mod tests {
             d.write_blocking(768, vec![3u8; 1]),
             Err(IoError::Full { offset: 768 })
         );
-        assert!(!d.crashed());
+        assert!(!d.domain().crashed());
         assert_eq!(d.read_blocking(256, 512).unwrap(), vec![2u8; 512]);
-        d.set_full_after_bytes(None);
+        d.domain().set_full_after_bytes(None);
         d.write_blocking(768, vec![3u8; 64]).unwrap();
     }
 

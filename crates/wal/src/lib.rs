@@ -858,7 +858,7 @@ mod tests {
     fn failed_barrier_never_acks_the_group() {
         let metrics = Arc::new(WalMetrics::default());
         let dev = FaultDevice::wrap(MemDevice::new(1));
-        dev.fail_flush_at(0);
+        dev.domain().fail_flush_at(0);
         let wal = Wal::with_metrics(
             dev.clone(),
             WalConfig::default(),
@@ -883,7 +883,7 @@ mod tests {
         let wal = fresh(dev.clone(), 0, 1 << 16);
         wal.append(&payload(1)).unwrap();
         wal.wait_durable(1).unwrap(); // group 1 acked (fsn 0)
-        dev.arm_crash_at_flush(0); // next barrier = crash point
+        dev.domain().arm_crash_at_flush(0); // next barrier = crash point
         let lsn = wal.append(&payload(2)).unwrap();
         assert!(wal.wait_durable(lsn).is_err());
         assert_eq!(wal.durable_lsn(), 1);
@@ -966,7 +966,7 @@ mod tests {
     #[test]
     fn notify_durable_fails_notices_on_sticky_failure() {
         let dev = FaultDevice::wrap(MemDevice::new(1));
-        dev.fail_flush_at(0);
+        dev.domain().fail_flush_at(0);
         let wal = Wal::new(dev, WalConfig::default());
         let (leader, other) = (Arc::new(CompletionRing::new()), Arc::new(CompletionRing::new()));
         let lsn = wal.append(b"doomed").unwrap();

@@ -9,19 +9,32 @@
 //! else to the previous generation, matching the oracle snapshot exactly.
 //!
 //! Sharded via `FASTER_FAULT_SEED_BASE` / `FASTER_FAULT_SEEDS` like the
-//! other fault sweeps; failures print their `(seed, point)` for replay.
+//! other fault sweeps; failures print their seed and script for replay.
 
 use faster_core::checkpoint::{CheckpointData, CheckpointError};
 use faster_core::ckpt_manager::{CheckpointConfig, CheckpointManager, MANIFEST_SLOT_SIZE};
 use faster_core::{CountStore, FasterKv};
 use faster_integration_tests::fault_harness::{
-    fault_seed_range, harness_cfg, run_in_checkpoint_crash_case, CkptCrashPoint, KEYSPACE,
+    dry_run, fault_seed_range, harness_cfg, sweep, Axis, CrashPoint, Mix, Step, KEYSPACE,
+    PHASE1B_OPS, PHASE1_OPS,
 };
 use faster_integration_tests::read_blocking as session_read;
-use faster_storage::{Device, MemDevice, TornWrite};
+use faster_storage::{Device, MemDevice};
 use faster_util::Address;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A baseline generation (the fallback target), fresh traffic so the swept
+/// checkpoint has dirty pages to flush, then the swept `checkpoint_store()`.
+fn script(point: Option<CrashPoint>) -> Vec<Step> {
+    vec![
+        Step::Ops { n: PHASE1_OPS, mix: Mix::All },
+        Step::Checkpoint,
+        Step::Ops { n: PHASE1B_OPS, mix: Mix::All },
+        Step::Arm(point),
+        Step::Checkpoint,
+    ]
+}
 
 /// Tentpole sweep, write axis: crash at every device write issued inside
 /// `checkpoint_store()`, cycling the torn-write model so each seed sees
@@ -30,52 +43,27 @@ use std::sync::Arc;
 fn in_checkpoint_write_crash_sweep() {
     let mut cases = 0u64;
     let mut fell_back = 0u64;
-    let mut committed = 0u64;
     for seed in fault_seed_range(4) {
-        // Dry run bounds the sweep; a second dry run guards the determinism
-        // the bound depends on (single-threaded driving => stable counts).
-        let dry = run_in_checkpoint_crash_case(seed, None);
+        let dry = dry_run(seed, false, true, script);
         assert!(dry.commit_ok && dry.recovered_gen == 2 && dry.fallbacks == 0);
         assert!(
-            dry.ckpt_writes >= 2,
+            dry.writes >= 2,
             "seed {seed}: checkpoint issued only {} writes (blob + manifest missing?)",
-            dry.ckpt_writes
+            dry.writes
         );
-        let dry2 = run_in_checkpoint_crash_case(seed, None);
-        assert_eq!(
-            (dry.ckpt_writes, dry.ckpt_flushes),
-            (dry2.ckpt_writes, dry2.ckpt_flushes),
-            "seed {seed}: checkpoint I/O schedule is nondeterministic; sweep bound invalid"
-        );
-
-        for k in 0..dry.ckpt_writes {
-            let torn = match k % 3 {
-                0 => TornWrite::Nothing,
-                1 => TornWrite::Bytes(((seed.wrapping_mul(31) + k * 7) % 4600) as usize),
-                _ => TornWrite::SeededSectors { seed: seed ^ (k << 8) },
-            };
-            let report =
-                run_in_checkpoint_crash_case(seed, Some(CkptCrashPoint::Write(k, torn)));
-            assert!(
-                report.crashed,
-                "seed {seed}: armed write {k} of {} never fired",
-                dry.ckpt_writes
-            );
+        let axis = Axis::Writes { torn_bytes: 4600 };
+        for (point, report) in sweep(seed, false, axis, 0..dry.writes, script) {
+            assert!(report.crashed, "seed {seed}: {point:?} of {} never fired", dry.writes);
             cases += 1;
-            if report.recovered_gen == 1 {
-                fell_back += 1;
-            } else {
-                committed += 1;
-            }
+            fell_back += (report.recovered_gen == 1) as u64;
         }
     }
     // Crashing before the manifest write lands must fall back; a torn-but-
-    // fully-persisted manifest may still recover the in-flight generation.
+    // fully-persisted manifest may still recover the in-flight generation
+    // (which needs a full-prefix tear of the final manifest write, so the
+    // write axis may never see it).
     assert!(cases >= 8, "write sweep ran only {cases} cases");
     assert!(fell_back > 0, "no swept write point exercised the fallback path");
-    // `committed` may be 0: recovery to the in-flight generation on the
-    // write axis requires a full-prefix tear of the final manifest write.
-    let _ = committed;
 }
 
 /// Tentpole sweep, flush axis: crash at every flush barrier issued inside
@@ -91,18 +79,17 @@ fn in_checkpoint_flush_crash_sweep() {
     let mut saw_inflight_recovered = false;
     let mut saw_fallback = false;
     for seed in fault_seed_range(4) {
-        let dry = run_in_checkpoint_crash_case(seed, None);
+        let dry = dry_run(seed, false, false, script);
         assert!(
-            dry.ckpt_flushes >= 3,
+            dry.flushes >= 3,
             "seed {seed}: expected log + blob + manifest barriers, saw {}",
-            dry.ckpt_flushes
+            dry.flushes
         );
-        for j in 0..dry.ckpt_flushes {
-            let report = run_in_checkpoint_crash_case(seed, Some(CkptCrashPoint::Flush(j)));
-            assert!(report.crashed, "seed {seed}: armed flush {j} never fired");
+        for (point, report) in sweep(seed, false, Axis::Flushes, 0..dry.flushes, script) {
+            assert!(report.crashed, "seed {seed}: {point:?} never fired");
             assert!(
                 !report.commit_ok,
-                "seed {seed}: flush {j} crashed (barrier returned Err) yet \
+                "seed {seed}: {point:?} crashed (barrier returned Err) yet \
                  checkpoint_store acked the commit"
             );
             if report.recovered_gen == 2 {

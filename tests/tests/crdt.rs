@@ -86,3 +86,26 @@ fn delete_then_crdt_restarts_from_identity() {
     rmw_blocking(&session, 3, 5);
     assert_eq!(read_blocking(&session, 3), Some(5), "post-delete counter restarts");
 }
+
+/// Compaction rolls what its liveness walk saw: a base on disk with a
+/// newer delta above it rolls as `merge(base, delta)`, not as the bare
+/// base, which would land above the delta and hide it from every read.
+#[test]
+fn compaction_keeps_deltas_above_their_base() {
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(2));
+    let session = store.start_session();
+    session.upsert(&7, &10).expect("writable");
+    for k in 1000..3000u64 {
+        session.upsert(&k, &k).expect("writable");
+    }
+    store.log().flush_barrier().unwrap();
+    let mid = store.log().tail_address();
+    // The base is on disk, so the increment appends a delta.
+    rmw_blocking(&session, 7, 1);
+    for k in 3000..5000u64 {
+        session.upsert(&k, &k).expect("writable");
+    }
+    store.log().flush_barrier().unwrap();
+    store.compact_until(mid, &session);
+    assert_eq!(read_blocking(&session, 7), Some(11));
+}

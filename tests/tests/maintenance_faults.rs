@@ -1,6 +1,6 @@
 //! Crash sweeps over a *maintenance window*: a `run_tick` loop whose policy
 //! fires a roll-to-tail compaction and then a checkpoint against the store,
-//! exactly as the background maintenance service would (ISSUE 8 satellite).
+//! exactly as the background maintenance service would.
 //!
 //! The sweeps arm a crash at every device write and every flush barrier
 //! issued inside the window — the compaction roll's page flushes and the
@@ -11,12 +11,24 @@
 //! never orphan the fallback generation (the roll/truncate clamp split).
 //!
 //! Sharded via `FASTER_FAULT_SEED_BASE` / `FASTER_FAULT_SEEDS`; failures
-//! print their `(seed, point)` for replay.
+//! print their seed and script for replay.
 
 use faster_integration_tests::fault_harness::{
-    fault_seed_range, run_maintenance_crash_case, MaintCrashPoint,
+    dry_run, fault_seed_range, sweep, Axis, CrashPoint, Mix, Step, PHASE1B_OPS, PHASE1_OPS,
 };
-use faster_storage::TornWrite;
+
+/// A baseline generation (the fallback target the swept compaction must
+/// never orphan), churn so the window has dead space to compact and dirty
+/// pages to checkpoint, then the swept window.
+fn script(point: Option<CrashPoint>) -> Vec<Step> {
+    vec![
+        Step::Ops { n: PHASE1_OPS, mix: Mix::All },
+        Step::Checkpoint,
+        Step::Ops { n: PHASE1B_OPS, mix: Mix::All },
+        Step::Arm(point),
+        Step::MaintWindow,
+    ]
+}
 
 /// Write axis: crash at every device write issued inside the maintenance
 /// window, cycling the torn-write model so each seed sees nothing-persisted,
@@ -26,42 +38,21 @@ fn maintenance_write_crash_sweep() {
     let mut cases = 0u64;
     let mut fell_back = 0u64;
     for seed in fault_seed_range(3) {
-        // Dry run bounds the sweep and proves the window does real work; a
-        // second dry run guards the determinism the bound depends on.
-        let dry = run_maintenance_crash_case(seed, None);
+        let dry = dry_run(seed, false, true, script);
         assert!(
             dry.compactions >= 1 && dry.rolled >= 1 && dry.commit_ok,
             "seed {seed}: dry window did no work: {dry:?}"
         );
         assert!(
-            dry.maint_writes >= 2,
+            dry.writes >= 2,
             "seed {seed}: window issued only {} writes (roll + checkpoint missing?)",
-            dry.maint_writes
+            dry.writes
         );
-        let dry2 = run_maintenance_crash_case(seed, None);
-        assert_eq!(
-            (dry.maint_writes, dry.maint_flushes),
-            (dry2.maint_writes, dry2.maint_flushes),
-            "seed {seed}: maintenance I/O schedule is nondeterministic; sweep bound invalid"
-        );
-
-        for k in 0..dry.maint_writes {
-            let torn = match k % 3 {
-                0 => TornWrite::Nothing,
-                1 => TornWrite::Bytes(((seed.wrapping_mul(31) + k * 7) % 4600) as usize),
-                _ => TornWrite::SeededSectors { seed: seed ^ (k << 8) },
-            };
-            let report =
-                run_maintenance_crash_case(seed, Some(MaintCrashPoint::Write(k, torn)));
-            assert!(
-                report.crashed,
-                "seed {seed}: armed write {k} of {} never fired",
-                dry.maint_writes
-            );
+        let axis = Axis::Writes { torn_bytes: 4600 };
+        for (point, report) in sweep(seed, false, axis, 0..dry.writes, script) {
+            assert!(report.crashed, "seed {seed}: {point:?} of {} never fired", dry.writes);
             cases += 1;
-            if !report.commit_ok {
-                fell_back += 1;
-            }
+            fell_back += !report.commit_ok as u64;
         }
     }
     assert!(cases >= 6, "write sweep ran only {cases} cases");
@@ -83,18 +74,15 @@ fn maintenance_write_crash_sweep() {
 fn maintenance_flush_crash_sweep() {
     let mut saw_fallback = false;
     for seed in fault_seed_range(3) {
-        let dry = run_maintenance_crash_case(seed, None);
+        let dry = dry_run(seed, false, false, script);
         assert!(
-            dry.maint_flushes >= 2,
+            dry.flushes >= 2,
             "seed {seed}: expected roll + checkpoint barriers, saw {}",
-            dry.maint_flushes
+            dry.flushes
         );
-        for j in 0..dry.maint_flushes {
-            let report = run_maintenance_crash_case(seed, Some(MaintCrashPoint::Flush(j)));
-            assert!(report.crashed, "seed {seed}: armed flush {j} never fired");
-            if report.recovered_gen == 1 {
-                saw_fallback = true;
-            }
+        for (point, report) in sweep(seed, false, Axis::Flushes, 0..dry.flushes, script) {
+            assert!(report.crashed, "seed {seed}: {point:?} never fired");
+            saw_fallback |= report.recovered_gen == 1;
         }
     }
     assert!(

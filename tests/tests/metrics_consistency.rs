@@ -257,7 +257,7 @@ fn refused_mutations_count_alike_batched_and_scalar() {
     store.log().shift_read_only_to_tail();
     store.log().wait_flush_quiesced();
     // Everything flushed so far fits; the next flush trips the limit.
-    fault.set_full_after_bytes(Some(0));
+    fault.domain().set_full_after_bytes(Some(0));
     for k in 0..2_000u64 {
         let _ = session.upsert(&k, &2);
     }
@@ -328,12 +328,4 @@ fn latency_histograms_count_every_scalar_op() {
     assert_eq!(lat.read.total, 70);
     assert_eq!(lat.delete.total, 10);
     assert!(lat.read.max >= lat.read.p50());
-
-    // Flipping latency off in config suppresses both recording and export.
-    let quiet_cfg = small_cfg().with_metrics(faster_core::MetricsConfig { latency: false });
-    let quiet: FasterKv<u64, u64, CountStore> =
-        FasterKv::new(quiet_cfg, CountStore, MemDevice::new(1));
-    let qs = quiet.start_session();
-    qs.upsert(&1, &1);
-    assert!(quiet.metrics().sessions.latency.is_none());
 }

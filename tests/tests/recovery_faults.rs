@@ -3,12 +3,12 @@
 //!
 //! The sweep is parameterized by `FASTER_FAULT_SEED_BASE` /
 //! `FASTER_FAULT_SEEDS` so CI shards cover disjoint schedules; any failure
-//! prints its `(seed, crash_after, torn, drop)` tuple for local replay.
+//! prints its seed and script for local replay.
 
 use faster_core::checkpoint::CheckpointData;
 use faster_core::{CountStore, FasterKv, OpError, Outcome};
 use faster_integration_tests::fault_harness::{
-    fault_seed_range, harness_cfg, run_crash_recovery_case, KEYSPACE,
+    fault_seed_range, harness_cfg, sweep, Axis, CrashPoint, Mix, Step, KEYSPACE, PHASE1_OPS,
 };
 use faster_integration_tests::read_blocking;
 use faster_storage::{
@@ -20,6 +20,26 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Upper bound on post-checkpoint operations: enough to trigger several
+/// page flushes (and therefore reach any swept crash point), bounded so a
+/// crashed device, whose frozen `flushed_until` eventually wedges
+/// `allocate()`, is never asked for more than a buffer's worth of tail.
+const PHASE2_OPS_MAX: u64 = 3000;
+
+/// A checkpoint, then churn with the crash armed until it fires. One crash
+/// in four also loses an acked write before the crash point: recovery must
+/// not depend on it, since everything it held was post-t2.
+fn script(seed: u64, point: Option<CrashPoint>) -> Vec<Step> {
+    let mut steps = vec![Step::Ops { n: PHASE1_OPS, mix: Mix::All }, Step::Checkpoint];
+    if let Some(CrashPoint::Write(k, _)) = point {
+        if k > 0 && (seed + k / 2).is_multiple_of(4) {
+            steps.push(Step::DropWrite(faster_util::hash_u64(seed ^ k) % k));
+        }
+    }
+    steps.extend([Step::Arm(point), Step::Ops { n: PHASE2_OPS_MAX, mix: Mix::All }]);
+    steps
+}
+
 /// The tentpole sweep: 10 seeds x 10 crash points by default (CI shards
 /// raise the seed count), each run crashing the device mid-flush with a
 /// varied torn-write model and occasionally a dropped (acknowledged but
@@ -30,22 +50,12 @@ fn crash_point_sweep_preserves_checkpoint_prefix() {
     let mut runs = 0u64;
     let mut fired = 0u64;
     for seed in fault_seed_range(10) {
-        for i in 0..10u64 {
-            // Crash points fan out across the post-checkpoint flush
-            // traffic; the torn model cycles so every seed exercises
-            // nothing-persisted, byte-torn, and sector-torn crashes.
-            let crash_after = i * 2 + seed % 3;
-            let torn = match (seed + i) % 3 {
-                0 => TornWrite::Nothing,
-                1 => TornWrite::Bytes(((seed.wrapping_mul(31) + i * 7) % 900) as usize),
-                _ => TornWrite::SeededSectors { seed: seed ^ (i << 8) },
-            };
-            let drop_phase2_write = (seed + i) % 4 == 0;
-            let report = run_crash_recovery_case(seed, crash_after, torn, drop_phase2_write);
+        // Crash points fan out across the post-checkpoint flush traffic.
+        let points = (0..10).map(|i| i * 2 + seed % 3);
+        let axis = Axis::Writes { torn_bytes: 900 };
+        for (_, report) in sweep(seed, false, axis, points, |p| script(seed, p)) {
             runs += 1;
-            if report.crashed {
-                fired += 1;
-            }
+            fired += report.crashed as u64;
             assert!(report.snapshot_keys > 0, "seed {seed}: empty oracle snapshot");
         }
     }
@@ -119,7 +129,7 @@ fn transient_read_fault_is_not_key_absent() {
     let store = evicted_store(fault.clone());
     let session = store.start_session();
     for key in [3u64, 40, 99] {
-        fault.fail_next_reads(1);
+        fault.domain().fail_next_reads(1);
         assert_eq!(
             read_blocking(&session, key),
             Some(key * 10 + 1),
@@ -127,7 +137,7 @@ fn transient_read_fault_is_not_key_absent() {
         );
     }
     // Scripted single-read faults behave identically.
-    fault.fail_read_at(0);
+    fault.domain().fail_read_at(0);
     assert_eq!(read_blocking(&session, 7), Some(71));
 }
 
@@ -137,7 +147,7 @@ fn transient_read_fault_is_not_key_absent() {
 fn read_fault_rate_never_fabricates_absence() {
     let fault = FaultDevice::wrap(MemDevice::new(2));
     let store = evicted_store(fault.clone());
-    fault.set_read_fault_rate(Some(ReadFaultRate { seed: 0xFA17, num: 1, den: 4 }));
+    fault.domain().set_read_fault_rate(Some(ReadFaultRate { seed: 0xFA17, num: 1, den: 4 }));
     let session = store.start_session();
     for key in 0..KEYSPACE {
         assert_eq!(
@@ -146,7 +156,7 @@ fn read_fault_rate_never_fabricates_absence() {
             "key {key} lost under a 1/4 transient read-fault rate"
         );
     }
-    assert!(fault.reads_issued() > 0, "workload never touched the device");
+    assert!(fault.domain().reads_issued() > 0, "workload never touched the device");
 }
 
 /// When faults are persistent the retry budget must exhaust into an
@@ -155,7 +165,7 @@ fn read_fault_rate_never_fabricates_absence() {
 fn exhausted_retries_report_failure_not_absence() {
     let fault = FaultDevice::wrap(MemDevice::new(2));
     let store = evicted_store(fault.clone());
-    fault.set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 1, den: 1 }));
+    fault.domain().set_read_fault_rate(Some(ReadFaultRate { seed: 1, num: 1, den: 1 }));
     let session = store.start_session();
     match session.read(&5, &0) {
         Err(OpError::Pending(id)) => {
@@ -173,7 +183,7 @@ fn exhausted_retries_report_failure_not_absence() {
     }
     assert_eq!(session.pending_count(), 0);
     // Clearing the fault restores the key: nothing was lost.
-    fault.set_read_fault_rate(None);
+    fault.domain().set_read_fault_rate(None);
     assert_eq!(read_blocking(&session, 5), Some(51));
 }
 
@@ -257,7 +267,7 @@ fn ring_read_faults_fire_on_sqe_submission() {
     fault.submit(Sqe::write(0, 0, vec![0xAB; 64], &ring));
     assert!(reap_exactly(&ring, 1)[0].result.is_ok());
 
-    fault.fail_next_reads(2);
+    fault.domain().fail_next_reads(2);
     for id in 1..=3u64 {
         fault.submit(Sqe::read(id, 0, 64, &ring));
     }
@@ -271,7 +281,7 @@ fn ring_read_faults_fire_on_sqe_submission() {
         );
     }
     assert_eq!(cqes[2].result.as_deref().expect("third read retries clean"), &[0xAB; 64][..]);
-    assert_eq!(fault.reads_issued(), 3, "every SQE must consume a read sequence number");
+    assert_eq!(fault.domain().reads_issued(), 3, "every SQE must consume a read sequence number");
 }
 
 /// Satellite: a crash point armed on the write sequence space fires on SQE
@@ -282,7 +292,7 @@ fn ring_write_crash_point_tears_exact_prefix() {
     let mem = MemDevice::new(1);
     let fault = FaultDevice::wrap(mem.clone());
     let ring = Arc::new(CompletionRing::new());
-    fault.arm_crash(2, TornWrite::Bytes(24));
+    fault.domain().arm_crash(2, TornWrite::Bytes(24));
 
     for (id, fill) in [(0u64, 1u8), (1, 2), (2, 3), (3, 4)] {
         fault.submit(Sqe::write(id, id * 64, vec![fill; 64], &ring));
@@ -292,7 +302,7 @@ fn ring_write_crash_point_tears_exact_prefix() {
     assert!(cqes[1].result.is_ok());
     assert!(matches!(&cqes[2].result, Err(IoError::Failed(m)) if m.contains("torn write")));
     assert!(matches!(&cqes[3].result, Err(IoError::Failed(m)) if m.contains("crashed")));
-    assert!(fault.crashed());
+    assert!(fault.domain().crashed());
 
     // Reads through the crashed wrapper are refused too.
     fault.submit(Sqe::read(9, 0, 8, &ring));
@@ -324,7 +334,7 @@ fn ring_write_crash_point_tears_exact_prefix() {
 fn every_ring_shares_one_sequence_space() {
     let fault = FaultDevice::wrap(MemDevice::new(1));
     let ring = Arc::new(CompletionRing::new());
-    fault.arm_crash(3, TornWrite::Nothing);
+    fault.domain().arm_crash(3, TornWrite::Nothing);
 
     // wsn 0 (ring), 1 (blocking), 2 (ring), 3 (blocking — the crash point).
     fault.submit(Sqe::write(0, 0, vec![1; 32], &ring));
@@ -334,7 +344,7 @@ fn every_ring_shares_one_sequence_space() {
 
     assert!(reap_exactly(&ring, 2).iter().all(|c| c.result.is_ok()));
     assert!(matches!(crash, Err(IoError::Failed(m)) if m.contains("torn write")));
-    assert!(fault.crashed());
+    assert!(fault.domain().crashed());
 
     // Post-crash refusal, whichever ring the CQE is bound for.
     fault.submit(Sqe::write(9, 256, vec![9; 8], &ring));

@@ -324,7 +324,7 @@ fn read_only_degradation_maps_to_readonly_errors() {
 
     // The next WAL barrier fails: its group commit cannot ack, and a WAL
     // failure is sticky — the log refuses every commit from then on.
-    wal_fault.fail_flush_at(0);
+    wal_fault.domain().fail_flush_at(0);
     c.send(b"SET 2 22\r\n");
     match c.read_reply() {
         Some(Reply::Error(e)) => {
@@ -373,7 +373,7 @@ fn refused_append_is_never_acked() {
         // A second session's group fails its barrier. It is committed by a
         // bare WAL wait no session sees, so the store has not degraded —
         // only the WAL knows.
-        wal_fault.fail_flush_at(0);
+        wal_fault.domain().fail_flush_at(0);
         {
             let other = store.start_session();
             other.upsert(&100, &1).unwrap();

@@ -21,7 +21,9 @@
 
 use faster_core::ckpt_manager::{CheckpointConfig, CheckpointManager};
 use faster_core::{CheckpointError, CountStore, FasterKv, HealthReason, OpError, StoreHealth};
-use faster_integration_tests::fault_harness::{fault_seed_range, harness_cfg, KEYSPACE};
+use faster_integration_tests::fault_harness::{
+    fault_seed_range, harness_cfg, run_ops, Mix, KEYSPACE,
+};
 use faster_integration_tests::{read_blocking, read_result};
 use faster_maintenance::Actuators;
 use faster_storage::{Device, FaultDevice, IoError, MemDevice};
@@ -30,28 +32,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 const PAGE_SIZE: u64 = 1 << 10; // harness_cfg() page_bits = 10
-
-/// Runs `ops` seeded operations against `store`, mirroring them into
-/// `oracle`. Upserts only — value equality stays trivially checkable even
-/// when a scenario later loses a suffix of the log.
-fn run_workload(
-    store: &FasterKv<u64, u64, CountStore>,
-    oracle: &mut HashMap<u64, u64>,
-    rng: &mut XorShift64,
-    ops: u64,
-) {
-    let session = store.start_session();
-    for _ in 0..ops {
-        let key = rng.next_u64() % KEYSPACE;
-        let value = rng.next_u64() | 1;
-        // Mirror only applied writes: once a scenario degrades the store
-        // mid-workload, refused upserts must not advance the oracle.
-        if session.upsert(&key, &value).is_ok() {
-            oracle.insert(key, value);
-        }
-    }
-    session.complete_pending(true);
-}
 
 /// Scenario 1: a single transient write fault at every write position.
 ///
@@ -70,10 +50,10 @@ fn transient_write_fault_at_every_position_is_absorbed() {
             let store: FasterKv<u64, u64, CountStore> =
                 FasterKv::new(harness_cfg(), CountStore, fault.clone());
             let mut oracle = HashMap::new();
-            run_workload(&store, &mut oracle, &mut XorShift64::new(seed), 600);
+            run_ops(&store, &mut oracle, &mut XorShift64::new(seed), 600, Mix::Upserts, |_, _| true);
             store.log().shift_read_only_to_tail();
             store.log().wait_flush_quiesced();
-            fault.writes_issued()
+            fault.domain().writes_issued()
         };
         assert!(writes > 0, "[seed={seed}] dry run issued no writes");
 
@@ -83,10 +63,10 @@ fn transient_write_fault_at_every_position_is_absorbed() {
             let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
             let store: FasterKv<u64, u64, CountStore> =
                 FasterKv::new(harness_cfg(), CountStore, fault.clone());
-            fault.fail_write_at(k);
+            fault.domain().fail_write_at(k);
             let mgr = CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig::default());
             let mut oracle = HashMap::new();
-            run_workload(&store, &mut oracle, &mut XorShift64::new(seed), 600);
+            run_ops(&store, &mut oracle, &mut XorShift64::new(seed), 600, Mix::Upserts, |_, _| true);
 
             // The fault must be invisible above the log layer.
             assert_eq!(
@@ -151,16 +131,16 @@ fn failed_log_barrier_fails_the_checkpoint_and_commits_nothing() {
     let mgr = CheckpointManager::new(MemDevice::new(1), CheckpointConfig::default());
     let mut oracle = HashMap::new();
     let mut rng = XorShift64::new(0xBA55);
-    run_workload(&store, &mut oracle, &mut rng, 200);
+    run_ops(&store, &mut oracle, &mut rng, 200, Mix::Upserts, |_, _| true);
     mgr.checkpoint_store(&store).expect("fault-free commit");
-    run_workload(&store, &mut oracle, &mut rng, 200);
+    run_ops(&store, &mut oracle, &mut rng, 200, Mix::Upserts, |_, _| true);
 
-    fault.fail_flush_at(0);
+    fault.domain().fail_flush_at(0);
     let res = store.checkpoint();
     assert!(matches!(res, Err(CheckpointError::Io(_))), "checkpoint past a failed barrier: {res:?}");
 
     let (gens, seqno) = (mgr.generations(), mgr.seqno());
-    fault.fail_flush_at(0);
+    fault.domain().fail_flush_at(0);
     let res = mgr.checkpoint_store(&store);
     assert!(res.is_err(), "a generation committed past a failed log barrier: {res:?}");
     assert_eq!(mgr.generations(), gens, "the failed commit changed the chain");
@@ -184,7 +164,7 @@ fn permanent_flush_failure_degrades_to_read_only() {
         let mut oracle = HashMap::new();
         let mut rng = XorShift64::new(seed);
         // Healthy prefix, flushed cleanly so its pages stay readable cold.
-        run_workload(&store, &mut oracle, &mut rng, 200);
+        run_ops(&store, &mut oracle, &mut rng, 200, Mix::Upserts, |_, _| true);
         store.log().shift_read_only_to_tail();
         store.log().wait_flush_quiesced();
         // The device dies for good. The doomed phase writes *unique* keys:
@@ -193,7 +173,7 @@ fn permanent_flush_failure_degrades_to_read_only() {
         // loop terminating is itself the no-wedge assertion — quarantine
         // advances the flush frontier, so allocation never stalls on a
         // dead device.
-        fault.fail_next_writes(u32::MAX);
+        fault.domain().fail_next_writes(u32::MAX);
         {
             let session = store.start_session();
             for i in 0..2000u64 {
@@ -208,7 +188,7 @@ fn permanent_flush_failure_degrades_to_read_only() {
         // Shrink the buffer and nudge the allocator so the doomed pages
         // actually evict (reads of them must now go to the device).
         store.log().set_active_pages(2);
-        run_workload(&store, &mut oracle, &mut rng, 64);
+        run_ops(&store, &mut oracle, &mut rng, 64, Mix::Upserts, |_, _| true);
         store.log().shift_read_only_to_tail();
         store.log().wait_flush_quiesced();
 
@@ -290,10 +270,10 @@ fn corrupted_sectors_never_serve_wrong_data() {
         let store: FasterKv<u64, u64, CountStore> =
             FasterKv::new(harness_cfg(), CountStore, device.clone());
         let mut oracle = HashMap::new();
-        run_workload(&store, &mut oracle, &mut XorShift64::new(seed), 3000);
+        run_ops(&store, &mut oracle, &mut XorShift64::new(seed), 3000, Mix::Upserts, |_, _| true);
         // Shrink the buffer and let the head advance: most pages evict.
         store.log().set_active_pages(2);
-        run_workload(&store, &mut oracle, &mut XorShift64::new(seed ^ 0xDEAD), 64);
+        run_ops(&store, &mut oracle, &mut XorShift64::new(seed ^ 0xDEAD), 64, Mix::Upserts, |_, _| true);
         store.log().shift_read_only_to_tail();
         store.log().wait_flush_quiesced();
         let head_page = store.log().head_address().raw() / PAGE_SIZE;
@@ -349,12 +329,12 @@ fn device_full_flips_read_only() {
         FasterKv::new(harness_cfg(), CountStore, fault.clone());
     let mut oracle = HashMap::new();
     let mut rng = XorShift64::new(7);
-    run_workload(&store, &mut oracle, &mut rng, 200);
+    run_ops(&store, &mut oracle, &mut rng, 200, Mix::Upserts, |_, _| true);
     store.log().shift_read_only_to_tail();
     store.log().wait_flush_quiesced();
     // Everything flushed so far fits; the next flush trips the limit.
-    fault.set_full_after_bytes(Some(0));
-    run_workload(&store, &mut oracle, &mut rng, 2000);
+    fault.domain().set_full_after_bytes(Some(0));
+    run_ops(&store, &mut oracle, &mut rng, 2000, Mix::Upserts, |_, _| true);
     store.log().shift_read_only_to_tail();
     store.log().wait_flush_quiesced();
 
@@ -398,7 +378,7 @@ fn wal_failure_flips_read_only() {
     }
     assert_eq!(store.health(), StoreHealth::Healthy);
 
-    wal_fault.fail_next_writes(u32::MAX);
+    wal_fault.domain().fail_next_writes(u32::MAX);
     let session = store.start_session();
     let _ = session.upsert(&2, &22);
     assert!(
@@ -429,7 +409,7 @@ fn degradation_races_foreground_traffic() {
             FasterKv::new(harness_cfg(), CountStore, fault.clone());
         {
             let mut oracle = HashMap::new();
-            run_workload(&store, &mut oracle, &mut XorShift64::new(seed), 100);
+            run_ops(&store, &mut oracle, &mut XorShift64::new(seed), 100, Mix::Upserts, |_, _| true);
         }
 
         let threads: Vec<_> = (0..3u64)
@@ -442,7 +422,7 @@ fn degradation_races_foreground_traffic() {
                     for i in 0..1500u64 {
                         // One thread kills the device mid-run.
                         if t == 0 && i == 300 {
-                            fault.fail_next_writes(u32::MAX);
+                            fault.domain().fail_next_writes(u32::MAX);
                         }
                         let key = rng.next_u64() % KEYSPACE;
                         match rng.next_u64() % 4 {

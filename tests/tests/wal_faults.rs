@@ -10,19 +10,38 @@
 //! be lost, an un-acked one may persist in full or be cut at its checksum.
 //!
 //! Sharded via `FASTER_FAULT_SEED_BASE` / `FASTER_FAULT_SEEDS` like the
-//! other fault sweeps; failures print their `(seed, point)` for replay.
+//! other fault sweeps; failures print their seed and script for replay.
 
 use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
 use faster_core::{CountStore, FasterKv};
 use faster_integration_tests::fault_harness::{
-    fault_seed_range, run_wal_crash_case, wal_harness_cfg, WalCrashPoint, KEYSPACE,
+    dry_run, fault_seed_range, run, sweep, wal_harness_cfg, Axis, CrashPoint, Mix, Step,
+    KEYSPACE,
 };
 use faster_integration_tests::read_blocking as session_read;
 use faster_metrics::WalMetrics;
-use faster_storage::{Device, FaultDevice, LatencyModel, MemDevice, TornWrite};
+use faster_storage::{Device, FaultDevice, LatencyModel, MemDevice};
 use faster_wal::Wal;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// Ops before the mid-run checkpoint; as many again after it form the
+/// WAL-replay suffix.
+const WAL_PHASE_OPS: u64 = 60;
+
+/// Armed from the start: every WAL group write and barrier, every log page
+/// flush and the mid-run checkpoint's blob and manifest are swept.
+fn script(point: Option<CrashPoint>) -> Vec<Step> {
+    let ops = Step::Ops { n: WAL_PHASE_OPS, mix: Mix::All };
+    vec![Step::Arm(point), ops, Step::Checkpoint, ops]
+}
+
+/// Background flush threads make exact write interleaving (and so whether
+/// a far point fires) nondeterministic: sweep at most 64 points of an axis
+/// and assert aggregate coverage instead of per-case.
+fn strided(count: u64) -> impl Iterator<Item = u64> {
+    (0..count).step_by((count / 64).max(1) as usize)
+}
 
 /// Tentpole sweep, write axis: crash at every device write the run issues,
 /// cycling the torn-write model so the sweep sees nothing-persisted,
@@ -34,36 +53,17 @@ fn wal_write_crash_sweep() {
     let mut cases = 0u64;
     let mut lost_tail = 0u64;
     for seed in fault_seed_range(2) {
-        let dry = run_wal_crash_case(seed, None);
+        let dry = dry_run(seed, true, false, script);
         assert!(
-            dry.writes_issued > 20,
+            dry.writes > 20,
             "seed {seed}: dry run issued only {} writes — WAL groups missing?",
-            dry.writes_issued
+            dry.writes
         );
-        // Background flush threads make exact write interleaving (and so
-        // whether a far point fires) nondeterministic; stride the axis to
-        // bound runtime and assert aggregate coverage instead of per-case.
-        let stride = (dry.writes_issued / 64).max(1);
-        for k in (0..dry.writes_issued).step_by(stride as usize) {
-            let torn = match k % 3 {
-                0 => TornWrite::Nothing,
-                1 => TornWrite::Bytes(((seed.wrapping_mul(37) + k * 11) % 4000) as usize),
-                _ => TornWrite::SeededSectors { seed: seed ^ (k << 9) },
-            };
-            let report = run_wal_crash_case(seed, Some(WalCrashPoint::Write(k, torn)));
+        let axis = Axis::Writes { torn_bytes: 4000 };
+        for (_, report) in sweep(seed, true, axis, strided(dry.writes), script) {
             cases += 1;
-            if report.crashed {
-                fired += 1;
-            }
-            if report.issued > report.acked {
-                lost_tail += 1;
-            }
-            assert!(
-                report.matched_prefix >= report.acked,
-                "seed {seed} write {k}: matched prefix {} below acked {}",
-                report.matched_prefix,
-                report.acked
-            );
+            fired += report.crashed as u64;
+            lost_tail += (report.issued > report.acked) as u64;
         }
     }
     assert!(cases >= 16, "write sweep ran only {cases} cases");
@@ -80,27 +80,15 @@ fn wal_flush_crash_sweep() {
     let mut fired = 0u64;
     let mut cases = 0u64;
     for seed in fault_seed_range(2) {
-        let dry = run_wal_crash_case(seed, None);
+        let dry = dry_run(seed, true, false, script);
         assert!(
-            dry.flushes_issued > 20,
+            dry.flushes > 20,
             "seed {seed}: dry run issued only {} barriers — group commits missing?",
-            dry.flushes_issued
+            dry.flushes
         );
-        let stride = (dry.flushes_issued / 64).max(1);
-        for j in (0..dry.flushes_issued).step_by(stride as usize) {
-            let report = run_wal_crash_case(seed, Some(WalCrashPoint::Flush(j)));
+        for (_, report) in sweep(seed, true, Axis::Flushes, strided(dry.flushes), script) {
             cases += 1;
-            if report.crashed {
-                fired += 1;
-                // The crashing barrier refused its group: the workload must
-                // have stopped acking at or before the crash.
-                assert!(
-                    report.acked <= report.issued,
-                    "seed {seed} flush {j}: acked {} beyond issued {}",
-                    report.acked,
-                    report.issued
-                );
-            }
+            fired += report.crashed as u64;
         }
     }
     assert!(cases >= 16, "flush sweep ran only {cases} cases");
@@ -111,9 +99,10 @@ fn wal_flush_crash_sweep() {
 /// checkpoint at all** — the store rebuilds from the WAL alone.
 #[test]
 fn wal_alone_recovers_full_state() {
-    let report = run_wal_crash_case(0xC0FFEE, None);
+    let report = run(0xC0FFEE, true, &[Step::Ops { n: 2 * WAL_PHASE_OPS, mix: Mix::All }]);
+    assert_eq!(report.recovered_gen, 0, "no generation was ever committed");
     assert_eq!(report.acked, report.issued);
-    assert_eq!(report.matched_prefix, report.issued, "clean restart lost acked ops");
+    assert_eq!(report.matched, report.issued, "clean restart lost acked ops");
 }
 
 /// Checkpoint/WAL interleaving: the generation records its cutoff, recovery
@@ -248,7 +237,7 @@ fn failed_barrier_never_acks_a_group() {
     );
     // The WAL device is alone in its fault domain: barrier #0 is the first
     // group's fsync. Fail it (transiently — the device itself stays up).
-    wal_fault.fail_flush_at(0);
+    wal_fault.domain().fail_flush_at(0);
 
     let session = store.start_session();
     let _ = session.upsert(&1, &11);
