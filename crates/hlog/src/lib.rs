@@ -36,13 +36,22 @@
 //! a thread could still read it — both guaranteed by epoch safety, with no
 //! page latches anywhere.
 //!
+//! ## The buffer is one region (§5.1)
+//!
+//! The circular buffer is one anonymous mapping of `buffer_pages × 2^F`
+//! bytes ([`faster_util::Region`]): page `p` lives in the frame at
+//! `(p mod buffer_pages) << F`, so locating a resident address is one mask
+//! and one add. The kernel commits a frame when it is first touched — the
+//! opener's zeroing of a fresh frame — so a store that never fills its
+//! buffer never pays for the rest of it, and the region is mapped with
+//! 2 MiB pages where the kernel allows.
+//!
 //! Setting the mutable fraction to zero yields exactly the append-only log
 //! allocator of §5; setting it to one (with a large buffer) yields a pure
 //! in-memory store. The same code path serves all three tables of Fig 1.
 
 pub mod checksum;
 mod flush;
-mod frame;
 pub mod scan;
 
 pub use scan::LogScanner;
@@ -53,7 +62,6 @@ use faster_metrics::HlogMetrics;
 use faster_storage::{CompletionRing, Cqe, Device, IoError, Sqe};
 use faster_util::{Address, Backoff};
 use flush::FlushTracker;
-use frame::Frame;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -204,7 +212,11 @@ struct Inner {
     cfg: HLogConfig,
     epoch: Epoch,
     device: Arc<dyn Device>,
-    frames: Vec<Frame>,
+    /// The circular buffer: `buffer_pages` frames of `page_size` bytes, back
+    /// to back in one region, so page `p`'s frame starts at
+    /// `(p mod buffer_pages) << page_bits`. Frames are committed on first
+    /// touch (see [`faster_util::region`]).
+    buffer: faster_util::Region,
     frame_status: Vec<AtomicU8>,
     /// Packed (page << 32 | offset) tail.
     tail: AtomicU64,
@@ -330,8 +342,7 @@ impl HybridLog {
     ) -> Self {
         cfg.validate();
         let resume = resume_page * cfg.page_size();
-        let frames: Vec<Frame> =
-            (0..cfg.buffer_pages).map(|_| Frame::new(cfg.page_size() as usize)).collect();
+        let buffer = faster_util::Region::new((cfg.buffer_pages << cfg.page_bits) as usize);
         let frame_status: Vec<AtomicU8> = (0..cfg.buffer_pages)
             .map(|i| {
                 AtomicU8::new(if i == resume_page % cfg.buffer_pages { FRAME_OPEN } else { FRAME_CLOSED })
@@ -341,7 +352,7 @@ impl HybridLog {
             cfg,
             epoch,
             device,
-            frames,
+            buffer,
             frame_status,
             tail: AtomicU64::new(tail),
             read_only: AtomicU64::new(resume),
@@ -603,7 +614,7 @@ impl HybridLog {
         if inner.tail.load(Ordering::SeqCst) >> OFFSET_BITS != page {
             return; // stale caller: the tail has already moved on
         }
-        let fidx = (next % inner.cfg.buffer_pages) as usize;
+        let fidx = inner.frame_index(next);
         if inner.frame_status[fidx]
             .compare_exchange(FRAME_CLOSED, FRAME_OPENING, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
@@ -616,7 +627,13 @@ impl HybridLog {
             inner.frame_status[fidx].store(FRAME_CLOSED, Ordering::SeqCst);
             return;
         }
-        inner.frames[fidx].zero();
+        let frame = inner.at(next << inner.cfg.page_bits);
+        // SAFETY: the frame is `page_size` bytes inside the live buffer, and
+        // the Opening claim gives this thread exclusive access to it: the
+        // head has passed its old page (no reader) and the tail has not
+        // reached its new one (no writer). On a frame no page has used yet,
+        // this is the first touch that commits it.
+        unsafe { std::ptr::write_bytes(frame, 0, inner.cfg.page_size() as usize) };
         inner.frame_status[fidx].store(FRAME_OPEN, Ordering::SeqCst);
         // Flip the tail to (next, 0). Concurrent fetch_adds only bump the
         // offset field, so retry until the CAS lands.
@@ -653,11 +670,7 @@ impl HybridLog {
         if a < inner.head.load(Ordering::SeqCst) || addr >= self.tail_address() {
             return None;
         }
-        let page = a >> inner.cfg.page_bits;
-        let offset = (a & (inner.cfg.page_size() - 1)) as usize;
-        let fidx = (page % inner.cfg.buffer_pages) as usize;
-        // Safety: in-bounds by construction; liveness by epoch protection.
-        Some(unsafe { inner.frames[fidx].as_ptr().add(offset) })
+        Some(inner.at(a))
     }
 
     /// Issues a software prefetch for the record at `addr` if it is resident
@@ -780,11 +793,7 @@ impl HybridLog {
     /// hook's `[from, to)` range: those frames are past the head (no reader
     /// can race) but not yet recycled.
     pub unsafe fn get_evicting(&self, addr: Address) -> *mut u8 {
-        let inner = &*self.inner;
-        let page = addr.raw() >> inner.cfg.page_bits;
-        let offset = (addr.raw() & (inner.cfg.page_size() - 1)) as usize;
-        let fidx = (page % inner.cfg.buffer_pages) as usize;
-        inner.frames[fidx].as_ptr().add(offset)
+        self.inner.at(addr.raw())
     }
 
     // -------------------------------------------------------- maintenance --
@@ -880,8 +889,7 @@ impl HybridLog {
         if start >= inner.head.load(Ordering::SeqCst)
             && start < self.tail_address().raw()
         {
-            let fidx = (page % inner.cfg.buffer_pages) as usize;
-            return Ok(inner.frames[fidx].snapshot());
+            return Ok(inner.copy_frame(page));
         }
         if inner.is_quarantined(page) {
             inner.note_corrupt_read(start);
@@ -925,6 +933,36 @@ impl HybridLog {
 }
 
 impl Inner {
+    /// The frame slot `page` occupies in the circular buffer.
+    #[inline]
+    fn frame_index(&self, page: u64) -> usize {
+        (page & (self.cfg.buffer_pages - 1)) as usize
+    }
+
+    /// Where logical address `a` lives in the buffer: the buffer is
+    /// `buffer_pages << page_bits` bytes, a power of two, so page `p`'s frame
+    /// starts at `(p & (buffer_pages - 1)) << page_bits` and `a` maps to
+    /// `a & (buffer_bytes - 1)`. Whether `a`'s page is the one resident in
+    /// that frame is the caller's check.
+    #[inline]
+    fn at(&self, a: u64) -> *mut u8 {
+        let mask = (self.cfg.buffer_pages << self.cfg.page_bits) - 1;
+        // SAFETY: the masked offset is below the buffer's length, and the
+        // region lives as long as `self`, so the pointer is in bounds. Using
+        // it is the caller's business: it stays valid while `self` does, and
+        // the epoch protects which page the frame holds (§4).
+        unsafe { self.buffer.as_ptr().add((a & mask) as usize) }
+    }
+
+    /// Copies `page`'s frame out (the flush path and the scanner; a flushed
+    /// page is immutable by then, see §5.2).
+    fn copy_frame(&self, page: u64) -> Vec<u8> {
+        let frame = self.at(page << self.cfg.page_bits);
+        // SAFETY: the frame is `page_size` bytes inside the live buffer, all
+        // initialised (the region maps zeroed pages).
+        unsafe { std::slice::from_raw_parts(frame, self.cfg.page_size() as usize) }.to_vec()
+    }
+
     /// Epoch trigger: advance the safe read-only offset and flush the pages
     /// that just became immutable-to-everyone (Alg 1 `update_safe_ro`).
     fn update_safe_ro(self: &Arc<Inner>, new: u64) {
@@ -961,7 +999,6 @@ impl Inner {
     /// the frontier. The frame is re-snapshotted per attempt — sealed bytes
     /// are immutable, so every attempt agrees on the bytes the footer covers.
     fn flush_page_attempt(self: &Arc<Inner>, page: u64, track: bool, sealed: u64, attempt: u32) {
-        let fidx = (page % self.cfg.buffer_pages) as usize;
         if attempt > 0 {
             self.metrics.flush_retries.inc();
             let mut pace = Backoff::new();
@@ -969,7 +1006,7 @@ impl Inner {
                 pace.snooze();
             }
         }
-        let mut data = self.frames[fidx].snapshot();
+        let mut data = self.copy_frame(page);
         let (footer, parsed) = checksum::build(page, sealed, &data);
         self.footers.lock().insert(page, Arc::new(parsed));
         data.extend_from_slice(&footer);
@@ -1166,8 +1203,7 @@ impl Inner {
         }
         let page_size = self.cfg.page_size();
         for page in (from / page_size)..(to / page_size) {
-            let fidx = (page % self.cfg.buffer_pages) as usize;
-            self.frame_status[fidx].store(FRAME_CLOSED, Ordering::SeqCst);
+            self.frame_status[self.frame_index(page)].store(FRAME_CLOSED, Ordering::SeqCst);
             self.metrics.frames_evicted.inc();
         }
     }

@@ -468,3 +468,39 @@ fn marker_order_invariant_under_concurrency() {
     stop.store(true, Ordering::Relaxed);
     checker.join().unwrap();
 }
+
+/// The buffer is committed on first touch: a default-sized log (64 × 1 MiB)
+/// holding a few records keeps nothing resident well past its tail page.
+/// The 8 MiB of slack leaves room for a huge page around the tail frame.
+#[test]
+fn untouched_frames_stay_uncommitted() {
+    let (log, epoch, _d) = test_log(HLogConfig::default());
+    let g = epoch.acquire();
+    for i in 0..100u64 {
+        let a = log.allocate(64, &g);
+        unsafe { std::ptr::write(log.get(a).unwrap() as *mut u64, i) };
+    }
+    let buffer = &log.inner.buffer;
+    let tail_page = log.tail_address().raw() >> log.config().page_bits;
+    let past = ((tail_page + 1) << log.config().page_bits) as usize + (8 << 20);
+    assert!(buffer.resident_bytes() > 0, "the tail frame was touched");
+    assert_eq!(buffer.resident_bytes_in(past..buffer.len()), 0);
+}
+
+/// Frames are reused as the log wraps the buffer; every allocation on a
+/// recycled frame still reads as zero before its owner writes it.
+#[test]
+fn recycled_frames_read_as_zero() {
+    let cfg = HLogConfig { page_bits: 10, buffer_pages: 4, mutable_pages: 1, io_threads: 1 };
+    let (log, epoch, _d) = test_log(cfg);
+    let g = epoch.acquire();
+    for _ in 0..((12 * 1024) / 64) {
+        let a = log.allocate(64, &g);
+        let p = log.get(a).expect("a fresh allocation is resident");
+        let rec = unsafe { std::slice::from_raw_parts_mut(p, 64) };
+        assert!(rec.iter().all(|&b| b == 0), "stale bytes at {a:?}");
+        rec.fill(0xFF);
+        g.refresh();
+    }
+    assert!(log.metrics().frames_evicted.get() >= 8, "the log wrapped its buffer");
+}

@@ -6,9 +6,14 @@
 //! allocator" — here a pool that owns every overflow bucket it hands out, so
 //! bucket references stay valid for the lifetime of the index (freed only
 //! when the pool drops).
+//!
+//! Bucket tables and overflow slabs are [`Region`]s: an all-zero bucket is an
+//! empty one, so the kernel's zeroed pages need no initialising pass, and the
+//! tables, probed at random on every operation, sit on 2 MiB pages.
 
 use crate::entry::HashBucketEntry;
-use faster_util::CACHE_LINE_SIZE;
+use faster_util::region::HUGE_PAGE;
+use faster_util::{Region, CACHE_LINE_SIZE};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,14 +59,17 @@ impl HashBucket {
     /// # Safety contract (internal)
     ///
     /// The pointer stored in the overflow word always originates from
-    /// [`OverflowPool::alloc`] of the pool owned by the same index, which
-    /// keeps the allocation alive until the index drops.
+    /// [`OverflowPool::alloc`] of the pool owned by the same index, whose
+    /// slabs stay mapped until the index drops.
     #[inline]
     pub fn overflow(&self) -> Option<&HashBucket> {
         let p = self.words[7].load(Ordering::SeqCst);
         if p == 0 {
             None
         } else {
+            // SAFETY: a non-zero overflow word is a bucket of this index's
+            // overflow pool (see above); the slab outlives every pointer
+            // into it, and a bucket is never freed while the index lives.
             Some(unsafe { &*(p as *const HashBucket) })
         }
     }
@@ -76,6 +84,8 @@ impl HashBucket {
         debug_assert!(p < (1 << 48), "pointer exceeds 48 bits");
         match self.words[7].compare_exchange(0, p, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => next,
+            // SAFETY: the winner was installed by this method on another
+            // thread, from a pool bucket as long-lived as `next`.
             Err(winner) => unsafe { &*(winner as *const HashBucket) },
         }
     }
@@ -94,17 +104,26 @@ impl Default for HashBucket {
     }
 }
 
+/// Buckets per overflow slab: one 2 MiB region.
+const SLAB_BUCKETS: usize = HUGE_PAGE / CACHE_LINE_SIZE;
+
 /// Owns all overflow buckets for one index.
 ///
 /// Allocation takes a short mutex — overflow allocation is rare (it means a
 /// bucket's 7 slots plus its chain are full) and never on the per-operation
-/// fast path. Boxes are stable in memory, so `&HashBucket` references handed
+/// fast path — and bumps an index into the newest 2 MiB slab. Slabs never
+/// move or unmap before the pool drops, so `&HashBucket` references handed
 /// out remain valid until the pool is dropped with the index.
 #[derive(Default)]
 pub struct OverflowPool {
-    // The Box is the point: bucket addresses must survive Vec reallocation.
-    #[allow(clippy::vec_box)]
-    buckets: Mutex<Vec<Box<HashBucket>>>,
+    slabs: Mutex<Slabs>,
+}
+
+#[derive(Default)]
+struct Slabs {
+    regions: Vec<Region>,
+    /// Buckets handed out so far; all but the last region are full.
+    allocated: usize,
 }
 
 impl OverflowPool {
@@ -112,20 +131,26 @@ impl OverflowPool {
         Self::default()
     }
 
-    /// Allocates a fresh overflow bucket; the reference lives as long as the
-    /// pool.
+    /// Allocates a fresh (empty) overflow bucket; the reference lives as
+    /// long as the pool.
     pub fn alloc(&self) -> &HashBucket {
-        let mut guard = self.buckets.lock();
-        guard.push(Box::new(HashBucket::new()));
-        let r: &HashBucket = guard.last().expect("just pushed");
-        // Safety: the Box's heap allocation is never moved or freed until the
-        // pool drops; extending the borrow to the pool's lifetime is sound.
-        unsafe { &*(r as *const HashBucket) }
+        let mut slabs = self.slabs.lock();
+        let i = slabs.allocated % SLAB_BUCKETS;
+        if i == 0 {
+            slabs.regions.push(Region::new(HUGE_PAGE));
+        }
+        slabs.allocated += 1;
+        let slab = slabs.regions.last().expect("the first bucket pushed a slab").as_ptr();
+        // SAFETY: `i < SLAB_BUCKETS`, so the bucket lies inside the slab,
+        // which is 64-byte aligned and zeroed (an empty bucket), and no
+        // earlier call handed out index `i`. The region outlives every
+        // pointer into it: the pool drops its slabs only when it drops.
+        unsafe { &*slab.cast::<HashBucket>().add(i) }
     }
 
     /// Number of overflow buckets allocated so far.
     pub fn len(&self) -> usize {
-        self.buckets.lock().len()
+        self.slabs.lock().allocated
     }
 
     pub fn is_empty(&self) -> bool {
@@ -133,17 +158,17 @@ impl OverflowPool {
     }
 }
 
-/// One version of the bucket table: `2^k_bits` primary buckets.
+/// One version of the bucket table: `2^k_bits` primary buckets in one
+/// zeroed region.
 pub struct BucketArray {
     k_bits: u8,
-    buckets: Box<[HashBucket]>,
+    buckets: Region,
 }
 
 impl BucketArray {
     pub fn new(k_bits: u8) -> Self {
         assert!(k_bits as usize <= 40, "index size cap");
-        let n = 1usize << k_bits;
-        let buckets = (0..n).map(|_| HashBucket::new()).collect::<Vec<_>>().into_boxed_slice();
+        let buckets = Region::new(CACHE_LINE_SIZE << k_bits);
         Self { k_bits, buckets }
     }
 
@@ -154,7 +179,7 @@ impl BucketArray {
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.buckets.len()
+        1 << self.k_bits
     }
 
     pub fn is_empty(&self) -> bool {
@@ -163,7 +188,12 @@ impl BucketArray {
 
     #[inline]
     pub fn bucket(&self, idx: usize) -> &HashBucket {
-        &self.buckets[idx]
+        assert!(idx < self.len(), "bucket {idx} of {}", self.len());
+        // SAFETY: a bucket index is below `2^k_bits` (checked above), and the
+        // region holds `2^k_bits` zero-initialised (empty), 64-byte aligned
+        // buckets. The region outlives the returned reference: it unmaps
+        // only when `self` drops.
+        unsafe { &*self.buckets.as_ptr().cast::<HashBucket>().add(idx) }
     }
 }
 
@@ -226,6 +256,22 @@ mod tests {
         let a = BucketArray::new(4);
         assert_eq!(a.len(), 16);
         assert_eq!(a.k_bits(), 4);
-        let _ = a.bucket(15);
+        assert!((0..16).all(|i| (0..8).all(|w| a.bucket(i).words[w].load(Ordering::SeqCst) == 0)));
+    }
+
+    #[test]
+    fn overflow_slabs_hand_out_distinct_empty_buckets() {
+        let pool = OverflowPool::new();
+        let buckets: Vec<&HashBucket> = (0..SLAB_BUCKETS + 1).map(|_| pool.alloc()).collect();
+        assert_eq!(pool.len(), SLAB_BUCKETS + 1);
+        let mut addrs: Vec<usize> =
+            buckets.iter().map(|b| *b as *const HashBucket as usize).collect();
+        assert!(addrs.iter().all(|a| a % CACHE_LINE_SIZE == 0), "64 B-aligned");
+        addrs.sort_unstable();
+        addrs.dedup();
+        assert_eq!(addrs.len(), SLAB_BUCKETS + 1, "every bucket distinct");
+        for b in &buckets {
+            assert!(b.words.iter().all(|w| w.load(Ordering::SeqCst) == 0), "empty");
+        }
     }
 }

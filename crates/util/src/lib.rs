@@ -12,13 +12,16 @@
 //!   used by the batched-operation pipeline to overlap independent misses.
 //! * [`rng`] — a tiny, dependency-free xorshift generator for hot paths where
 //!   pulling in `rand` would be overkill (e.g. insert back-off jitter).
+//! * [`region`] — anonymous memory regions, committed on first touch and
+//!   mapped with 2 MiB pages, that hold the log buffer and the index buckets.
 //! * [`backoff`] — exponential spin/yield/sleep backoff for slow-path wait
 //!   loops (resize migration waits, I/O completion waits).
 //!
-//! Everything in this crate is `no_std`-shaped in spirit (no I/O, no locks)
-//! and is used from latch-free code, so nothing here may block — with the one
-//! documented exception of [`backoff::Backoff::snooze`], which is exclusively
-//! for slow-path waits.
+//! Everything in this crate is `no_std`-shaped in spirit (no I/O, no locks;
+//! [`region`]'s only system calls are the `mmap` family) and is used from
+//! latch-free code, so nothing here may block — with the one documented
+//! exception of [`backoff::Backoff::snooze`], which is exclusively for
+//! slow-path waits.
 
 pub mod address;
 pub mod align;
@@ -26,6 +29,7 @@ pub mod backoff;
 pub mod hash;
 pub mod pod;
 pub mod prefetch;
+pub mod region;
 pub mod rng;
 
 pub use address::Address;
@@ -34,4 +38,5 @@ pub use backoff::Backoff;
 pub use hash::{hash_bytes, hash_u64, KeyHash};
 pub use pod::{bytes_of, pod_from_bytes, Pod};
 pub use prefetch::{prefetch_read, prefetch_write};
+pub use region::Region;
 pub use rng::XorShift64;
