@@ -200,7 +200,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         }
         let t2 = inner.log.tail_address();
         // Flush through (at least) t2.
-        inner.log.shift_read_only_to_tail();
+        inner.log.shift_read_only_to_tail(None);
         // Wait for the safe-read-only trigger to cover t2, then for the
         // device writes to land.
         while inner.log.safe_read_only_address() < t2 {

@@ -4,8 +4,12 @@
 //!
 //! * **Expiration** — [`FasterKv::truncate_until`] drops a log prefix
 //!   outright ("data stored in cloud providers often has a maximum time to
-//!   live"). Index entries and record chains pointing below the new begin
-//!   address are treated as dangling and lazily removed when encountered.
+//!   live"). The begin address moves at once; the device bytes below it go
+//!   once every thread has seen the move. A walk that reaches below it
+//!   re-probes the key's index entry: if the entry moved (compaction rolled
+//!   the key above `begin` meanwhile) the walk restarts there, otherwise the
+//!   chain ends. Dangling index entries are removed lazily, when a delete
+//!   meets one.
 //! * **Roll to tail** — [`FasterKv::compact_until`] scans a prefix and
 //!   copies *live* key-values to the tail before truncating. Liveness is
 //!   exact: a record is copied only if no newer base or tombstone for its
@@ -32,7 +36,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
     /// truncation can climb above the `begin` of a retained checkpoint
     /// generation and silently destroy its fallback replayability.
     pub fn truncate_until(&self, addr: Address) {
-        self.inner.log.shift_begin_address(addr);
+        self.inner.log.shift_begin_address(addr, None);
     }
 
     /// Roll-to-tail compaction: copies records in `[begin, until)` that are
@@ -77,7 +81,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 session.refresh();
             }
         }
-        self.truncate_until(truncate_to.min(until));
+        inner.log.shift_begin_address(truncate_to.min(until), Some(session.guard()));
         rolled
     }
 
@@ -110,7 +114,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
                 // An RMW may still update a folded delta in place, which
                 // moves no entry. Once every thread has seen it read-only,
                 // an RMW appends instead, and the walk is taken again.
-                let to = log.shift_read_only_to_tail();
+                let to = log.shift_read_only_to_tail(Some(session.guard()));
                 while log.safe_ipu_boundary() < to {
                     session.refresh();
                     std::thread::yield_now();

@@ -173,6 +173,9 @@ pub(crate) enum WriteKind {
 /// continuation, version history and compaction liveness walk with it.
 pub(crate) struct Walk<V> {
     addr: Address,
+    /// The chain head the walk started from: what [`Session::reprobe`]
+    /// compares the index entry against.
+    head: Address,
     fallbacks: Vec<Address>,
     acc: Option<V>,
 }
@@ -190,21 +193,16 @@ pub(crate) enum Step {
 
 impl<V: Pod> Walk<V> {
     pub(crate) fn new(head: Address) -> Self {
-        Self { addr: head, fallbacks: Vec::new(), acc: None }
+        Self { addr: head, head, fallbacks: Vec::new(), acc: None }
     }
 
-    /// Settles on a record to visit: while the address is a chain end or
-    /// below `floor` (the begin address, or a liveness bound), resume the
-    /// newest parked merge fallback. `false` once every chain is exhausted.
-    #[inline]
-    fn advance(&mut self, floor: Address) -> bool {
-        while !self.addr.is_valid() || self.addr < floor {
-            match self.fallbacks.pop() {
-                Some(a) => self.addr = a,
-                None => return false,
-            }
+    /// The record at `addr` could not be read. Unless truncation cut it —
+    /// it lies below `begin` now, where [`Session::advance`] re-probes —
+    /// this chain ends here.
+    fn unreadable(&mut self, begin: Address) {
+        if self.addr >= begin {
+            self.addr = Address::INVALID;
         }
-        true
     }
 
     /// Classifies `rec` (the record at `addr`) for `key` and moves the walk
@@ -616,21 +614,21 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     }
                     // Cached record is for a different key (or deleted):
                     // continue into the primary chain it points at.
-                    walk.addr = h.prev();
+                    walk = Walk::new(h.prev());
                 }
                 None => {
                     // Evicted under us; the eviction hook is restoring
                     // the entry. Refresh (drives the trigger) + re-probe.
                     self.refresh();
                     match self.entry_address(hash) {
-                        Some(head) => walk.addr = head,
+                        Some(head) => walk = Walk::new(head),
                         None => return Err(OpError::NotFound),
                     }
                 }
             }
         }
         let start = walk.addr;
-        match self.resolve(key, &mut walk, image.as_ref()) {
+        match self.resolve(key, hash, &mut walk, image.as_ref()) {
             Seek::Found(at, rec, Step::Base) => {
                 // Base record (Alg 2 lines 12-15): above the safe read-only
                 // offset it may be updated in place while we read it.
@@ -674,6 +672,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     fn seek(
         &self,
         key: &K,
+        hash: KeyHash,
         walk: &mut Walk<V>,
         floor: Address,
         mut image: Option<&RecordView<K, V>>,
@@ -683,7 +682,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             let rec = match image.take() {
                 Some(view) => *view.get(),
                 None => {
-                    if !walk.advance(floor.max(log.begin_address())) {
+                    if !self.advance(hash, walk, floor) {
                         return Seek::Absent;
                     }
                     match log.get(walk.addr) {
@@ -707,11 +706,12 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     fn resolve(
         &self,
         key: &K,
+        hash: KeyHash,
         walk: &mut Walk<V>,
         mut image: Option<&RecordView<K, V>>,
     ) -> Seek<K, V> {
         loop {
-            match self.seek(key, walk, Address::INVALID, image.take()) {
+            match self.seek(key, hash, walk, Address::INVALID, image.take()) {
                 Seek::Found(_, rec, Step::Delta) => {
                     walk.fold(&self.store.inner.functions, rec.read_value())
                 }
@@ -720,13 +720,54 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         }
     }
 
+    /// Settles `walk` on a record to visit: while its address is a chain
+    /// end or below `floor` (a liveness bound), resume the newest parked
+    /// merge fallback. An address at or above `floor` but below the begin
+    /// address is a chain that truncation cut (Appendix C), which
+    /// [`Session::reprobe`] judges before the walk gives it up. `false` once
+    /// every chain is exhausted.
+    #[inline]
+    fn advance(&self, hash: KeyHash, walk: &mut Walk<V>, floor: Address) -> bool {
+        let begin = self.store.inner.log.begin_address();
+        while !walk.addr.is_valid() || walk.addr < floor.max(begin) {
+            if walk.addr.is_valid() && walk.addr >= floor && self.reprobe(hash, walk) {
+                continue;
+            }
+            match walk.fallbacks.pop() {
+                Some(a) => walk.addr = a,
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// A walk cut by `begin` (Appendix C's "invalid-address truncation on
+    /// traversal"): compaction may have rolled the key's records above
+    /// `begin` after the walk read its head, so the cut proves nothing yet.
+    /// Re-read the index entry: if it has moved off the head the walk
+    /// started from, restart the walk there with nothing parked or folded
+    /// (`true`). Otherwise the cut chain ends (`false`): nothing of the key
+    /// lives on it above `begin`. A read-cache entry restarts at the
+    /// primary chain its record points into; one evicted under us ends the
+    /// chain, as the cut itself would.
+    #[cold]
+    fn reprobe(&self, hash: KeyHash, walk: &mut Walk<V>) -> bool {
+        let Some(entry) = self.entry_address(hash) else { return false };
+        let head = self.chain_prev_for_new_record(entry);
+        if !head.is_valid() || head == walk.head {
+            return false;
+        }
+        *walk = Walk::new(head);
+        true
+    }
+
     /// The step loop of the version walks (history, compaction liveness):
     /// steps through a read-cache copy to the primary record it caches
     /// (re-probing if the copy was evicted), settles the walk at or above
     /// `floor`, and views the record there — resident, or read from storage
     /// with a blocking read (these are maintenance and analytics paths). A
-    /// record that cannot be read ends its chain. `None` once every chain
-    /// is exhausted.
+    /// record that cannot be read ends its chain, unless truncation cut it
+    /// (see [`Walk::unreadable`]). `None` once every chain is exhausted.
     pub(crate) fn resolve_blocking(
         &self,
         hash: KeyHash,
@@ -737,16 +778,21 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         loop {
             if is_rc(walk.addr) {
                 match inner.rc.as_ref().and_then(|rc| rc.get(rc_untag(walk.addr))) {
-                    Some(p) => walk.addr = unsafe { RecordRef::<K, V>::from_raw(p) }.header().prev(),
+                    Some(p) => {
+                        // SAFETY: `get` returned a resident read-cache
+                        // record, epoch-protected until this session refreshes.
+                        let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
+                        *walk = Walk::new(rec.header().prev());
+                    }
                     None => {
                         // Evicted mid-walk: re-probe, as reads do.
                         self.refresh();
-                        walk.addr = self.entry_address(hash)?;
+                        *walk = Walk::new(self.entry_address(hash)?);
                     }
                 }
                 continue;
             }
-            if !walk.advance(floor.max(inner.log.begin_address())) {
+            if !self.advance(hash, walk, floor) {
                 return None;
             }
             if let Some(p) = inner.log.get(walk.addr) {
@@ -756,7 +802,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             let read = inner.log.read_blocking(walk.addr, RecordRef::<K, V>::size());
             match read.ok().and_then(|bytes| RecordView::parse(&bytes)) {
                 Some(view) => return Some(view),
-                None => walk.addr = Address::INVALID,
+                None => walk.unreadable(inner.log.begin_address()),
             }
         }
     }
@@ -920,7 +966,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 if !is_rc(head) {
                     let floor = inner.log.ipu_boundary();
                     if let Seek::Found(_, rec, Step::Base) =
-                        self.seek(key, &mut Walk::new(head), floor, None)
+                        self.seek(key, hash, &mut Walk::new(head), floor, None)
                     {
                         f.concurrent_writer(key, value, rec.value_cell());
                         self.count_write(&self.rec.in_place);
@@ -991,7 +1037,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 }
             }
             let mut walk = Walk::new(self.chain_prev_for_new_record(entry));
-            let published = match self.seek(key, &mut walk, Address::INVALID, None) {
+            let published = match self.seek(key, hash, &mut walk, Address::INVALID, None) {
                 // Deleted or absent: (re-)create from the initial value.
                 Seek::Found(_, _, Step::Tombstone) | Seek::Absent => {
                     self.rcu_create(at, key, input, None)
@@ -1218,8 +1264,15 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         let mut out = Vec::new();
         let Some(head) = self.entry_address(hash) else { return out };
         let mut walk = Walk::new(head);
+        let mut from = walk.head;
         while out.len() < limit {
             let Some(view) = self.resolve_blocking(hash, &mut walk, Address::INVALID) else { break };
+            if walk.head != from {
+                // A re-probe restarted the walk at a newer head, whose
+                // chain repeats the versions collected so far.
+                from = walk.head;
+                out.clear();
+            }
             match walk.step(view.get(), key) {
                 Step::Skip => {}
                 Step::Tombstone => break,
@@ -1534,11 +1587,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                         done.push(Completion { id: op.id, result: Err(OpError::Io(err)) });
                     }
                 }
-                Err(_) => {
-                    // Truncated (log GC) or out-of-range: the record is
-                    // genuinely gone — this chain ends here.
-                    self.continue_io(op, None, done);
-                }
+                // Truncated (log GC: the walk re-probes) or out of range
+                // (this chain ends).
+                Err(_) => self.continue_io(op, None, done),
             }
         }
         // Hand the drain buffer back for reuse, shrinking a burst-sized
@@ -1551,8 +1602,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     }
 
     /// Resumes a pending op's walk with the record its read returned. `None`
-    /// (page padding, a truncated prefix) ends that chain: the walk goes on
-    /// from its next merge fallback, or finds the key absent.
+    /// (page padding, a truncated prefix) ends that chain — the walk goes on
+    /// from its next merge fallback, or finds the key absent — unless
+    /// truncation cut it, which the walk re-probes (see [`Walk::unreadable`]).
     fn continue_io(
         &self,
         mut op: PendingOp<K, V, F::Input>,
@@ -1560,7 +1612,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         done: &mut Vec<Completion<F::Output>>,
     ) {
         if image.is_none() {
-            op.walk.addr = Address::INVALID;
+            op.walk.unreadable(self.store.inner.log.begin_address());
         }
         let PendingKind::Rmw { entry_addr } = op.kind else {
             let result = self.read_walk(&op.key, op.hash, &op.input, op.walk, image, Some(op.id));
@@ -1570,7 +1622,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             return;
         };
         let f = &self.store.inner.functions;
-        let old = match self.resolve(&op.key, &mut op.walk, image.as_ref()) {
+        let old = match self.resolve(&op.key, op.hash, &mut op.walk, image.as_ref()) {
             Seek::Found(_, rec, Step::Base) => op.walk.value(f, Some(rec.read_value())),
             Seek::Found(..) | Seek::Absent => op.walk.value(f, None),
             // Another hop down the chain (fresh transient-retry budget).

@@ -91,7 +91,7 @@ where
         s.upsert(&(1 << 32 | k), &0).unwrap();
     }
     s.refresh();
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().flush_barrier().unwrap();
     assert!(store.shrink_index(Some(&s)));
     for k in 0..200u64 {
@@ -143,7 +143,7 @@ fn count_store_rmw_never_goes_pending() {
         s.upsert(&(1 << 32 | k), &0).unwrap();
     }
     s.refresh();
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().flush_barrier().unwrap();
     assert!(store.shrink_index(Some(&s)));
     for k in 0..200u64 {
@@ -155,7 +155,7 @@ fn count_store_rmw_never_goes_pending() {
     incr(5_000);
     // Read-only.
     s.upsert(&5_001, &7).unwrap();
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     s.refresh();
     assert_eq!(region(5_001), faster_hlog::Region::ReadOnly);
     incr(5_001);
@@ -874,6 +874,42 @@ fn gc_compact_preserves_live_keys() {
     for k in 25..50u64 {
         assert_eq!(read_now(&s, k), Some(k + 7), "old live key {k}");
     }
+}
+
+/// A read that went pending before compaction rolled its key's base above
+/// `begin` reaches the old base's address after the truncation. Its walk
+/// must re-probe the index and answer from the rolled base, not from the
+/// delta it folded before the cut (Appendix C).
+#[test]
+fn pending_read_across_compaction_finds_the_rolled_base() {
+    let cfg = FasterKvConfig::small()
+        .with_index(faster_index::IndexConfig { k_bits: 8, tag_bits: 15, max_resize_chunks: 4 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 8, mutable_pages: 2, io_threads: 2 })
+        .with_max_sessions(8)
+        .with_refresh_interval(32);
+    let store = count_store(cfg);
+    let s = store.start_session();
+    let k = 7u64;
+    rmw_now(&s, k, 5);
+    let past_base = store.log().tail_address();
+    for f in 10_000..13_000u64 {
+        s.upsert(&f, &1).unwrap();
+    }
+    rmw_now(&s, k, 3); // on disk: a CRDT appends a delta
+    for f in 20_000..23_000u64 {
+        s.upsert(&f, &1).unwrap();
+    }
+    store.log().flush_barrier().unwrap();
+    s.refresh();
+    let reader = store.start_session();
+    let Err(OpError::Pending(id)) = reader.read(&k, &0) else {
+        panic!("the delta is on disk: the read must go pending");
+    };
+    store.compact_until(past_base, &s);
+    assert_eq!(read_now(&s, k), Some(8), "a fresh read sees the rolled base");
+    let done = reader.complete_pending(true);
+    let c = done.iter().find(|c| c.id == id).expect("the pending read completes");
+    assert!(matches!(c.result, Ok(Outcome::Value(8))), "pending read: {:?}", c.result);
 }
 
 #[test]

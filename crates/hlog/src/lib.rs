@@ -31,10 +31,13 @@
 //! an epoch trigger action, the advance of the *safe* read-only offset —
 //! which in turn issues page flushes. Flush completions raise the
 //! flushed-until frontier, which allows the head offset to advance; the head
-//! advance's trigger action marks frames closed for reuse. No page is ever
-//! flushed while a thread could still write it, and no frame is reused while
-//! a thread could still read it — both guaranteed by epoch safety, with no
-//! page latches anywhere.
+//! advance's trigger action marks frames closed for reuse. Log GC moves the
+//! begin address the same way: new reads stop there at once, and its
+//! trigger action truncates the device. No page is ever flushed while a
+//! thread could still write it, and no frame or device byte is dropped
+//! while a thread could still read it — all guaranteed by epoch safety, with
+//! no page latches anywhere. Every such boundary moves through one
+//! `HybridLog::shift`.
 //!
 //! ## The buffer is one region (§5.1)
 //!
@@ -196,6 +199,18 @@ const FRAME_OPEN: u8 = 2; // holds a live page
 /// Offset field of the packed tail word (low 32 bits; page in the high 32).
 const OFFSET_BITS: u32 = 32;
 const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
+
+/// The log boundaries whose move invalidates something a reader may still
+/// hold; each moves through [`HybridLog::shift`].
+#[derive(Clone, Copy)]
+enum Boundary {
+    /// Reads below it are refused; the device bytes below it are dropped.
+    Begin,
+    /// Writes below it copy to the tail; the pages below it flush.
+    ReadOnly,
+    /// Reads below it go to storage; the frames below it are recycled.
+    Head,
+}
 
 /// A snapshot of every log marker, in address order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,27 +575,14 @@ impl HybridLog {
         let active = inner.active_pages.load(Ordering::SeqCst);
         let ro_lag = active.min(inner.cfg.mutable_pages);
         if new_tail_page > ro_lag {
-            let desired = (new_tail_page - ro_lag) * inner.cfg.page_size();
-            let old = inner.read_only.fetch_max(desired, Ordering::SeqCst);
-            if desired > old {
-                let weak = inner_weak(&self.inner);
-                let action = move || {
-                    if let Some(inner) = weak.upgrade() {
-                        Inner::update_safe_ro(&inner, desired);
-                    }
-                };
-                match guard {
-                    Some(g) => g.bump_with(action),
-                    None => inner.epoch.bump_with(action),
-                }
-            }
+            self.shift(Boundary::ReadOnly, (new_tail_page - ro_lag) * inner.cfg.page_size(), guard);
         }
         self.maybe_advance_head(guard);
     }
 
     /// Advances the head offset toward `tail_page + 1 - buffer_pages`, capped
-    /// by the flushed frontier (§5.2: never evict an unflushed page), and
-    /// announces frame closure via an epoch trigger.
+    /// by the flushed frontier (§5.2: never evict an unflushed page); its
+    /// frames close once every thread has seen the move.
     fn maybe_advance_head(&self, guard: Option<&EpochGuard>) {
         let inner = &*self.inner;
         // Target residency for the *incoming* page (tail_page + 1): frames
@@ -592,19 +594,42 @@ impl HybridLog {
             return;
         }
         let desired = (needed * inner.cfg.page_size()).min(inner.flushed_until.load(Ordering::SeqCst));
-        let old = inner.head.fetch_max(desired, Ordering::SeqCst);
-        if desired > old {
-            let weak = inner_weak(&self.inner);
-            let action = move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.close_frames(old, desired);
-                }
-            };
-            match guard {
-                Some(g) => g.bump_with(action),
-                None => inner.epoch.bump_with(action),
-            }
+        self.shift(Boundary::Head, desired, guard);
+    }
+
+    /// Moves boundary `b` up to `to` (§2.4, §5.2): the new value is
+    /// published at once, so operations that start now see it, and what the
+    /// move invalidates is dropped by an epoch trigger action, once every
+    /// thread has seen it. A caller that holds a guard passes it: if the
+    /// drain list is full, the bump refreshes that guard, so the caller's own
+    /// stale entry cannot wedge it. Returns the boundary's previous value.
+    fn shift(&self, b: Boundary, to: u64, guard: Option<&EpochGuard>) -> u64 {
+        let inner = &*self.inner;
+        let cell = match b {
+            Boundary::Begin => &inner.begin,
+            Boundary::ReadOnly => &inner.read_only,
+            Boundary::Head => &inner.head,
+        };
+        let from = cell.fetch_max(to, Ordering::SeqCst);
+        if to <= from {
+            return from;
         }
+        // Weak: `inner` holds the epoch whose drain list holds the action,
+        // so a strong handle would keep the log alive forever.
+        let weak = Arc::downgrade(&self.inner);
+        let action = move || {
+            let Some(inner) = weak.upgrade() else { return };
+            match b {
+                Boundary::Begin => inner.truncate(to),
+                Boundary::ReadOnly => Inner::update_safe_ro(&inner, to),
+                Boundary::Head => inner.close_frames(from, to),
+            }
+        };
+        match guard {
+            Some(g) => g.bump_with(action),
+            None => inner.epoch.bump_with(action),
+        }
+        from
     }
 
     /// Attempts to open `page + 1`'s frame and flip the tail to it.
@@ -812,46 +837,27 @@ impl HybridLog {
         res
     }
 
-    /// Forces the read-only offset up to the current tail and synchronously
-    /// waits for the resulting flushes (checkpoint path, §6.5; also the §7.3
-    /// sequential-bandwidth experiment). Requires that no thread holds an
-    /// un-refreshed guard, e.g. quiesced sessions or cooperative refresh.
-    pub fn shift_read_only_to_tail(&self) -> Address {
-        let inner = &*self.inner;
+    /// Forces the read-only offset up to the current tail and returns it
+    /// (checkpoint path, §6.5; also the §7.3 sequential-bandwidth
+    /// experiment). The pages below it flush once every thread has seen the
+    /// move, which a caller awaits as `safe_read_only_address` reaching the
+    /// returned tail. `guard` is the caller's own, if it holds one.
+    pub fn shift_read_only_to_tail(&self, guard: Option<&EpochGuard>) -> Address {
         let tail = self.tail_address();
-        let old = inner.read_only.fetch_max(tail.raw(), Ordering::SeqCst);
-        if tail.raw() > old {
-            let weak = inner_weak(&self.inner);
-            let t = tail.raw();
-            inner.epoch.bump_with(move || {
-                if let Some(inner) = weak.upgrade() {
-                    Inner::update_safe_ro(&inner, t);
-                }
-            });
-        }
+        self.shift(Boundary::ReadOnly, tail.raw(), guard);
         tail
     }
 
     /// Garbage collection by expiration (Appendix C): drops all log content
-    /// below `addr`. Reads below the new begin address fail with
-    /// [`IoError::Truncated`], which the store layer treats as "key absent".
-    pub fn shift_begin_address(&self, addr: Address) {
-        let inner = &*self.inner;
-        let old = inner.begin.fetch_max(addr.raw(), Ordering::SeqCst);
-        if addr.raw() > old {
-            inner.metrics.bytes_truncated.add(addr.raw() - old);
-        }
-        // Footers and quarantine marks of fully-truncated pages are moot;
-        // drop them so the caches don't grow with log lifetime.
-        let first_page = addr.raw() / inner.cfg.page_size();
-        inner.footers.lock().retain(|&p, _| p >= first_page);
-        inner.quarantined.lock().retain(|&p| p >= first_page);
-        // Device truncation is page-granular: checksum-span reads of records
-        // on the first live page start at its group-aligned page start, so
-        // the whole stride (data + footer) of that page must stay readable
-        // even when `begin` points mid-page. Logical reads below `begin` are
-        // already refused above the device layer.
-        inner.device.truncate_below(first_page * inner.stride());
+    /// below `addr`. The begin address moves at once: reads that reach below
+    /// it from now on fail with [`IoError::Truncated`], which the store
+    /// layer answers by re-probing the key's index entry. The device bytes,
+    /// footers and quarantine marks below it go once every thread has seen
+    /// the move, so a read that passed the begin check before it still
+    /// finds its bytes. `guard` is the caller's own, if it holds one.
+    pub fn shift_begin_address(&self, addr: Address, guard: Option<&EpochGuard>) {
+        let from = self.shift(Boundary::Begin, addr.raw(), guard);
+        self.inner.metrics.bytes_truncated.add(addr.raw().saturating_sub(from));
     }
 
     /// Reports `bytes` of log content made dead by the store layer (a record
@@ -1195,6 +1201,20 @@ impl Inner {
         }
     }
 
+    /// Epoch trigger of a `begin` move to `to`: no thread can still read
+    /// below it. Footers and quarantine marks of fully truncated pages are
+    /// moot, so they are dropped and the caches don't grow with log
+    /// lifetime. Device truncation is page-granular: checksum-span reads of
+    /// records on the first live page start at its group-aligned page start,
+    /// so the whole stride (data + footer) of that page stays readable even
+    /// when `begin` points mid-page.
+    fn truncate(&self, to: u64) {
+        let first_page = to / self.cfg.page_size();
+        self.footers.lock().retain(|&p, _| p >= first_page);
+        self.quarantined.lock().retain(|&p| p >= first_page);
+        self.device.truncate_below(first_page * self.stride());
+    }
+
     /// Epoch trigger: frames of pages in `[from, to)` are now unreachable by
     /// every thread; run the eviction hook, then mark them reusable.
     fn close_frames(&self, from: u64, to: u64) {
@@ -1207,10 +1227,6 @@ impl Inner {
             self.metrics.frames_evicted.inc();
         }
     }
-}
-
-fn inner_weak(inner: &Arc<Inner>) -> std::sync::Weak<Inner> {
-    Arc::downgrade(inner)
 }
 
 #[cfg(test)]

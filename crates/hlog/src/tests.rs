@@ -217,7 +217,7 @@ fn shift_read_only_to_tail_flushes_everything() {
             unsafe { std::ptr::write(p as *mut u64, a.raw()) };
         }
     }
-    let t = log.shift_read_only_to_tail();
+    let t = log.shift_read_only_to_tail(None);
     g.refresh(); // let the safe-ro trigger fire
     log.flush_barrier().unwrap();
     assert_eq!(log.read_only_address(), t);
@@ -228,7 +228,7 @@ fn shift_read_only_to_tail_flushes_everything() {
 #[test]
 fn gc_shift_begin_truncates(){
     let cfg = HLogConfig { page_bits: 10, buffer_pages: 4, mutable_pages: 1, io_threads: 1 };
-    let (log, epoch, _d) = test_log(cfg);
+    let (log, epoch, dev) = test_log(cfg);
     let g = epoch.acquire();
     let first = log.allocate(64, &g);
     for _ in 0..((8 * 1024) / 64) {
@@ -236,9 +236,20 @@ fn gc_shift_begin_truncates(){
         g.refresh();
     }
     log.flush_barrier().unwrap();
-    log.shift_begin_address(Address::new(2048));
+    // Page 0's bytes sit at the start of the device.
+    let physical = || dev.read_blocking(first.raw(), 64);
+    assert!(physical().is_ok());
+    // `begin` moves at once; the device truncation waits for `g`.
+    log.shift_begin_address(Address::new(2048), None);
     assert_eq!(log.begin_address(), Address::new(2048));
     assert!(matches!(log.read_blocking(first, 64), Err(IoError::Truncated { .. })));
+    assert!(physical().is_ok(), "a thread that has not refreshed may still read below begin");
+    g.refresh();
+    assert!(matches!(physical(), Err(IoError::Truncated { .. })));
+    // With no guard alive the truncation runs inside the call.
+    drop(g);
+    log.shift_begin_address(Address::new(4096), None);
+    assert!(matches!(dev.read_blocking(2 * checksum::stride(1024), 64), Err(IoError::Truncated { .. })));
 }
 
 #[test]
@@ -293,7 +304,7 @@ fn recover_resumes_past_old_tail() {
                 unsafe { std::ptr::write(p as *mut u64, 7000 + i) };
             }
         }
-        old_tail = log.shift_read_only_to_tail();
+        old_tail = log.shift_read_only_to_tail(None);
         g.refresh();
         log.flush_barrier().unwrap();
         drop(g);

@@ -94,11 +94,9 @@ fn expiration_is_observed_lazily_by_all_ops() {
 /// Writes to keys `0..keys` for `rounds` rounds on one session — each key
 /// read back first, to the value `write(session, key, last)` returned for
 /// it last time — while another session rolls the read-only prefix to the
-/// tail. Each pass rescans from `begin`, so the cost of a pass grows with
-/// the log: the compactor stops after `MAX_PASSES` passes over a non-empty
-/// prefix. It rolls without truncating: a read racing the truncation is a
-/// separate hazard (it can find its record below `begin` and answer
-/// "absent").
+/// tail and truncates it. Each pass rescans from `begin`, so the cost of a
+/// pass grows with the log: the compactor stops after `MAX_PASSES` passes
+/// over a non-empty prefix.
 fn race_compactor(
     keys: u64,
     rounds: u64,
@@ -115,7 +113,7 @@ fn race_compactor(
                 session.refresh();
                 let (until, begin) = (store.log().safe_read_only_address(), store.log().begin_address());
                 if until > begin {
-                    store.compact_until_clamped(until, begin, &session);
+                    store.compact_until(until, &session);
                     passes += 1;
                 }
             }

@@ -254,14 +254,14 @@ fn refused_mutations_count_alike_batched_and_scalar() {
     for k in 0..200u64 {
         session.upsert(&k, &1).unwrap();
     }
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().wait_flush_quiesced();
     // Everything flushed so far fits; the next flush trips the limit.
     fault.domain().set_full_after_bytes(Some(0));
     for k in 0..2_000u64 {
         let _ = session.upsert(&k, &2);
     }
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().wait_flush_quiesced();
     assert_eq!(store.health(), StoreHealth::ReadOnly(HealthReason::DeviceFull));
 

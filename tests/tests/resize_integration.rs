@@ -85,7 +85,7 @@ fn compaction_sees_newer_version_behind_disk_resident_merge_record() {
     }
     filler(600);
     session.refresh();
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().flush_barrier().unwrap();
     let before_shrink = store.log().tail_address();
     assert!(store.shrink_index(Some(&session)));

@@ -51,7 +51,7 @@ fn transient_write_fault_at_every_position_is_absorbed() {
                 FasterKv::new(harness_cfg(), CountStore, fault.clone());
             let mut oracle = HashMap::new();
             run_ops(&store, &mut oracle, &mut XorShift64::new(seed), 600, Mix::Upserts, |_, _| true);
-            store.log().shift_read_only_to_tail();
+            store.log().shift_read_only_to_tail(None);
             store.log().wait_flush_quiesced();
             fault.domain().writes_issued()
         };
@@ -165,7 +165,7 @@ fn permanent_flush_failure_degrades_to_read_only() {
         let mut rng = XorShift64::new(seed);
         // Healthy prefix, flushed cleanly so its pages stay readable cold.
         run_ops(&store, &mut oracle, &mut rng, 200, Mix::Upserts, |_, _| true);
-        store.log().shift_read_only_to_tail();
+        store.log().shift_read_only_to_tail(None);
         store.log().wait_flush_quiesced();
         // The device dies for good. The doomed phase writes *unique* keys:
         // once evicted, their only copies sit on quarantined pages, so the
@@ -189,7 +189,7 @@ fn permanent_flush_failure_degrades_to_read_only() {
         // actually evict (reads of them must now go to the device).
         store.log().set_active_pages(2);
         run_ops(&store, &mut oracle, &mut rng, 64, Mix::Upserts, |_, _| true);
-        store.log().shift_read_only_to_tail();
+        store.log().shift_read_only_to_tail(None);
         store.log().wait_flush_quiesced();
 
         let health = store.health();
@@ -274,7 +274,7 @@ fn corrupted_sectors_never_serve_wrong_data() {
         // Shrink the buffer and let the head advance: most pages evict.
         store.log().set_active_pages(2);
         run_ops(&store, &mut oracle, &mut XorShift64::new(seed ^ 0xDEAD), 64, Mix::Upserts, |_, _| true);
-        store.log().shift_read_only_to_tail();
+        store.log().shift_read_only_to_tail(None);
         store.log().wait_flush_quiesced();
         let head_page = store.log().head_address().raw() / PAGE_SIZE;
         assert!(head_page > 1, "[{ctx}] workload too small to evict any page");
@@ -330,12 +330,12 @@ fn device_full_flips_read_only() {
     let mut oracle = HashMap::new();
     let mut rng = XorShift64::new(7);
     run_ops(&store, &mut oracle, &mut rng, 200, Mix::Upserts, |_, _| true);
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().wait_flush_quiesced();
     // Everything flushed so far fits; the next flush trips the limit.
     fault.domain().set_full_after_bytes(Some(0));
     run_ops(&store, &mut oracle, &mut rng, 2000, Mix::Upserts, |_, _| true);
-    store.log().shift_read_only_to_tail();
+    store.log().shift_read_only_to_tail(None);
     store.log().wait_flush_quiesced();
 
     assert_eq!(
@@ -446,7 +446,7 @@ fn degradation_races_foreground_traffic() {
         for t in threads {
             t.join().unwrap_or_else(|_| panic!("[{ctx}] traffic thread panicked"));
         }
-        store.log().shift_read_only_to_tail();
+        store.log().shift_read_only_to_tail(None);
         store.log().wait_flush_quiesced();
 
         assert!(
