@@ -906,7 +906,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// Installs `waker` as the push hook of the session's rings: every CQE
     /// pushed into them (I/O completions, WAL durability notices and group
     /// syncs) invokes it. A front-end points this at a self-pipe/eventfd so
-    /// one `poll` park covers ring CQEs *and* socket readiness.
+    /// one `poll` set reports ring CQEs *and* socket readiness.
     pub fn set_io_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
         let waker = Arc::new(waker);
         let wal_waker = Arc::clone(&waker);

@@ -4,16 +4,17 @@
 //! socket — no store shortcuts — so the full stack is under test: frame
 //! parsing, pipelined batch execution, in-order reply emission across
 //! pending disk reads, WAL-durability-gated mutation acks, `-READONLY`
-//! degradation, and acked-write recovery after killing the server mid
-//! pipeline (reusing the WAL crash harness's store configuration).
+//! degradation, acked-write recovery after killing the server mid
+//! pipeline (reusing the WAL crash harness's store configuration), and the
+//! workers' wake-cause accounting.
 
 use faster_core::ckpt_manager::{self, CheckpointConfig};
-use faster_core::{CountStore, FasterKv, FasterKvConfig, StoreHealth};
+use faster_core::{CountStore, FasterKv, FasterKvConfig, StoreHealth, WalConfig};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_integration_tests::fault_harness::wal_harness_cfg;
 use faster_server::{Server, ServerConfig, Store};
-use faster_storage::{Device, FaultDevice, MemDevice};
+use faster_storage::{Device, FaultDevice, LatencyModel, MemDevice};
 use faster_util::XorShift64;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -484,4 +485,86 @@ fn killed_mid_pipeline_recovers_every_acked_set() {
             "acked SET {k} lost after killing the server"
         );
     }
+}
+
+/// Every pass of a worker begins exactly one way: a spin saw an event, an
+/// event ended a park, or a park timed out. After a depth-1 SET loop and a
+/// mixed pipelined run over a WAL on the NVMe latency model, the causes add
+/// up to the passes. Run with `--nocapture` to see the wakes per command of
+/// the depth-1 loop; nothing here asserts a timing.
+#[test]
+fn wake_causes_account_for_every_pass() {
+    let store: Store = FasterKv::new_with_wal(
+        FasterKvConfig::small().with_wal(WalConfig::default()),
+        CountStore,
+        MemDevice::new(2),
+        MemDevice::with_latency(1, LatencyModel::nvme()),
+    );
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
+    let mut c = Client::connect(server.local_addr());
+
+    const SETS: u64 = 2_000;
+    let before = server.wake_counts();
+    for k in 0..SETS {
+        c.send(format!("SET {k} {k}\r\n").as_bytes());
+        assert_eq!(c.read_reply(), Some(Reply::Simple("OK".into())), "SET {k}");
+    }
+    let after = server.wake_counts();
+    println!(
+        "depth-1 SET loop: {:.2} woken, {:.2} spun, {:.2} passes per command",
+        (after.woken - before.woken) as f64 / SETS as f64,
+        (after.spun - before.spun) as f64 / SETS as f64,
+        (after.passes - before.passes) as f64 / SETS as f64,
+    );
+
+    let mut rng = XorShift64::new(0xC0DE);
+    for _ in 0..200 {
+        let depth = 1 + rng.next_below(48);
+        let mut frame = Vec::new();
+        for _ in 0..depth {
+            let key = rng.next_below(SETS);
+            let cmd = match rng.next_below(5) {
+                0 => format!("SET {key} {}\r\n", rng.next_below(1 << 20)),
+                1 => format!("GET {key}\r\n"),
+                2 => format!("INCR {key}\r\n"),
+                3 => format!("DEL {key}\r\n"),
+                _ => "PING\r\n".to_string(),
+            };
+            frame.extend_from_slice(cmd.as_bytes());
+        }
+        c.send(&frame);
+        for i in 0..depth {
+            match c.read_reply() {
+                Some(Reply::Error(e)) => panic!("command {i} of the window failed: {e}"),
+                Some(_) => {}
+                None => panic!("reply stream ended early"),
+            }
+        }
+    }
+
+    server.shutdown();
+    let w = server.wake_counts();
+    assert!(w.passes > SETS, "{w:?}");
+    assert_eq!(w.passes, w.spun + w.woken + w.timeouts, "a pass began no counted way: {w:?}");
+}
+
+/// An idle server with one open, silent connection parks: a few timed-out
+/// parks a second and no spin. A spin that turned into a busy loop (say, on
+/// a socket that is always writable) would show thousands of passes.
+#[test]
+fn idle_connection_parks_without_spinning() {
+    let server =
+        Server::start(spilling_store(), "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
+    let mut c = Client::connect(server.local_addr());
+    c.send(b"PING\r\n");
+    assert_eq!(c.read_reply(), Some(Reply::Simple("PONG".into())));
+    // Let the pass that answered the PING finish its spin and park.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let before = server.wake_counts();
+    std::thread::sleep(Duration::from_secs(1));
+    let after = server.wake_counts();
+    assert!(after.passes - before.passes <= 10, "idle worker busy: {before:?} -> {after:?}");
+    assert_eq!(after.spun, before.spun, "idle worker spun: {before:?} -> {after:?}");
+    drop(c);
 }
