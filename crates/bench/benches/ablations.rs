@@ -2,8 +2,8 @@
 //! figures, but quantifications of the mechanisms the paper argues for:
 //!
 //! 1. **CRDT deltas vs. pending RMWs** (§6.3): the same sum workload run
-//!    with `is_mergeable() = true` (fuzzy/disk RMWs append deltas, no I/O)
-//!    and `false` (fuzzy RMWs go pending, disk RMWs read first).
+//!    on `CountCrdt` (mergeable: fuzzy/disk RMWs append deltas, no I/O) and
+//!    on `CountStore` (fuzzy RMWs go pending, disk RMWs read first).
 //! 2. **Epoch refresh interval** (§2.5): more frequent refresh shrinks the
 //!    fuzzy region (fresher thread-local offsets) but costs epoch-table
 //!    traffic.
@@ -11,7 +11,7 @@
 //!    workload.
 
 use faster_bench::*;
-use faster_core::{BlindKv, CountStore, FasterKv, FasterKvConfig, OpError};
+use faster_core::{BlindKv, CountCrdt, CountStore, FasterKv, FasterKvConfig, OpError};
 use faster_hlog::HLogConfig;
 use faster_storage::{Device, LatencyModel, MemDevice};
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
@@ -25,10 +25,10 @@ fn main() {
     // ---- 1. CRDT vs pending, small IPU region to stress the fuzzy path.
     println!("# Ablation 1: mergeable (CRDT deltas) vs non-mergeable RMW, IPU 0.3");
     let wl = WorkloadConfig::new(keys, Mix::rmw_only(), Distribution::zipf_default());
-    let store = build_faster(keys, in_memory_log(keys, 24, 0.3), SumStore, MemDevice::new(2));
+    let store = build_faster(keys, in_memory_log(keys, 24, 0.3), CountStore, MemDevice::new(2));
     let plain = run_faster_counts(&store, &wl, threads, dur, true);
     drop(store);
-    let store = build_faster(keys, in_memory_log(keys, 24, 0.3), CountStore, MemDevice::new(2));
+    let store = build_faster(keys, in_memory_log(keys, 24, 0.3), CountCrdt, MemDevice::new(2));
     let crdt = run_faster_counts(&store, &wl, threads, dur, true);
     println!(
         "ablation-crdt plain {:.2} Mops ({} fuzzy-pending) | crdt {:.2} Mops ({} deltas, {} fuzzy-pending)",
@@ -43,7 +43,7 @@ fn main() {
     for interval in [16u32, 64, 256, 1024] {
         let mut cfg = FasterKvConfig::for_keys(keys).with_log(in_memory_log(keys, 24, 0.8));
         cfg.refresh_interval = interval;
-        let store: FasterKv<u64, u64, SumStore> = FasterKv::new(cfg, SumStore, MemDevice::new(2));
+        let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg, CountStore, MemDevice::new(2));
         let r = run_faster_counts(&store, &wl, threads, dur, true);
         let fuzzy_pct = if r.stats.rmws > 0 {
             100.0 * r.stats.fuzzy_pending as f64 / r.stats.rmws as f64

@@ -11,8 +11,8 @@
 //! Knobs: `FASTER_BENCH_KEYS` (default 2 M), `FASTER_BENCH_BATCH`
 //! (default 64), `FASTER_BENCH_OPS` (default 4 M per mode).
 
-use faster_bench::{in_memory_log, SumStore};
-use faster_core::{BatchOp, FasterKv, FasterKvConfig, Outcome};
+use faster_bench::in_memory_log;
+use faster_core::{BatchOp, CountStore, FasterKv, FasterKvConfig, Outcome};
 use faster_storage::MemDevice;
 use faster_util::XorShift64;
 use std::time::Instant;
@@ -43,9 +43,9 @@ fn main() {
 
     // In-memory layout: 24-byte records (header + u64 key + u64 value),
     // everything mutable so reads never go pending.
-    let store: FasterKv<u64, u64, SumStore> = FasterKv::new(
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(
         FasterKvConfig::for_keys(keys).with_log(in_memory_log(keys, 24, 0.9)),
-        SumStore,
+        CountStore,
         MemDevice::new(2),
     );
     let session = store.start_session();

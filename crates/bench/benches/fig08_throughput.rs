@@ -7,6 +7,7 @@
 //! uniform but contended under Zipf; Masstree and RocksDB far below.
 
 use faster_bench::*;
+use faster_core::CountStore;
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, WorkloadConfig};
 
@@ -35,7 +36,7 @@ fn main() {
             for (mixname, mix) in fig8_mixes() {
                 let wl = WorkloadConfig::new(keys, mix, *dist);
                 // FASTER (8-byte payloads; RMW via non-mergeable sum).
-                let store = build_faster(keys, in_memory_log(keys, 24, 0.9), SumStore, MemDevice::new(2));
+                let store = build_faster(keys, in_memory_log(keys, 24, 0.9), CountStore, MemDevice::new(2));
                 let r = run_faster_counts(&store, &wl, threads, dur, true);
                 println!("{fig} {tname} {dname} {mixname:9} FASTER    {:8.2} Mops", r.mops);
                 emit(fig, &format!("FASTER/{mixname}"), threads, format!("{:.3}", r.mops));

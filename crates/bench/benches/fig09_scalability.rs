@@ -11,7 +11,7 @@
 //! shape.
 
 use faster_bench::*;
-use faster_core::BlindKv;
+use faster_core::{BlindKv, CountStore};
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
 
@@ -29,7 +29,7 @@ fn main() {
     }
     let wl = WorkloadConfig::new(keys, Mix::rmw_only(), Distribution::zipf_default());
     for &t in &sweep {
-        let store = build_faster(keys, in_memory_log(keys, 24, 0.9), SumStore, MemDevice::new(2));
+        let store = build_faster(keys, in_memory_log(keys, 24, 0.9), CountStore, MemDevice::new(2));
         let r = run_faster_counts(&store, &wl, t, dur, true);
         println!("fig9a threads={t:2} FASTER   {:8.2} Mops", r.mops);
         emit("fig9a", "FASTER", t, format!("{:.3}", r.mops));

@@ -7,6 +7,7 @@
 //! (CAS conflicts on hot keys).
 
 use faster_bench::*;
+use faster_core::CountStore;
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
 
@@ -19,7 +20,7 @@ fn main() {
         let wl = WorkloadConfig::new(keys, Mix::r_bu(50, 50), dist);
         for &t in &sweep {
             // HybridLog.
-            let store = build_faster(keys, in_memory_log(keys, 24, 0.9), SumStore, MemDevice::new(2));
+            let store = build_faster(keys, in_memory_log(keys, 24, 0.9), CountStore, MemDevice::new(2));
             let hl = run_faster_counts(&store, &wl, t, dur, true);
             drop(store);
             // Append-only: mutable region size zero (the §5 strawman). The
@@ -28,7 +29,7 @@ fn main() {
             // the async path, exactly like the paper's append-only store.
             let mut aol_log = in_memory_log(keys, 24, 0.0);
             aol_log.buffer_pages *= 4;
-            let store = build_faster(keys, aol_log, SumStore, MemDevice::new(2));
+            let store = build_faster(keys, aol_log, CountStore, MemDevice::new(2));
             let aol = run_faster_counts(&store, &wl, t, dur, true);
             println!(
                 "fig11 {dname:7} threads={t:2} HybridLog {:8.2} Mops | AppendOnly {:8.2} Mops",

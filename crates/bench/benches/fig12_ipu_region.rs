@@ -7,6 +7,7 @@
 //! paper: under 3 %, and above 0.5 % only below ~0.7 IPU factor.
 
 use faster_bench::*;
+use faster_core::CountStore;
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
 
@@ -19,7 +20,7 @@ fn main() {
         for ipu in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0] {
             let wl = WorkloadConfig::new(keys, Mix::rmw_only(), dist);
             let store =
-                build_faster(keys, in_memory_log(keys, 24, ipu), SumStore, MemDevice::new(2));
+                build_faster(keys, in_memory_log(keys, 24, ipu), CountStore, MemDevice::new(2));
             let r = run_faster_counts(&store, &wl, threads, dur, true);
             let fuzzy_pct = if r.stats.rmws > 0 {
                 100.0 * r.stats.fuzzy_pending as f64 / r.stats.rmws as f64

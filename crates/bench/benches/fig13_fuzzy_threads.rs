@@ -5,6 +5,7 @@
 //! read-only offset become likelier) but stays below 1 % at 56 threads.
 
 use faster_bench::*;
+use faster_core::CountStore;
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
 
@@ -14,7 +15,7 @@ fn main() {
     println!("# Fig 13: 100% RMW uniform, IPU 0.8, thread sweep");
     let wl = WorkloadConfig::new(keys, Mix::rmw_only(), Distribution::Uniform);
     for t in thread_sweep() {
-        let store = build_faster(keys, in_memory_log(keys, 24, 0.8), SumStore, MemDevice::new(2));
+        let store = build_faster(keys, in_memory_log(keys, 24, 0.8), CountStore, MemDevice::new(2));
         let r = run_faster_counts(&store, &wl, t, dur, true);
         let fuzzy_pct = if r.stats.rmws > 0 {
             100.0 * r.stats.fuzzy_pending as f64 / r.stats.rmws as f64

@@ -15,8 +15,7 @@
 //! Knobs: `FASTER_BENCH_IO_KEYS` (default 200 K), `FASTER_BENCH_IO_SECS`
 //! (seconds per depth, default 1.0).
 
-use faster_bench::SumStore;
-use faster_core::{FasterKv, FasterKvConfig, OpError};
+use faster_core::{CountStore, FasterKv, FasterKvConfig, OpError};
 use faster_hlog::HLogConfig;
 use faster_storage::{LatencyModel, MemDevice};
 use faster_util::XorShift64;
@@ -38,9 +37,9 @@ fn main() {
     // reads fall below the head address and must hit the device.
     let log = HLogConfig { page_bits: 16, buffer_pages: 8, mutable_pages: 0, io_threads: 4 }
         .with_mutable_fraction(0.5);
-    let store: FasterKv<u64, u64, SumStore> = FasterKv::new(
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(
         FasterKvConfig::for_keys(keys).with_log(log),
-        SumStore,
+        CountStore,
         MemDevice::with_latency(4, LatencyModel::nvme()),
     );
     let session = store.start_session();

@@ -15,9 +15,9 @@
 //! Knobs: `FASTER_BENCH_MAINT_KEYS` (default 2 M), `FASTER_BENCH_MAINT_K_BITS`
 //! (default 16), `FASTER_BENCH_MAINT_SECS` (tuning deadline, default 30).
 
-use faster_bench::{in_memory_log, SumStore};
+use faster_bench::in_memory_log;
 use faster_core::maintenance::{Policy, PolicyConfig};
-use faster_core::{FasterKv, FasterKvConfig, Outcome};
+use faster_core::{CountStore, FasterKv, FasterKvConfig, Outcome};
 use faster_index::IndexConfig;
 use faster_storage::MemDevice;
 use faster_util::XorShift64;
@@ -43,11 +43,11 @@ fn main() {
     let k_bits_start = env_u64("FASTER_BENCH_MAINT_K_BITS", 16) as u8;
     let deadline = Duration::from_secs(env_u64("FASTER_BENCH_MAINT_SECS", 30));
 
-    let store: FasterKv<u64, u64, SumStore> = FasterKv::new(
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(
         FasterKvConfig::for_keys(keys)
             .with_log(in_memory_log(keys, 24, 0.9))
             .with_index(IndexConfig { k_bits: k_bits_start, tag_bits: 15, max_resize_chunks: 64 }),
-        SumStore,
+        CountStore,
         MemDevice::new(2),
     );
 

@@ -3,8 +3,7 @@
 //! generation, and end-to-end single-thread operations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use faster_bench::SumStore;
-use faster_core::{BatchOp, FasterKv, FasterKvConfig, Outcome};
+use faster_core::{BatchOp, CountStore, FasterKv, FasterKvConfig, Outcome};
 use faster_epoch::Epoch;
 use faster_hlog::{HLogConfig, HybridLog};
 use faster_index::{CreateOutcome, HashIndex, IndexConfig};
@@ -86,9 +85,9 @@ fn bench_zipf(c: &mut Criterion) {
 }
 
 fn bench_store_ops(c: &mut Criterion) {
-    let store: FasterKv<u64, u64, SumStore> = FasterKv::new(
+    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(
         FasterKvConfig::for_keys(1 << 16),
-        SumStore,
+        CountStore,
         MemDevice::new(2),
     );
     let session = store.start_session();

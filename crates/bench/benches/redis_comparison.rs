@@ -5,6 +5,7 @@
 //! space (0.7 M / 0.9 M at 250 M keys) — far below single-threaded FASTER.
 
 use faster_bench::*;
+use faster_core::CountStore;
 use faster_baselines::RedisLike;
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
@@ -49,7 +50,7 @@ fn main() {
 
     // Single-threaded FASTER on the same shape of workload.
     let wl = WorkloadConfig::new(keys, Mix::r_bu(50, 50), Distribution::Uniform);
-    let store = build_faster(keys, in_memory_log(keys, 24, 0.9), SumStore, MemDevice::new(2));
+    let store = build_faster(keys, in_memory_log(keys, 24, 0.9), CountStore, MemDevice::new(2));
     let r = run_faster_counts(&store, &wl, 1, run_duration(), true);
     println!("FASTER single-thread {:.3} Mops", r.mops);
     emit("redis", "FASTER-1thread", 0, format!("{:.4}", r.mops));

@@ -6,7 +6,7 @@
 //! shrinking the tag.
 
 use faster_bench::*;
-use faster_core::{FasterKv, FasterKvConfig};
+use faster_core::{CountStore, FasterKv, FasterKvConfig};
 use faster_storage::MemDevice;
 use faster_ycsb::{Distribution, Mix, WorkloadConfig};
 
@@ -21,8 +21,8 @@ fn main() {
         let cfg = FasterKvConfig::for_keys(keys)
             .with_log(in_memory_log(keys, 24, 0.9))
             .with_tag_bits(tag_bits);
-        let store: FasterKv<u64, u64, SumStore> =
-            FasterKv::new(cfg, SumStore, MemDevice::new(2));
+        let store: FasterKv<u64, u64, CountStore> =
+            FasterKv::new(cfg, CountStore, MemDevice::new(2));
         let r = run_faster_counts(&store, &wl, threads, dur, true);
         if tag_bits == 15 {
             base = r.mops;

@@ -193,42 +193,6 @@ where
     session.execute_batch(scratch).iter().any(|outcome| matches!(outcome, Err(OpError::Pending(_))))
 }
 
-/// Non-mergeable per-key running sum: identical update logic to
-/// [`faster_core::CountStore`] but *without* the CRDT declaration, so fuzzy-region RMWs
-/// take the pending path of Table 2 — the behavior Figs 12b and 13 measure.
-#[derive(Debug, Default, Clone)]
-pub struct SumStore;
-
-impl Functions<u64, u64> for SumStore {
-    type Input = u64;
-    type Output = u64;
-
-    fn single_reader(&self, _k: &u64, _i: &u64, v: &u64) -> u64 {
-        *v
-    }
-
-    fn concurrent_reader(
-        &self,
-        _k: &u64,
-        _i: &u64,
-        v: &faster_core::ValueCell<u64>,
-    ) -> u64 {
-        v.as_atomic_u64().load(Ordering::Relaxed)
-    }
-
-    fn initial_updater(&self, _k: &u64, i: &u64, v: &mut u64) {
-        *v = *i;
-    }
-
-    fn in_place_updater(&self, _k: &u64, i: &u64, v: &faster_core::ValueCell<u64>) {
-        v.as_atomic_u64().fetch_add(*i, Ordering::Relaxed);
-    }
-
-    fn copy_updater(&self, _k: &u64, i: &u64, old: &u64, new: &mut u64) {
-        *new = old.wrapping_add(*i);
-    }
-}
-
 /// Runs a YCSB workload against a FASTER store with 8-byte values — the
 /// Fig 8/9a/12/13 configuration — for `duration` on `threads` threads.
 /// `preload` inserts all keys first (the paper preloads its datasets).

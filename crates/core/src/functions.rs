@@ -22,10 +22,21 @@
 //! concurrent callbacks receive a [`ValueCell`], from which the user picks a
 //! discipline: an atomic view (`as_atomic_u64`), plain racy loads/stores for
 //! partitioned keys, or their own locking around `as_mut`.
+//!
+//! The three updaters return the RMW's `Output`, and the store reports it as
+//! the RMW's `Outcome::Value`: an RMW answers with the value it produced, so
+//! a counter increment needs no second read (and no racing one). Only a CRDT
+//! delta (§6.3), whose result is unknown until a read folds it onto the base,
+//! reports `Outcome::Done`.
+//!
+//! Two counters ship here. [`CountStore`] is the paper's running example
+//! (§2.5): fetch-and-add in place, and fuzzy-region or on-disk RMWs go
+//! pending (Table 2). [`CountCrdt`] is the same counter declared mergeable
+//! (§6.3): those RMWs append a delta instead and never wait.
 
 use faster_util::Pod;
 use std::cell::UnsafeCell;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A shared mutation point over a record value living in the mutable region
 /// of the log. See module docs for the concurrency contract.
@@ -116,15 +127,19 @@ pub trait Functions<K: Pod, V: Pod>: Send + Sync + 'static {
 
     // ---- RMW ----
 
-    /// Populates the value for a key that does not exist yet.
-    fn initial_updater(&self, key: &K, input: &Self::Input, value: &mut V);
+    /// Populates the value for a key that does not exist yet and returns
+    /// the RMW's output.
+    fn initial_updater(&self, key: &K, input: &Self::Input, value: &mut V) -> Self::Output;
 
     /// Updates a value in place (mutable region; may race with other
-    /// updaters of the same record — pick a discipline on the cell).
-    fn in_place_updater(&self, key: &K, input: &Self::Input, value: &ValueCell<V>);
+    /// updaters of the same record — pick a discipline on the cell) and
+    /// returns the RMW's output.
+    fn in_place_updater(&self, key: &K, input: &Self::Input, value: &ValueCell<V>)
+        -> Self::Output;
 
-    /// Produces the updated value at a new location from the old one (RCU).
-    fn copy_updater(&self, key: &K, input: &Self::Input, old: &V, new: &mut V);
+    /// Produces the updated value at a new location from the old one (RCU)
+    /// and returns the RMW's output.
+    fn copy_updater(&self, key: &K, input: &Self::Input, old: &V, new: &mut V) -> Self::Output;
 
     // ---- CRDT (§6.3) ----
 
@@ -147,8 +162,8 @@ pub trait Functions<K: Pod, V: Pod>: Send + Sync + 'static {
 }
 
 /// The paper's running example: a **count store** (§2.5). Keys map to `u64`
-/// counters incremented by RMW inputs; increments are mergeable (a sum
-/// CRDT), and in-place updates use fetch-and-add.
+/// counters incremented by RMW inputs; in-place updates use fetch-and-add,
+/// and every updater returns the counter's new value.
 #[derive(Debug, Default, Clone)]
 pub struct CountStore;
 
@@ -161,22 +176,56 @@ impl Functions<u64, u64> for CountStore {
     }
 
     fn concurrent_reader(&self, _key: &u64, _input: &u64, value: &ValueCell<u64>) -> u64 {
-        value.as_atomic_u64().load(std::sync::atomic::Ordering::Relaxed)
+        value.as_atomic_u64().load(Ordering::Relaxed)
     }
 
-    fn initial_updater(&self, _key: &u64, input: &u64, value: &mut u64) {
+    fn initial_updater(&self, _key: &u64, input: &u64, value: &mut u64) -> u64 {
         // "The initial value for the insert of a new key is set to 0" (§4),
         // then the increment applies.
         *value = *input;
+        *value
     }
 
-    fn in_place_updater(&self, _key: &u64, input: &u64, value: &ValueCell<u64>) {
-        // Latch-free increment: the paper's canonical fetch-and-add.
-        value.as_atomic_u64().fetch_add(*input, std::sync::atomic::Ordering::Relaxed);
+    fn in_place_updater(&self, _key: &u64, input: &u64, value: &ValueCell<u64>) -> u64 {
+        // Latch-free increment: the paper's canonical fetch-and-add. Its
+        // result is this increment's own, however many race it.
+        value.as_atomic_u64().fetch_add(*input, Ordering::Relaxed).wrapping_add(*input)
     }
 
-    fn copy_updater(&self, _key: &u64, input: &u64, old: &u64, new: &mut u64) {
+    fn copy_updater(&self, _key: &u64, input: &u64, old: &u64, new: &mut u64) -> u64 {
         *new = old.wrapping_add(*input);
+        *new
+    }
+}
+
+/// [`CountStore`] declared mergeable (§6.3): increments are partial sums
+/// that merge by addition from 0, so a fuzzy-region or on-disk RMW appends
+/// a delta record instead of going pending, and reports `Done`.
+#[derive(Debug, Default, Clone)]
+pub struct CountCrdt;
+
+impl Functions<u64, u64> for CountCrdt {
+    type Input = u64;
+    type Output = u64;
+
+    fn single_reader(&self, key: &u64, input: &u64, value: &u64) -> u64 {
+        CountStore.single_reader(key, input, value)
+    }
+
+    fn concurrent_reader(&self, key: &u64, input: &u64, value: &ValueCell<u64>) -> u64 {
+        CountStore.concurrent_reader(key, input, value)
+    }
+
+    fn initial_updater(&self, key: &u64, input: &u64, value: &mut u64) -> u64 {
+        CountStore.initial_updater(key, input, value)
+    }
+
+    fn in_place_updater(&self, key: &u64, input: &u64, value: &ValueCell<u64>) -> u64 {
+        CountStore.in_place_updater(key, input, value)
+    }
+
+    fn copy_updater(&self, key: &u64, input: &u64, old: &u64, new: &mut u64) -> u64 {
+        CountStore.copy_updater(key, input, old, new)
     }
 
     fn is_mergeable(&self) -> bool {
@@ -211,16 +260,19 @@ impl<K: Pod, V: Pod> Functions<K, V> for BlindKv<V> {
         *value
     }
 
-    fn initial_updater(&self, _key: &K, input: &V, value: &mut V) {
+    fn initial_updater(&self, _key: &K, input: &V, value: &mut V) -> V {
         *value = *input;
+        *input
     }
 
-    fn in_place_updater(&self, _key: &K, input: &V, value: &ValueCell<V>) {
+    fn in_place_updater(&self, _key: &K, input: &V, value: &ValueCell<V>) -> V {
         value.store(*input);
+        *input
     }
 
-    fn copy_updater(&self, _key: &K, input: &V, _old: &V, new: &mut V) {
+    fn copy_updater(&self, _key: &K, input: &V, _old: &V, new: &mut V) -> V {
         *new = *input;
+        *input
     }
 }
 
@@ -235,7 +287,7 @@ mod tests {
         assert_eq!(cell.load(), 5);
         cell.store(9);
         assert_eq!(cell.load(), 9);
-        cell.as_atomic_u64().fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        cell.as_atomic_u64().fetch_add(1, Ordering::Relaxed);
         assert_eq!(cell.load(), 10);
     }
 
@@ -251,25 +303,37 @@ mod tests {
     fn count_store_semantics() {
         let f = CountStore;
         let mut v = 0u64;
-        f.initial_updater(&1, &5, &mut v);
+        assert_eq!(f.initial_updater(&1, &5, &mut v), 5);
         assert_eq!(v, 5);
         let cell = unsafe { &*(&mut v as *mut u64 as *const ValueCell<u64>) };
-        f.in_place_updater(&1, &3, cell);
+        assert_eq!(f.in_place_updater(&1, &3, cell), 8, "fetch_add's result plus the input");
         assert_eq!(cell.load(), 8);
         let mut n = 0u64;
-        f.copy_updater(&1, &2, &8, &mut n);
+        assert_eq!(f.copy_updater(&1, &2, &8, &mut n), 10);
         assert_eq!(n, 10);
+        assert!(!f.is_mergeable());
+        assert_eq!(f.single_reader(&1, &0, &10), 10);
+    }
+
+    #[test]
+    fn count_crdt_is_the_count_store_made_mergeable() {
+        let f = CountCrdt;
+        let mut v = 0u64;
+        assert_eq!(f.initial_updater(&1, &5, &mut v), 5);
+        let cell = unsafe { &*(&mut v as *mut u64 as *const ValueCell<u64>) };
+        assert_eq!(f.in_place_updater(&1, &3, cell), 8);
+        let mut n = 0u64;
+        assert_eq!(f.copy_updater(&1, &2, &8, &mut n), 10);
         assert!(f.is_mergeable());
         assert_eq!(f.merge(&4, &6), 10);
         assert_eq!(f.identity(), 0);
-        assert_eq!(f.single_reader(&1, &0, &10), 10);
     }
 
     #[test]
     fn blind_kv_semantics() {
         let f: BlindKv<u64> = BlindKv::new();
         let mut v = 0u64;
-        Functions::<u64, u64>::initial_updater(&f, &1, &42, &mut v);
+        assert_eq!(Functions::<u64, u64>::initial_updater(&f, &1, &42, &mut v), 42);
         assert_eq!(v, 42);
         let mut dst = 0u64;
         Functions::<u64, u64>::single_writer(&f, &1, &7, &mut dst);

@@ -127,7 +127,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
             };
             let kind = WriteKind::Roll { delta };
             if slot.observed().address() == head
-                && session.publish(CreateOutcome::Found(slot), key, kind, |v| *v = rolled)
+                && session.publish(CreateOutcome::Found(slot), key, kind, |v| *v = rolled).is_some()
             {
                 return true;
             }

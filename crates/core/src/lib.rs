@@ -26,8 +26,9 @@
 //!
 //! let store = FasterKv::new(FasterKvConfig::small(), CountStore, MemDevice::new(2));
 //! let mut session = store.start_session();
-//! for _ in 0..10 {
-//!     session.rmw(&42, &1).unwrap(); // increment key 42's counter
+//! for i in 1..=10 {
+//!     // Increment key 42's counter; the RMW answers with the new count.
+//!     assert_eq!(session.rmw(&42, &1), Ok(Outcome::Value(i)));
 //! }
 //! let n = match session.read(&42, &0) {
 //!     Ok(Outcome::Value(v)) => v,
@@ -51,7 +52,7 @@ pub use checkpoint::{CheckpointData, CheckpointError};
 pub use ckpt_manager::{
     CheckpointConfig, CheckpointManager, GenerationMeta, RecoveredGeneration,
 };
-pub use functions::{BlindKv, CountStore, Functions, ValueCell};
+pub use functions::{BlindKv, CountCrdt, CountStore, Functions, ValueCell};
 pub use health::{HealthReason, StoreError, StoreHealth};
 pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
 
@@ -63,7 +64,7 @@ pub use session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
 /// use faster_core::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::functions::{BlindKv, CountStore, Functions, ValueCell};
+    pub use crate::functions::{BlindKv, CountCrdt, CountStore, Functions, ValueCell};
     pub use crate::health::{HealthReason, StoreError, StoreHealth};
     pub use crate::session::{BatchOp, Completion, OpError, OpResult, Outcome, Session};
     pub use crate::{FasterKv, FasterKvConfig};

@@ -45,19 +45,21 @@ use std::time::{Duration, Instant};
 /// Successful completion of a store operation (the unified operation API).
 ///
 /// Every public operation returns [`OpResult`] = `Result<Outcome, OpError>`:
-/// a read that finds the key yields `Value`, an applied mutation yields
-/// `Done`, and everything else — absent key, asynchronous continuation,
-/// read-only degradation, exhausted I/O — is a typed [`OpError`].
+/// a read that finds the key and an applied RMW yield `Value`, an applied
+/// upsert, delete or CRDT delta yields `Done`, and everything else — absent
+/// key, asynchronous continuation, read-only degradation, exhausted I/O — is
+/// a typed [`OpError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome<O> {
-    /// A read found the key; the user functions produced this output.
+    /// A read found the key, or an RMW applied: the user functions produced
+    /// this output (an RMW's is its updater's).
     Value(O),
-    /// A mutation (upsert / RMW / delete) was applied.
+    /// An upsert, a delete or a CRDT delta RMW (§6.3) was applied.
     Done,
 }
 
 impl<O> Outcome<O> {
-    /// The read output, if this outcome carries one.
+    /// The output, if this outcome carries one.
     #[inline]
     pub fn value(self) -> Option<O> {
         match self {
@@ -114,7 +116,7 @@ pub type OpResult<O> = Result<Outcome<O>, OpError>;
 
 /// A formerly pending operation completed by [`Session::complete_pending`]:
 /// the id the operation originally returned via `OpError::Pending`, plus its
-/// final [`OpResult`] (`Ok(Value)` / `Err(NotFound)` for reads, `Ok(Done)`
+/// final [`OpResult`] (`Ok(Value)` / `Err(NotFound)` for reads, `Ok(Value)`
 /// for RMWs, `Err(Io)` when the I/O retry budget ran out).
 #[derive(Debug)]
 pub struct Completion<O> {
@@ -976,7 +978,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 }
                 kind = WriteKind::Rcu;
             }
-            if self.publish(at, key, kind, |v| f.single_writer(key, value, v)) {
+            if self.publish(at, key, kind, |v| f.single_writer(key, value, v)).is_some() {
                 return;
             }
         }
@@ -984,9 +986,12 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
 
     // ================================================================= RMW
 
-    /// Read-modify-write (Algorithm 4 + Table 2). May return
-    /// [`OpError::Pending`] for disk-resident records or fuzzy-region hits,
-    /// and refuses with [`OpError::ReadOnly`] on a degraded store.
+    /// Read-modify-write (Algorithm 4 + Table 2). An applied RMW answers
+    /// `Ok(Outcome::Value(out))`, `out` being what the updater that applied
+    /// it returned; a CRDT delta answers `Ok(Outcome::Done)`. May return
+    /// [`OpError::Pending`] for disk-resident records or fuzzy-region hits
+    /// (its [`Completion`] carries the output), and refuses with
+    /// [`OpError::ReadOnly`] on a degraded store.
     pub fn rmw(&self, key: &K, input: &F::Input) -> OpResult<F::Output> {
         self.writable()?;
         let t = self.op_timer();
@@ -1010,8 +1015,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         loop {
             let at = inner.index.find_or_create_tag(hash, Some(&self.guard));
             let CreateOutcome::Found(slot) = &at else {
-                self.rcu_create(at, key, input, None);
-                return Ok(Outcome::Done);
+                match self.rcu_create(at, key, input, None) {
+                    Some(out) => return Ok(out),
+                    None => continue,
+                }
             };
             let entry = slot.observed().address();
             if is_rc(entry) {
@@ -1021,10 +1028,10 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     Some(p) => {
                         let rec = unsafe { RecordRef::<K, V>::from_raw(p) };
                         if rec.key() == *key {
-                            if self.rcu_create(at, key, input, Some(rec.read_value())) {
-                                return Ok(Outcome::Done);
+                            match self.rcu_create(at, key, input, Some(rec.read_value())) {
+                                Some(out) => return Ok(out),
+                                None => continue,
                             }
-                            continue;
                         }
                         // Cached record is another key's: fall
                         // through and trace from its primary prev.
@@ -1042,12 +1049,17 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 Seek::Found(_, _, Step::Tombstone) | Seek::Absent => {
                     self.rcu_create(at, key, input, None)
                 }
-                Seek::Found(laddr, rec, _) => match inner.log.classify(laddr) {
+                Seek::Found(laddr, rec, step) => match inner.log.classify(laddr) {
                     Region::Mutable => {
-                        f.in_place_updater(key, input, rec.value_cell());
+                        let out = f.in_place_updater(key, input, rec.value_cell());
                         self.count_write(&self.rec.in_place);
                         self.wal_log(crate::walrec::KIND_PUT, rec);
-                        return Ok(Outcome::Done);
+                        // A delta's output is its partial, not the key's
+                        // value (§6.3).
+                        return Ok(match step {
+                            Step::Delta => Outcome::Done,
+                            _ => Outcome::Value(out),
+                        });
                     }
                     // CRDT: append a delta (§6.3).
                     Region::Fuzzy if f.is_mergeable() => self.append_delta(at, key, input),
@@ -1084,35 +1096,45 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     ));
                 }
             };
-            if published {
-                return Ok(Outcome::Done);
+            if let Some(out) = published {
+                return Ok(out);
             }
         }
     }
 
     /// Publishes the RMW result record (Alg 4 CREATE_RECORD): a copy-update
     /// of `old`, or the initial value when the key has no live version.
-    /// Returns false if the CAS lost (caller retries).
+    /// Returns the updater's output, or `None` if the CAS lost (caller
+    /// retries).
     fn rcu_create(
         &self,
         at: CreateOutcome<'_>,
         key: &K,
         input: &F::Input,
         old: Option<V>,
-    ) -> bool {
+    ) -> Option<Outcome<F::Output>> {
         let f = &self.store.inner.functions;
-        match old {
+        let out = match old {
             Some(old) => {
                 self.publish(at, key, WriteKind::Rcu, |v| f.copy_updater(key, input, &old, v))
             }
             None => self.publish(at, key, WriteKind::Append, |v| f.initial_updater(key, input, v)),
-        }
+        };
+        out.map(Outcome::Value)
     }
 
-    /// Publishes a CRDT delta record (partial value from the identity, §6.3).
-    fn append_delta(&self, at: CreateOutcome<'_>, key: &K, input: &F::Input) -> bool {
+    /// Publishes a CRDT delta record (partial value from the identity,
+    /// §6.3). Its output is the partial, not the key's value, so it reports
+    /// `Done`; `None` if the CAS lost.
+    fn append_delta(
+        &self,
+        at: CreateOutcome<'_>,
+        key: &K,
+        input: &F::Input,
+    ) -> Option<Outcome<F::Output>> {
         let f = &self.store.inner.functions;
         self.publish(at, key, WriteKind::Delta, |v| f.copy_updater(key, input, &f.identity(), v))
+            .map(|_| Outcome::Done)
     }
 
     // ============================================================== DELETE
@@ -1143,7 +1165,8 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 break;
             }
             // Tombstones carry no value; zeroed frame bytes suffice.
-            if self.publish(CreateOutcome::Found(slot), key, WriteKind::Tombstone, |_| {}) {
+            let found = CreateOutcome::Found(slot);
+            if self.publish(found, key, WriteKind::Tombstone, |_| {}).is_some() {
                 break;
             }
         }
@@ -1175,12 +1198,12 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
 
     /// Executes a heterogeneous batch, returning one [`OpResult`] per op in
     /// submission order. Equivalent to issuing each op individually: reads
-    /// yield `Value`/`NotFound`/`Pending`, mutations yield `Done` (or
-    /// `Pending` for an RMW that went asynchronous). On a read-only store
-    /// the reads still execute; every mutation slot is `Err(ReadOnly)` and
-    /// counts as no op, as the scalar calls refuse — exactly what a protocol
-    /// front-end needs to keep serving GETs while SETs bounce (DESIGN.md
-    /// §12/§13).
+    /// yield `Value`/`NotFound`/`Pending`, RMWs yield their output as `Value`
+    /// (`Done` for a CRDT delta, `Pending` when asynchronous), upserts and
+    /// deletes yield `Done`. On a read-only store the reads still execute;
+    /// every mutation slot is `Err(ReadOnly)` and counts as no op, as the
+    /// scalar calls refuse — exactly what a protocol front-end needs to keep
+    /// serving GETs while SETs bounce (DESIGN.md §12/§13).
     pub fn execute_batch(&self, ops: &[BatchOp<K, V, F::Input>]) -> Vec<OpResult<F::Output>> {
         let inner = &self.store.inner;
         self.rec.batches.inc();
@@ -1354,17 +1377,18 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     /// observed (spliced past a read-cache tag), let `fill` write the value,
     /// then CAS the probed slot from that observation — or finalize a fresh
     /// tentative entry, which cannot lose. A lost CAS marks the orphan
-    /// record invalid and returns false: the caller re-probes and retries
+    /// record invalid and returns `None`: the caller re-probes and retries
     /// (Alg 3 line 19). A won publish counts the write, reports the records
-    /// it made dead, and logs the post-image, all per `kind`.
+    /// it made dead, and logs the post-image, all per `kind`, and returns
+    /// what `fill` returned.
     #[inline]
-    pub(crate) fn publish(
+    pub(crate) fn publish<R>(
         &self,
         at: CreateOutcome<'_>,
         key: &K,
         kind: WriteKind,
-        fill: impl FnOnce(&mut V),
-    ) -> bool {
+        fill: impl FnOnce(&mut V) -> R,
+    ) -> Option<R> {
         use crate::walrec::{KIND_DELETE, KIND_DELTA, KIND_PUT};
         let bits = match kind {
             WriteKind::Delta | WriteKind::Roll { delta: true } => DELTA_BIT,
@@ -1377,13 +1401,13 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         };
         let (addr, rec) = self.write_record(prev, key, bits);
         // Safety: the record is exclusively ours until published below.
-        fill(unsafe { rec.value_mut() });
+        let out = fill(unsafe { rec.value_mut() });
         match at {
             CreateOutcome::Found(mut slot) => {
                 if slot.cas_address(addr).is_err() {
                     rec.set_bits(INVALID_BIT);
                     self.note_dead(1);
-                    return false;
+                    return None;
                 }
             }
             CreateOutcome::Created(created) => drop(created.finalize(addr)),
@@ -1395,7 +1419,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             // The shadowed version plus the tombstone itself are both
             // reclaimable by compaction.
             WriteKind::Tombstone => (&self.rec.appends, 2, KIND_DELETE),
-            WriteKind::Roll { .. } => return true,
+            WriteKind::Roll { .. } => return Some(out),
         };
         self.count_write(bucket);
         if kind == WriteKind::Delta {
@@ -1405,7 +1429,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
             self.note_dead(dead);
         }
         self.wal_log(wal_kind, rec);
-        true
+        Some(out)
     }
 
     /// Allocates and initializes a record (header + key) at the tail.
@@ -1460,7 +1484,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     { self.retries.borrow_mut().pop_front() }.expect("len checked");
                 self.dec_outstanding();
                 match self.rmw_internal(&key, hash, &input, Some(id)) {
-                    Ok(_) => done.push(Completion { id, result: Ok(Outcome::Done) }),
+                    Ok(out) => done.push(Completion { id, result: Ok(out) }),
                     Err(_) => { /* requeued under the same id */ }
                 }
             }
@@ -1631,36 +1655,31 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                 return self.issue_io(op);
             }
         };
-        if let Some(id) = self.rmw_complete(op, entry_addr, old) {
-            done.push(Completion { id, result: Ok(Outcome::Done) });
+        if let Some(out) = self.rmw_complete(&op, entry_addr, old) {
+            done.push(Completion { id: op.id, result: Ok(out) });
         }
     }
 
     /// Applies a pending RMW's update once the old value (or its absence) is
     /// known, if the index entry still holds the `entry_addr` the RMW
-    /// observed. Returns the op id when complete, `None` if it went pending
-    /// again (index changed underneath: full restart, Alg 4 line 32).
+    /// observed. Returns the RMW's outcome when complete, `None` if it went
+    /// pending again (index changed underneath: full restart, Alg 4 line 32).
     fn rmw_complete(
         &self,
-        op: PendingOp<K, V, F::Input>,
+        op: &PendingOp<K, V, F::Input>,
         entry_addr: Address,
         old: Option<V>,
-    ) -> Option<u64> {
+    ) -> Option<Outcome<F::Output>> {
         let inner = &self.store.inner;
         let applied = match inner.index.find_or_create_tag(op.hash, Some(&self.guard)) {
             // The chain changed while we were reading: restart.
-            CreateOutcome::Found(slot) if slot.observed().address() != entry_addr => false,
+            CreateOutcome::Found(slot) if slot.observed().address() != entry_addr => None,
             found @ CreateOutcome::Found(_) => self.rcu_create(found, &op.key, &op.input, old),
             // Entry vanished (deleted) meanwhile: fresh initial record.
             created => self.rcu_create(created, &op.key, &op.input, None),
         };
-        if applied {
-            return Some(op.id);
-        }
-        match self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)) {
-            Ok(_) => Some(op.id),
-            Err(_) => None, // requeued pending under the same id
-        }
+        // Otherwise requeued pending under the same id.
+        applied.or_else(|| self.rmw_internal(&op.key, op.hash, &op.input, Some(op.id)).ok())
     }
 
     // ========================================================== WAL replay
@@ -1686,12 +1705,12 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
     fn replay_put(&self, key: &K, value: &V) {
         let index = &self.store.inner.index;
         let hash = hash_key(key);
-        while !self.publish(
-            index.find_or_create_tag(hash, Some(&self.guard)),
-            key,
-            WriteKind::Append,
-            |v| *v = *value,
-        ) {}
+        loop {
+            let at = index.find_or_create_tag(hash, Some(&self.guard));
+            if self.publish(at, key, WriteKind::Append, |v| *v = *value).is_some() {
+                return;
+            }
+        }
     }
 
     /// Redo of a CRDT delta: re-appends the partial atop the key's chain,
@@ -1710,7 +1729,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
                     *v = f.merge(&f.identity(), partial)
                 }),
             };
-            if applied {
+            if applied.is_some() {
                 return;
             }
         }

@@ -1,7 +1,7 @@
 //! Store-level unit, semantics, and concurrency tests.
 
 use crate::checkpoint::CheckpointData;
-use crate::functions::{BlindKv, CountStore};
+use crate::functions::{BlindKv, CountCrdt, CountStore};
 use crate::*;
 use faster_hlog::HLogConfig;
 use faster_storage::MemDevice;
@@ -10,6 +10,10 @@ use std::sync::Barrier;
 
 fn count_store(cfg: FasterKvConfig) -> FasterKv<u64, u64, CountStore> {
     FasterKv::new(cfg, CountStore, MemDevice::new(2))
+}
+
+fn count_crdt(cfg: FasterKvConfig) -> FasterKv<u64, u64, CountCrdt> {
+    FasterKv::new(cfg, CountCrdt, MemDevice::new(2))
 }
 
 fn read_now<F: Functions<u64, u64, Input = u64, Output = u64>>(
@@ -46,31 +50,6 @@ fn rmw_now<F: Functions<u64, u64, Input = u64, Output = u64>>(
     }
 }
 
-/// Additive RMW that is *not* mergeable: fuzzy-region and on-disk RMWs take
-/// the pending paths (a CRDT would append deltas), and lost updates show up
-/// as a wrong sum.
-#[derive(Clone, Default)]
-struct AddStore;
-impl Functions<u64, u64> for AddStore {
-    type Input = u64;
-    type Output = u64;
-    fn single_reader(&self, _k: &u64, _i: &u64, v: &u64) -> u64 {
-        *v
-    }
-    fn concurrent_reader(&self, _k: &u64, _i: &u64, v: &ValueCell<u64>) -> u64 {
-        v.as_atomic_u64().load(Ordering::Relaxed)
-    }
-    fn initial_updater(&self, _k: &u64, i: &u64, v: &mut u64) {
-        *v = *i;
-    }
-    fn in_place_updater(&self, _k: &u64, i: &u64, v: &ValueCell<u64>) {
-        v.as_atomic_u64().fetch_add(*i, Ordering::Relaxed);
-    }
-    fn copy_updater(&self, _k: &u64, i: &u64, old: &u64, new: &mut u64) {
-        *new = old + i;
-    }
-}
-
 /// Upserts 200 keys to `k * 10`, optionally pushes them out of the buffer
 /// with `filler` fresh keys, seals and flushes the log, then halves a
 /// 64-bucket, 2-bit-tag index: collided tags leave merge records joining two
@@ -101,14 +80,14 @@ where
 }
 
 #[test]
-fn rmw_after_shrink_follows_merge_records_count_store() {
-    let lost = rmw_after_shrink_lost(CountStore, 64, 0);
+fn rmw_after_shrink_follows_merge_records_count_crdt() {
+    let lost = rmw_after_shrink_lost(CountCrdt, 64, 0);
     assert!(lost.is_empty(), "{} keys lost: {lost:?}", lost.len());
 }
 
 #[test]
 fn rmw_after_shrink_follows_merge_records_resident() {
-    let lost = rmw_after_shrink_lost(AddStore, 64, 0);
+    let lost = rmw_after_shrink_lost(CountStore, 64, 0);
     assert!(lost.is_empty(), "{} keys lost: {lost:?}", lost.len());
 }
 
@@ -116,22 +95,21 @@ fn rmw_after_shrink_follows_merge_records_resident() {
 fn rmw_after_shrink_follows_merge_records_on_disk() {
     // The tails are evicted before the shrink: the merge records are
     // resident, the chains they join are on disk.
-    let lost = rmw_after_shrink_lost(AddStore, 4, 2_000);
+    let lost = rmw_after_shrink_lost(CountStore, 4, 2_000);
     assert!(lost.is_empty(), "{} keys lost: {lost:?}", lost.len());
 }
 
 #[test]
-fn count_store_rmw_never_goes_pending() {
-    // A front-end's INCR relies on this: wherever a CountStore key's record
-    // lives, its RMW updates in place, copies, or appends a delta (§6.3)
-    // and never waits on a read.
+fn count_crdt_rmw_never_goes_pending() {
+    // Wherever a CountCrdt key's record lives, its RMW updates in place,
+    // copies, or appends a delta (§6.3) and never waits on a read.
     let cfg = FasterKvConfig::small()
         .with_index(faster_index::IndexConfig { k_bits: 6, tag_bits: 2, max_resize_chunks: 8 })
         .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 });
-    let store = count_store(cfg);
+    let store = count_crdt(cfg);
     let s = store.start_session();
     let incr = |k: u64| {
-        assert_eq!(s.rmw(&k, &1), Ok(Outcome::Done), "key {k}");
+        assert!(s.rmw(&k, &1).is_ok(), "key {k}");
         assert_eq!(s.pending_count(), 0, "key {k}");
     };
     let region = |k: u64| store.log().classify(s.entry_address(hash_key(&k)).unwrap());
@@ -186,9 +164,9 @@ fn basic_upsert_read_delete() {
 fn rmw_creates_and_increments() {
     let store = count_store(FasterKvConfig::small());
     let s = store.start_session();
-    rmw_now(&s, 7, 5);
+    assert_eq!(s.rmw(&7, &5), Ok(Outcome::Value(5)), "an initial RMW answers its value");
     assert_eq!(read_now(&s, 7), Some(5));
-    rmw_now(&s, 7, 3);
+    assert_eq!(s.rmw(&7, &3), Ok(Outcome::Value(8)), "an in-place RMW answers its value");
     assert_eq!(read_now(&s, 7), Some(8));
     // In-memory RMWs are in-place: log tail should not grow per op.
     let t0 = store.log().tail_address();
@@ -197,6 +175,48 @@ fn rmw_creates_and_increments() {
     }
     assert_eq!(store.log().tail_address(), t0, "in-place updates must not grow the log");
     assert_eq!(read_now(&s, 7), Some(108));
+}
+
+#[test]
+fn count_store_rmw_answers_its_value_in_every_region() {
+    // Table 2 for the non-mergeable counter: an initial value, an in-place
+    // add, a fuzzy-region retry, a copy-update and an on-disk read-then-copy
+    // each answer the count the RMW produced.
+    let cfg = FasterKvConfig::small()
+        .with_index(faster_index::IndexConfig { k_bits: 10, tag_bits: 15, max_resize_chunks: 4 })
+        .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 })
+        .with_max_sessions(8)
+        .with_refresh_interval(32);
+    let store = count_store(cfg);
+    let s = store.start_session();
+    let region = || store.log().classify(s.entry_address(hash_key(&1u64)).unwrap());
+    let complete = |id: u64| {
+        let done = s.complete_pending(true);
+        done.into_iter().find(|c| c.id == id).expect("the pending RMW completes").result
+    };
+    assert_eq!(s.rmw(&1, &5), Ok(Outcome::Value(5)));
+    assert_eq!(region(), faster_hlog::Region::Mutable);
+    assert_eq!(s.rmw(&1, &2), Ok(Outcome::Value(7)));
+    // A sibling that has not refreshed since the shift holds safe-read-only
+    // back, so the record sits in the fuzzy region.
+    let sibling = store.start_session();
+    store.log().shift_read_only_to_tail(None);
+    s.refresh();
+    assert_eq!(region(), faster_hlog::Region::Fuzzy);
+    let Err(OpError::Pending(id)) = s.rmw(&1, &3) else { panic!("a fuzzy RMW goes pending") };
+    drop(sibling);
+    assert_eq!(complete(id), Ok(Outcome::Value(10)));
+    store.log().shift_read_only_to_tail(None);
+    s.refresh();
+    assert_eq!(region(), faster_hlog::Region::ReadOnly);
+    assert_eq!(s.rmw(&1, &1), Ok(Outcome::Value(11)));
+    for k in 1000..4000u64 {
+        s.upsert(&k, &k).unwrap();
+    }
+    store.log().flush_barrier().unwrap();
+    let Err(OpError::Pending(id)) = s.rmw(&1, &1) else { panic!("an on-disk RMW goes pending") };
+    assert_eq!(complete(id), Ok(Outcome::Value(12)));
+    assert_eq!(read_now(&s, 1), Some(12));
 }
 
 #[test]
@@ -409,7 +429,7 @@ fn batch_calls_submit_their_cold_reads_before_returning() {
         .with_max_sessions(8)
         .with_refresh_interval(32);
     // Non-mergeable, so an on-disk RMW reads its old value too.
-    let store = FasterKv::new(cfg, AddStore, MemDevice::new(2));
+    let store = count_store(cfg);
     let s = store.start_session();
     let n = 4_000u64;
     for k in 0..n {
@@ -468,7 +488,10 @@ fn batch_calls_submit_their_cold_reads_before_returning() {
     let pending = submitted("rmw execute_batch", &keys, &s.execute_batch(&ops), before);
     let done = s.complete_pending(true);
     assert_eq!(done.len(), pending.len());
-    assert!(done.iter().all(|c| c.result == Ok(Outcome::Done)), "{done:?}");
+    for c in &done {
+        let k = pending[&c.id];
+        assert_eq!(c.result, Ok(Outcome::Value(k + 101)), "rmw completion of key {k}");
+    }
     for k in keys {
         assert_eq!(read_now(&s, k), Some(k + 101), "rmw execute_batch key {k}");
     }
@@ -551,7 +574,7 @@ fn crdt_disk_rmw_avoids_io_with_delta() {
         .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 })
         .with_max_sessions(8)
         .with_refresh_interval(32);
-    let store = count_store(cfg);
+    let store = count_crdt(cfg);
     let s = store.start_session();
     rmw_now(&s, 5, 100);
     for k in 1000..4000u64 {
@@ -560,10 +583,13 @@ fn crdt_disk_rmw_avoids_io_with_delta() {
     store.log().flush_barrier().unwrap();
     // Key 5's base is cold now; a CRDT RMW must return Done (delta appended).
     let reads_before = store.log().device().stats().reads;
-    assert!(s.rmw(&5, &11).is_ok(), "CRDT RMW must not read disk (Table 2)");
+    assert_eq!(s.rmw(&5, &11), Ok(Outcome::Done), "CRDT RMW must not read disk (Table 2)");
     assert_eq!(store.log().device().stats().reads, reads_before, "no device read issued");
+    // The delta is mutable now: adding to it in place still yields only a
+    // partial, so the RMW answers no value either.
+    assert_eq!(s.rmw(&5, &1), Ok(Outcome::Done), "in-place add to a delta");
     // The read reconciles base + delta, possibly via IO.
-    assert_eq!(read_now(&s, 5), Some(111));
+    assert_eq!(read_now(&s, 5), Some(112));
 }
 
 #[test]
@@ -639,8 +665,7 @@ fn lost_update_anomaly_prevented() {
         .with_log(HLogConfig { page_bits: 10, buffer_pages: 32, mutable_pages: 2, io_threads: 2 })
         .with_max_sessions(16)
         .with_refresh_interval(16);
-    let store: FasterKv<u64, u64, AddStore> =
-        FasterKv::new(cfg, AddStore, MemDevice::new(2));
+    let store = count_store(cfg);
     let threads = 6u64;
     let per_thread = 5_000u64;
     let keys = 16u64; // few keys + tiny mutable region => fuzzy hits
@@ -711,7 +736,7 @@ fn rmw_beside_advancing_head_keeps_the_record_it_resolved() {
         .with_log(HLogConfig { page_bits: 12, buffer_pages: 4, mutable_pages: 1, io_threads: 2 })
         .with_max_sessions(8)
         .with_refresh_interval(32);
-    let store: FasterKv<u64, u64, AddStore> = FasterKv::new(cfg, AddStore, MemDevice::new(2));
+    let store = count_store(cfg);
     let ops = std::sync::atomic::AtomicU64::new(0);
     let appended = std::sync::atomic::AtomicU64::new(0);
     let mut oracle = vec![None; HOT as usize];
@@ -887,7 +912,7 @@ fn pending_read_across_compaction_finds_the_rolled_base() {
         .with_log(HLogConfig { page_bits: 12, buffer_pages: 8, mutable_pages: 2, io_threads: 2 })
         .with_max_sessions(8)
         .with_refresh_interval(32);
-    let store = count_store(cfg);
+    let store = count_crdt(cfg);
     let s = store.start_session();
     let k = 7u64;
     rmw_now(&s, k, 5);
@@ -960,12 +985,16 @@ fn read_with_input_selects_output() {
         fn single_reader(&self, _k: &u64, field: &usize, v: &[u32; 4]) -> u32 {
             v[*field]
         }
-        fn initial_updater(&self, _k: &u64, _i: &usize, v: &mut [u32; 4]) {
+        fn initial_updater(&self, _k: &u64, _i: &usize, v: &mut [u32; 4]) -> u32 {
             *v = [0; 4];
+            0
         }
-        fn in_place_updater(&self, _k: &u64, _i: &usize, _v: &ValueCell<[u32; 4]>) {}
-        fn copy_updater(&self, _k: &u64, _i: &usize, old: &[u32; 4], new: &mut [u32; 4]) {
+        fn in_place_updater(&self, _k: &u64, i: &usize, v: &ValueCell<[u32; 4]>) -> u32 {
+            v.load()[*i]
+        }
+        fn copy_updater(&self, _k: &u64, i: &usize, old: &[u32; 4], new: &mut [u32; 4]) -> u32 {
             *new = *old;
+            old[*i]
         }
     }
     let store: FasterKv<u64, [u32; 4], FieldStore> =
@@ -1010,12 +1039,12 @@ fn read_history_returns_versions_newest_first() {
 
 #[test]
 fn read_history_lists_delta_partials_unfolded() {
-    // A CountStore RMW over a disk-resident base appends a delta holding
+    // A CountCrdt RMW over a disk-resident base appends a delta holding
     // only its increment (§6.3); history lists each record's own value.
     let cfg = FasterKvConfig::small()
         .with_log(HLogConfig { page_bits: 12, buffer_pages: 8, mutable_pages: 0, io_threads: 2 })
         .with_refresh_interval(16);
-    let store = count_store(cfg);
+    let store = count_crdt(cfg);
     let s = store.start_session();
     s.upsert(&7, &10).unwrap();
     for k in 1000..5000u64 {

@@ -32,11 +32,19 @@
 //! [`Session::execute_batch`] as a single [`BatchOp`] slice — a client
 //! pipelining at depth 64 gets the store's batched index prefetch and one
 //! health check per batch, not 64 scalar calls. Replies are queued in
-//! command order and emitted strictly in order; a reply whose read went
+//! command order and emitted strictly in order; a reply whose op went
 //! pending (`OpError::Pending`) or whose durability ack is still in flight
-//! holds up the replies behind it, exactly as RESP requires. An `INCR`
-//! never goes pending: `CountStore` is a CRDT, so its RMW updates in place,
-//! copies, or appends a delta wherever the key's record lives (§6.3).
+//! holds up the replies behind it, exactly as RESP requires.
+//!
+//! An `INCR` is answered by the RMW that applied it: `CountStore`'s updaters
+//! return the counter's new value. A segment ends after each `INCR`, because
+//! its RMW may go pending (Table 2: the key's record is in the fuzzy region
+//! or on disk). A pending `INCR` parks its reply as a pending GET does, and
+//! **stalls its connection**: nothing pipelined behind it executes until its
+//! completion applies, so a later `SET`/`GET`/`INCR` of the key observes it.
+//! Its reply is gated on the WAL LSN its completion appended. A fuzzy-region
+//! retry has no CQE to wake the worker, so a worker with a stalled (or just
+//! resumed) connection wakes itself through its own pipe instead of parking.
 //!
 //! ## Reply path
 //!
@@ -75,9 +83,9 @@
 //! Keys and values are decimal `u64`s (the store is fixed-width).
 //! `GET`/`SET`/`DEL`/`INCR`/`INCRBY`/`PING`/`QUIT` are implemented; `DEL`
 //! always answers `:1` (the store's tombstone append does not report prior
-//! existence), and `INCR` answers the value read back after the RMW — exact
-//! for keys owned by one connection, approximate under cross-connection
-//! races on the same key.
+//! existence), and `INCR` answers the value its own RMW produced — exact
+//! under cross-connection races on the same key, since no second read can
+//! observe another connection's increment.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -220,15 +228,6 @@ fn self_pipe() -> io::Result<(PipeReader, Arc<Waker>)> {
 
 // -------------------------------------------------------------- reply queue
 
-/// How a resolved read value renders.
-#[derive(Clone, Copy)]
-enum Render {
-    /// `GET`: bulk string, or nil when absent.
-    Value,
-    /// `INCR` read-back: RESP integer.
-    Int,
-}
-
 /// What a reply says. It stays a value until it is emitted, and is rendered
 /// straight into the connection's output buffer then.
 enum Body {
@@ -254,19 +253,36 @@ impl Body {
     }
 }
 
-/// One in-order reply slot. Emittable once `read` is `None` and the WAL has
-/// made `wal` durable (or failed).
+impl Body {
+    /// The reply to an executed `op`.
+    fn of(op: &BatchOp<u64, u64, u64>, outcome: Result<Outcome<u64>, OpError>) -> Body {
+        match (op, outcome) {
+            (BatchOp::Read { .. }, Ok(Outcome::Value(v))) => Body::Bulk(v),
+            (BatchOp::Read { .. }, Err(OpError::NotFound)) => Body::Nil,
+            (BatchOp::Rmw { .. }, Ok(Outcome::Value(v))) => Body::Int(v),
+            (BatchOp::Upsert { .. }, Ok(_)) => Body::Ok,
+            (BatchOp::Delete { .. }, Ok(_)) => Body::Int(1),
+            (_, Err(OpError::Io(e))) => Body::Error(format!("ERR io: {e}")),
+            (_, Err(OpError::ReadOnly(r))) => Body::Error(format!("READONLY {r}")),
+            (_, Err(e)) => Body::Error(format!("ERR internal: {e}")),
+            (_, Ok(_)) => Body::Error("ERR internal: no value to reply with".into()),
+        }
+    }
+}
+
+/// One in-order reply slot. Emittable once `pending` is `None` and the WAL
+/// has made `wal` durable (or failed).
 struct Reply {
     body: Body,
-    /// A read that went to disk; its completion's value renders the reply.
-    read: Option<Render>,
+    /// An op that went pending; its completion renders the reply.
+    pending: Option<BatchOp<u64, u64, u64>>,
     /// The LSN a mutation's ack waits for ([`Session::poll_wal_durable`]).
     wal: Option<u64>,
 }
 
 impl Reply {
     fn ready(body: Body) -> Self {
-        Reply { body, read: None, wal: None }
+        Reply { body, pending: None, wal: None }
     }
 }
 
@@ -290,6 +306,9 @@ struct Conn {
     no_more_input: bool,
     /// Read or write failed outright: drop without flushing.
     broken: bool,
+    /// An `INCR` went pending: nothing queued behind it executes until its
+    /// completion applies.
+    stalled: bool,
 }
 
 impl Conn {
@@ -304,6 +323,7 @@ impl Conn {
             seq_base: 0,
             no_more_input: false,
             broken: false,
+            stalled: false,
         }
     }
 
@@ -510,18 +530,26 @@ impl Worker {
             // into the session), and asks for this pass's mutations — so
             // they commit as one group, led from this worker.
             let done = self.session.complete_pending(false);
+            // A resumed connection's queue and its INCR's WAL gate need the
+            // next pass, and a stalled one may wait on a fuzzy retry, which
+            // no CQE announces: either way, wake up instead of parking.
+            let mut again = false;
             for comp in done {
-                self.resolve(comp.id, comp.result);
+                again |= self.resolve(comp.id, comp.result);
             }
 
             for &id in &slots {
                 if let Some(c) = self.conns.get_mut(&id) {
                     Self::emit_ready(c, &self.session);
                     c.flush();
+                    again |= c.stalled;
                     if c.finished() {
                         self.conns.remove(&id);
                     }
                 }
+            }
+            if again {
+                self.waker.wake();
             }
             spin_from = event.then(Instant::now);
         }
@@ -556,15 +584,15 @@ impl Worker {
     /// Drains a connection's command queue in **segments**, each one
     /// `execute_batch` call — this is where client pipelining becomes
     /// batched execution. A segment ends either when the queue runs dry or
-    /// just after an `INCR`: its read-back must observe the store *before*
-    /// any later pipelined command applies, so the rest of the window waits
-    /// for the next segment. Pending reads resolve against the record
-    /// version captured at issue time, and every mutation applies
-    /// synchronously, so nothing behind a pending reply can reorder.
+    /// just after an `INCR`, whose RMW may go pending: then the connection
+    /// stalls, and the rest of the window waits until the RMW applies.
+    /// Pending reads resolve against the record version captured at issue
+    /// time, and every other mutation applies synchronously, so nothing
+    /// behind a pending reply can reorder.
     fn execute_queued(&mut self, conn_id: u64) {
         loop {
             let Some(c) = self.conns.get_mut(&conn_id) else { return };
-            if c.broken {
+            if c.broken || c.stalled {
                 return;
             }
             if c.queued.is_empty() {
@@ -602,7 +630,7 @@ impl Worker {
                 // has executed, before anything can emit it.
                 c.replies.push_back(Reply::ready(Body::Nil));
                 if segment_ends {
-                    break; // segment boundary: read-back comes first
+                    break; // segment boundary: the RMW may go pending
                 }
             }
             if self.batch.is_empty() {
@@ -621,8 +649,9 @@ impl Worker {
         }
     }
 
-    /// Sets one batch outcome as its reply slot's body (or parks it pending),
-    /// gating an applied mutation on the segment's durability `gate`.
+    /// Sets one batch outcome as its reply slot's body (or parks it pending,
+    /// stalling the connection behind a pending `INCR`), gating an applied
+    /// mutation on the segment's durability `gate`.
     fn fill_reply(
         &mut self,
         conn_id: u64,
@@ -631,12 +660,8 @@ impl Worker {
         outcome: Result<Outcome<u64>, OpError>,
         gate: &mut Option<Option<u64>>,
     ) {
-        // INCR's sync read-back and the durability notice touch the session,
-        // so compute them before borrowing the reply slot.
-        let incr_value = match (&op, &outcome) {
-            (BatchOp::Rmw { key, .. }, Ok(Outcome::Done)) => Some(self.read_back(*key)),
-            _ => None,
-        };
+        // The durability notice touches the session, so ask for it before
+        // borrowing the reply slot.
         let wal = match (&op, &outcome) {
             (BatchOp::Read { .. }, _) | (_, Err(_)) => None,
             _ => *gate.get_or_insert_with(|| self.session.notify_wal_durable()),
@@ -644,74 +669,31 @@ impl Worker {
         let Some(c) = self.conns.get_mut(&conn_id) else { return };
         let Some(reply) = c.reply_mut(seq) else { return };
         reply.wal = wal;
-        reply.body = match op {
-            BatchOp::Read { .. } => match outcome {
-                Ok(Outcome::Value(v)) => Body::Bulk(v),
-                Err(OpError::NotFound) => Body::Nil,
-                Err(OpError::Pending(id)) => {
-                    reply.read = Some(Render::Value);
-                    self.ops.insert(id, (conn_id, seq));
-                    return;
-                }
-                Err(OpError::Io(e)) => Body::Error(format!("ERR io: {e}")),
-                Err(e) => unexpected(&e),
-                Ok(Outcome::Done) => Body::Error("ERR internal: valueless read".into()),
-            },
-            BatchOp::Upsert { .. } => match outcome {
-                Ok(_) => Body::Ok,
-                Err(e) => unexpected(&e),
-            },
-            BatchOp::Delete { .. } => match outcome {
-                Ok(_) => Body::Int(1),
-                Err(e) => unexpected(&e),
-            },
-            BatchOp::Rmw { .. } => match outcome {
-                Ok(_) => match incr_value.expect("computed above") {
-                    ReadBack::Value(v) => Body::Int(v),
-                    ReadBack::Pending(id) => {
-                        reply.read = Some(Render::Int);
-                        self.ops.insert(id, (conn_id, seq));
-                        return;
-                    }
-                    ReadBack::Failed(msg) => Body::Error(msg),
-                },
-                Err(e) => unexpected(&e),
-            },
-        };
-    }
-
-    /// Reads the post-RMW value for an `INCR` reply.
-    fn read_back(&self, key: u64) -> ReadBack {
-        match self.session.read(&key, &0) {
-            Ok(Outcome::Value(v)) => ReadBack::Value(v),
-            Err(OpError::Pending(id)) => ReadBack::Pending(id),
-            Err(OpError::NotFound) => {
-                // The RMW applied, so only a racing DEL can make the key
-                // vanish before the read-back.
-                ReadBack::Failed("ERR key deleted during INCR".into())
-            }
-            Err(OpError::Io(e)) => ReadBack::Failed(format!("ERR io: {e}")),
-            Err(OpError::ReadOnly(r)) => ReadBack::Failed(format!("READONLY {r}")),
-            Ok(Outcome::Done) => ReadBack::Failed("ERR internal: valueless read".into()),
+        if let Err(OpError::Pending(id)) = outcome {
+            let incr = matches!(op, BatchOp::Rmw { .. });
+            reply.pending = Some(op);
+            c.stalled |= incr;
+            self.ops.insert(id, (conn_id, seq));
+            return;
         }
+        reply.body = Body::of(&op, outcome);
     }
 
-    /// Routes a completed pending read back into the reply it renders.
-    fn resolve(&mut self, id: u64, result: Result<Outcome<u64>, OpError>) {
-        let Some((conn_id, seq)) = self.ops.remove(&id) else { return };
-        let Some(c) = self.conns.get_mut(&conn_id) else { return };
-        let Some(reply) = c.reply_mut(seq) else { return };
-        let Some(render) = reply.read.take() else { return };
-        reply.body = match (result, render) {
-            (Ok(Outcome::Value(v)), Render::Value) => Body::Bulk(v),
-            (Ok(Outcome::Value(v)), Render::Int) => Body::Int(v),
-            (Err(OpError::NotFound), Render::Value) => Body::Nil,
-            (Err(OpError::NotFound), Render::Int) => {
-                Body::Error("ERR key deleted during INCR".into())
-            }
-            (Err(OpError::Io(e)), _) => Body::Error(format!("ERR io: {e}")),
-            (other, _) => unexpected(&other.err().unwrap_or(OpError::NotFound)),
-        };
+    /// Routes a completed pending op into the reply it renders. A completed
+    /// `INCR` is gated on the WAL LSN its completion appended and resumes
+    /// its connection; returns whether it did.
+    fn resolve(&mut self, id: u64, result: Result<Outcome<u64>, OpError>) -> bool {
+        let Some((conn_id, seq)) = self.ops.remove(&id) else { return false };
+        let Some(c) = self.conns.get_mut(&conn_id) else { return false };
+        let Some(reply) = c.reply_mut(seq) else { return false };
+        let Some(op) = reply.pending.take() else { return false };
+        let incr = matches!(op, BatchOp::Rmw { .. });
+        if incr && result.is_ok() {
+            reply.wal = self.session.notify_wal_durable();
+        }
+        reply.body = Body::of(&op, result);
+        c.stalled &= !incr;
+        incr
     }
 
     /// Emits the resolved prefix of a connection's reply queue, checking
@@ -721,7 +703,7 @@ impl Worker {
     /// store has already degraded.
     fn emit_ready(c: &mut Conn, session: &WorkerSession) {
         while let Some(front) = c.replies.front_mut() {
-            if front.read.is_some() {
+            if front.pending.is_some() {
                 break;
             }
             if let Some(lsn) = front.wal {
@@ -735,19 +717,6 @@ impl Worker {
             c.seq_base += 1;
             reply.body.render(&mut c.outbuf);
         }
-    }
-}
-
-enum ReadBack {
-    Value(u64),
-    Pending(u64),
-    Failed(String),
-}
-
-fn unexpected(e: &OpError) -> Body {
-    match e {
-        OpError::ReadOnly(r) => Body::Error(format!("READONLY {r}")),
-        other => Body::Error(format!("ERR internal: {other}")),
     }
 }
 

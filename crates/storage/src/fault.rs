@@ -23,12 +23,11 @@
 //! reaches the inner device. Transient read faults model bus resets / ECC
 //! hiccups: the scripted read attempt fails with [`IoError::Failed`], while
 //! a retry (a later read sequence number) succeeds. Transient **write**
-//! faults ([`FaultDomain::fail_write_at`] / [`FaultDomain::fail_next_writes`]
-//! / [`FaultDomain::set_write_fault_rate`]) are the write-side mirror: the
-//! scripted write fails with [`IoError::Failed`] and persists nothing, but
-//! the device stays alive and a resubmission (a later write sequence
-//! number) succeeds — the `EIO`-then-fine behavior the flush-retry path
-//! must survive. A scripted capacity limit
+//! faults ([`FaultDomain::fail_write_at`] / [`FaultDomain::fail_next_writes`])
+//! are the write-side mirror: the scripted write fails with
+//! [`IoError::Failed`] and persists nothing, but the device stays alive and
+//! a resubmission (a later write sequence number) succeeds — the
+//! `EIO`-then-fine behavior the flush-retry path must survive. A scripted capacity limit
 //! ([`FaultDomain::set_full_after_bytes`]) fails every write that would
 //! push the forwarded byte total past the limit with [`IoError::Full`]
 //! (permanent until the limit is raised), modelling a disk running out of
@@ -135,9 +134,6 @@ struct FaultPlan {
     fail_writes: HashSet<u64>,
     /// Unconditionally fail this many upcoming writes (transient).
     fail_next_writes: u32,
-    /// Seeded transient write-fault rate (same schedule math as reads,
-    /// keyed on the write sequence number).
-    write_fault: Option<ReadFaultRate>,
     /// Capacity limit: a write that would push the forwarded byte total
     /// past this fails with [`IoError::Full`].
     full_after_bytes: Option<u64>,
@@ -251,12 +247,6 @@ impl FaultDomain {
         self.state.plan.lock().fail_next_writes = n;
     }
 
-    /// Installs (or clears) a seeded transient write-fault rate (the same
-    /// schedule math as [`ReadFaultRate`], keyed on write sequence numbers).
-    pub fn set_write_fault_rate(&self, rate: Option<ReadFaultRate>) {
-        self.state.plan.lock().write_fault = rate;
-    }
-
     /// Scripts the device to run out of space after `n` more forwarded
     /// bytes: a write that would push the forwarded byte total past the
     /// limit fails with [`IoError::Full`]. `None` clears the limit.
@@ -314,11 +304,6 @@ impl FaultDomain {
         }
         if plan.fail_writes.remove(&wsn) {
             return WriteDecision::Fail(IoError::Failed("scripted transient write fault".into()));
-        }
-        if let Some(rate) = plan.write_fault {
-            if rate.hits(wsn) {
-                return WriteDecision::Fail(IoError::Failed("seeded transient write fault".into()));
-            }
         }
         if let Some(limit) = plan.full_after_bytes {
             if self.state.bytes_forwarded.load(Ordering::SeqCst) + len as u64 > limit {
@@ -698,12 +683,6 @@ mod tests {
         assert!(d.write_blocking(128, vec![3u8; 64]).is_err());
         assert!(d.write_blocking(128, vec![3u8; 64]).is_err());
         d.write_blocking(128, vec![3u8; 64]).unwrap();
-
-        d.domain().set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 1, den: 1 }));
-        assert!(d.write_blocking(256, vec![4u8; 64]).is_err());
-        d.domain().set_write_fault_rate(Some(ReadFaultRate { seed: 9, num: 0, den: 1 }));
-        d.write_blocking(256, vec![4u8; 64]).unwrap();
-        d.domain().set_write_fault_rate(None);
     }
 
     #[test]

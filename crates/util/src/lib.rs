@@ -23,6 +23,8 @@
 //! exception of [`backoff::Backoff::snooze`], which is exclusively for
 //! slow-path waits.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod address;
 pub mod align;
 pub mod backoff;

@@ -29,28 +29,59 @@
 /// ```
 pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
-// Safety: primitive integers and fixed arrays of them satisfy every clause.
+// SAFETY: `u8` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `u8`.
 unsafe impl Pod for u8 {}
+// SAFETY: `u16` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `u16`.
 unsafe impl Pod for u16 {}
+// SAFETY: `u32` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `u32`.
 unsafe impl Pod for u32 {}
+// SAFETY: `u64` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `u64`.
 unsafe impl Pod for u64 {}
+// SAFETY: `u128` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `u128`.
 unsafe impl Pod for u128 {}
+// SAFETY: `usize` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `usize`.
 unsafe impl Pod for usize {}
+// SAFETY: `i8` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `i8`.
 unsafe impl Pod for i8 {}
+// SAFETY: `i16` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `i16`.
 unsafe impl Pod for i16 {}
+// SAFETY: `i32` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `i32`.
 unsafe impl Pod for i32 {}
+// SAFETY: `i64` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `i64`.
 unsafe impl Pod for i64 {}
+// SAFETY: `i128` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `i128`.
 unsafe impl Pod for i128 {}
+// SAFETY: `isize` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `isize`.
 unsafe impl Pod for isize {}
+// SAFETY: `f32` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `f32` (a NaN is a value too).
 unsafe impl Pod for f32 {}
+// SAFETY: `f64` is `Copy`, owns nothing, has no padding, and every bit
+// pattern is a valid `f64` (a NaN is a value too).
 unsafe impl Pod for f64 {}
+// SAFETY: `()` is `Copy` and has no bytes at all.
 unsafe impl Pod for () {}
+// SAFETY: the elements are `Pod`, and an array is its elements laid end to
+// end at their own stride, with no padding between or around them.
 unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
 
 /// Views a `Pod` value as its raw bytes.
 #[inline(always)]
 pub fn bytes_of<T: Pod>(v: &T) -> &[u8] {
-    // Safety: Pod guarantees every byte is initialized and meaningful-to-copy.
+    // SAFETY: `v` is a live reference to `size_of::<T>()` bytes, and `Pod`
+    // has no padding, so every one of them is initialised.
     unsafe { core::slice::from_raw_parts(v as *const T as *const u8, core::mem::size_of::<T>()) }
 }
 
@@ -62,8 +93,9 @@ pub fn bytes_of<T: Pod>(v: &T) -> &[u8] {
 #[inline]
 pub fn pod_from_bytes<T: Pod>(bytes: &[u8]) -> T {
     assert_eq!(bytes.len(), core::mem::size_of::<T>());
-    // Safety: Pod guarantees any bit pattern of the right size is valid; we
-    // use read_unaligned because callers may pass unaligned log slices.
+    // SAFETY: `bytes` holds exactly `size_of::<T>()` bytes (asserted above)
+    // and `Pod` makes any bit pattern a valid `T`; `read_unaligned` because
+    // callers may pass unaligned log slices.
     unsafe { core::ptr::read_unaligned(bytes.as_ptr() as *const T) }
 }
 

@@ -14,10 +14,14 @@
 #[inline(always)]
 pub fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that never dereferences `p` and never
+    // faults, whatever `p` points at (module docs).
     unsafe {
         core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8);
     }
     #[cfg(target_arch = "aarch64")]
+    // SAFETY: `prfm` is a hint that never faults and touches no register or
+    // memory the compiler can see.
     unsafe {
         core::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags));
     }
@@ -32,12 +36,16 @@ pub fn prefetch_read<T>(p: *const T) {
 #[inline(always)]
 pub fn prefetch_write<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that never dereferences `p` and never
+    // faults, whatever `p` points at (module docs).
     unsafe {
         // T0 read prefetch: still overlaps the miss; PREFETCHW has no stable
         // Rust intrinsic and the ownership upgrade is cheap once resident.
         core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8);
     }
     #[cfg(target_arch = "aarch64")]
+    // SAFETY: `prfm` is a hint that never faults and touches no register or
+    // memory the compiler can see.
     unsafe {
         core::arch::asm!("prfm pstl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags));
     }

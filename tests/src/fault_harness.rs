@@ -3,8 +3,10 @@
 //! recovered state is a consistent prefix that holds everything made
 //! durable.
 //!
-//! **The rig.** A store over a log device, a [`CheckpointManager`] over a
-//! checkpoint device and, optionally, a WAL device. Each is a
+//! **The rig.** A [`CountCrdt`] store over a log device, a
+//! [`CheckpointManager`] over a checkpoint device and, optionally, a WAL
+//! device. The mergeable counter puts delta records (§6.3) through every
+//! checkpoint, compaction and recovery the sweeps cut. Each is a
 //! [`FaultDevice`] in one [`FaultDomain`], so a crash point indexes the
 //! interleaved write (or flush-barrier) stream of all three, and the crash
 //! halts them together.
@@ -52,7 +54,7 @@
 
 use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
 use faster_core::maintenance::{run_tick, MaintenanceStats, Policy, PolicyConfig};
-use faster_core::{CountStore, FasterKv, FasterKvConfig, OpError, Session};
+use faster_core::{CountCrdt, FasterKv, FasterKvConfig, Functions, OpError, Session};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_storage::{FaultDevice, FaultDomain, MemDevice, TornWrite};
@@ -77,7 +79,7 @@ pub const PHASE1B_OPS: u64 = 220;
 /// buffer of a log that can no longer flush.
 const POST_CRASH_OPS: u64 = 48;
 
-type Store = FasterKv<u64, u64, CountStore>;
+type Store = FasterKv<u64, u64, CountCrdt>;
 
 /// What one op did to the oracle: the key and its new value (`None` =
 /// deleted); `None` for an op the store refused.
@@ -180,12 +182,12 @@ pub struct Report {
     pub flushes: u64,
 }
 
-/// One seeded op against both the store and the oracle, mirroring
-/// [`CountStore`]: upsert replaces, RMW adds its input (from 0), delete
-/// removes. Only applied ops are mirrored: a degraded store refuses
-/// mutations, and the oracle must not drift ahead of it.
-pub fn apply_op(
-    session: &Session<u64, u64, CountStore>,
+/// One seeded op against both the store and the oracle, mirroring a counter
+/// ([`CountCrdt`], `faster_core::CountStore`): upsert replaces, RMW adds its
+/// input (from 0), delete removes. Only applied ops are mirrored: a degraded
+/// store refuses mutations, and the oracle must not drift ahead of it.
+pub fn apply_op<F: Functions<u64, u64, Input = u64>>(
+    session: &Session<u64, u64, F>,
     oracle: &mut HashMap<u64, u64>,
     rng: &mut XorShift64,
     mix: Mix,
@@ -230,13 +232,13 @@ pub fn apply_op(
 /// Runs up to `n` ops of `mix` on a fresh session, mirrored into `oracle`;
 /// `after` sees each op's change and returns `false` to stop early. Drains
 /// the session's pending ops before returning.
-pub fn run_ops(
-    store: &Store,
+pub fn run_ops<F: Functions<u64, u64, Input = u64>>(
+    store: &FasterKv<u64, u64, F>,
     oracle: &mut HashMap<u64, u64>,
     rng: &mut XorShift64,
     n: u64,
     mix: Mix,
-    mut after: impl FnMut(&Session<u64, u64, CountStore>, Change) -> bool,
+    mut after: impl FnMut(&Session<u64, u64, F>, Change) -> bool,
 ) {
     let session = store.start_session();
     for _ in 0..n {
@@ -290,9 +292,9 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
     let (log_dev, ckpt_dev, wal_dev) = (device(2), device(1), wal.then(|| device(1)));
     let store: Store = match &wal_dev {
         Some(w) => {
-            FasterKv::new_with_wal(wal_harness_cfg(), CountStore, log_dev.clone(), w.clone())
+            FasterKv::new_with_wal(wal_harness_cfg(), CountCrdt, log_dev.clone(), w.clone())
         }
-        None => FasterKv::new(harness_cfg(), CountStore, log_dev.clone()),
+        None => FasterKv::new(harness_cfg(), CountCrdt, log_dev.clone()),
     };
     let mgr = Arc::new(CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig::default()));
     let mut rng = XorShift64::new(seed);
@@ -408,9 +410,9 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
         Some(w) => {
             let wal_img = w.inner();
             wal_img.flush_barrier().unwrap();
-            let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountStore>(
+            let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountCrdt>(
                 wal_harness_cfg(),
-                CountStore,
+                CountCrdt,
                 log_img,
                 ckpt_img,
                 wal_img,
@@ -423,7 +425,7 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
             let (mgr, rec) =
                 CheckpointManager::recover_latest(ckpt_img, CheckpointConfig::default())
                     .unwrap_or_else(|e| panic!("[{ctx}] recovery found no generation: {e}"));
-            (FasterKv::recover(harness_cfg(), CountStore, log_img, &rec.data), mgr, Some(rec), 0)
+            (FasterKv::recover(harness_cfg(), CountCrdt, log_img, &rec.data), mgr, Some(rec), 0)
         }
     };
     let g = gen.as_ref().map_or(0, |r| r.gen);

@@ -51,12 +51,22 @@ where
     }
 }
 
-/// RMW that always runs to completion.
-pub fn rmw_blocking<V: Pod, F>(session: &Session<u64, V, F>, key: u64, input: u64)
+/// RMW that always runs to completion. Returns its output: `None` for a
+/// CRDT delta (which reports `Done`) or a refused RMW.
+pub fn rmw_blocking<V: Pod, F>(
+    session: &Session<u64, V, F>,
+    key: u64,
+    input: u64,
+) -> Option<F::Output>
 where
     F: Functions<u64, V, Input = u64>,
 {
-    if let Err(OpError::Pending(_)) = session.rmw(&key, &input) {
-        session.complete_pending(true);
-    }
+    let result = match session.rmw(&key, &input) {
+        Err(OpError::Pending(id)) => {
+            let done = session.complete_pending(true);
+            done.into_iter().find(|c| c.id == id).expect("a waiting drain completes it").result
+        }
+        result => result,
+    };
+    result.ok().and_then(Outcome::value)
 }

@@ -1,7 +1,7 @@
 //! Cross-crate concurrency: multiple sessions, mixed operations, spilling
 //! log, and epoch-coordinated maintenance all at once.
 
-use faster_core::{CountStore, FasterKv, FasterKvConfig, OpError};
+use faster_core::{CountCrdt, CountStore, FasterKv, FasterKvConfig, Functions, OpError};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_integration_tests::read_blocking;
@@ -17,10 +17,16 @@ fn spilling_config() -> FasterKvConfig {
         .with_refresh_interval(64)
 }
 
+/// Counted increments beside churn and reads, on the CRDT counter (cold
+/// RMWs append deltas) and on the plain one (cold RMWs go pending).
 #[test]
 fn mixed_workload_with_spill_is_exact() {
-    let store: FasterKv<u64, u64, CountStore> =
-        FasterKv::new(spilling_config(), CountStore, MemDevice::new(2));
+    mixed_workload_is_exact(CountCrdt);
+    mixed_workload_is_exact(CountStore);
+}
+
+fn mixed_workload_is_exact<F: Functions<u64, u64, Input = u64, Output = u64>>(functions: F) {
+    let store = FasterKv::new(spilling_config(), functions, MemDevice::new(2));
     let threads = 6u64;
     let per_thread = 8_000u64;
     let counted_keys = 64u64;

@@ -1,7 +1,7 @@
 //! CRDT (mergeable RMW) integration: delta records across regions and their
 //! reconciliation on reads (§6.3).
 
-use faster_core::{CountStore, FasterKv, FasterKvConfig};
+use faster_core::{CountCrdt, FasterKv, FasterKvConfig};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_integration_tests::{read_blocking, rmw_blocking};
@@ -18,7 +18,7 @@ fn cfg() -> FasterKvConfig {
 
 #[test]
 fn deltas_on_cold_keys_reconcile() {
-    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(2));
+    let store: FasterKv<u64, u64, CountCrdt> = FasterKv::new(cfg(), CountCrdt, MemDevice::new(2));
     let session = store.start_session();
     rmw_blocking(&session, 1, 100); // base
     // Evict key 1 far below head.
@@ -43,7 +43,7 @@ fn deltas_on_cold_keys_reconcile() {
 
 #[test]
 fn concurrent_crdt_increments_exact_across_eviction() {
-    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(2));
+    let store: FasterKv<u64, u64, CountCrdt> = FasterKv::new(cfg(), CountCrdt, MemDevice::new(2));
     let threads = 4u64;
     let per = 3_000u64;
     let keys = 8u64;
@@ -79,7 +79,7 @@ fn concurrent_crdt_increments_exact_across_eviction() {
 
 #[test]
 fn delete_then_crdt_restarts_from_identity() {
-    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(1));
+    let store: FasterKv<u64, u64, CountCrdt> = FasterKv::new(cfg(), CountCrdt, MemDevice::new(1));
     let session = store.start_session();
     rmw_blocking(&session, 3, 50);
     session.delete(&3).unwrap();
@@ -92,7 +92,7 @@ fn delete_then_crdt_restarts_from_identity() {
 /// base, which would land above the delta and hide it from every read.
 #[test]
 fn compaction_keeps_deltas_above_their_base() {
-    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(2));
+    let store: FasterKv<u64, u64, CountCrdt> = FasterKv::new(cfg(), CountCrdt, MemDevice::new(2));
     let session = store.start_session();
     session.upsert(&7, &10).expect("writable");
     for k in 1000..3000u64 {

@@ -1,7 +1,7 @@
 //! Log garbage collection end to end (Appendix C): expiration and
 //! roll-to-tail compaction over spilled data, interleaved with traffic.
 
-use faster_core::{CountStore, FasterKv, FasterKvConfig, Session};
+use faster_core::{CountCrdt, CountStore, FasterKv, FasterKvConfig, Functions, Session};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_integration_tests::{read_blocking, rmw_blocking};
@@ -97,13 +97,14 @@ fn expiration_is_observed_lazily_by_all_ops() {
 /// tail and truncates it. Each pass rescans from `begin`, so the cost of a
 /// pass grows with the log: the compactor stops after `MAX_PASSES` passes
 /// over a non-empty prefix.
-fn race_compactor(
+fn race_compactor<F: Functions<u64, u64, Input = u64, Output = u64>>(
+    functions: F,
     keys: u64,
     rounds: u64,
-    write: impl Fn(&Session<u64, u64, CountStore>, u64, Option<u64>) -> u64,
+    write: impl Fn(&Session<u64, u64, F>, u64, Option<u64>) -> u64,
 ) {
     const MAX_PASSES: u32 = 200;
-    let store: FasterKv<u64, u64, CountStore> = FasterKv::new(cfg(), CountStore, MemDevice::new(2));
+    let store = FasterKv::new(cfg(), functions, MemDevice::new(2));
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -138,7 +139,7 @@ fn race_compactor(
 /// resurrect a replaced value.
 #[test]
 fn compaction_never_resurrects_a_replaced_value() {
-    race_compactor(1000, 30, |session, k, last| {
+    race_compactor(CountStore, 1000, 30, |session, k, last| {
         let v = last.map_or(k + 1, |v| v + 1000);
         session.upsert(&k, &v).expect("writable");
         v
@@ -146,14 +147,23 @@ fn compaction_never_resurrects_a_replaced_value() {
 }
 
 /// A base rolled with a delta folded in that an RMW still updates in place
-/// (a move of no entry) would lose the increment.
+/// (a move of no entry) would lose the increment. The non-mergeable counter
+/// races its pending RMWs against the same rolls, and answers each with the
+/// count it made.
 #[test]
 fn compaction_never_loses_an_increment() {
-    let filler = std::cell::Cell::new(1u64 << 32);
-    race_compactor(64, 300, |session, k, last| {
-        rmw_blocking(session, k, 1);
-        // A fresh key moves the tail, so bases and deltas turn read-only.
-        session.upsert(&filler.replace(filler.get() + 1), &0).expect("writable");
-        last.unwrap_or(0) + 1
-    });
+    fn increments<F: Functions<u64, u64, Input = u64, Output = u64>>(functions: F) {
+        let filler = std::cell::Cell::new(1u64 << 32);
+        race_compactor(functions, 64, 300, |session, k, last| {
+            let answered = rmw_blocking(session, k, 1);
+            let count = last.unwrap_or(0) + 1;
+            // A CRDT delta answers no value.
+            assert!(answered.is_none() || answered == Some(count), "key {k}: {answered:?}");
+            // A fresh key moves the tail, so bases and deltas turn read-only.
+            session.upsert(&filler.replace(filler.get() + 1), &0).expect("writable");
+            count
+        });
+    }
+    increments(CountCrdt);
+    increments(CountStore);
 }

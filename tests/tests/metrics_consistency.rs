@@ -13,7 +13,8 @@
 //! the exact-count assertions are skipped (the identities hold trivially).
 
 use faster_core::{
-    BatchOp, CountStore, FasterKv, FasterKvConfig, HealthReason, OpError, Outcome, StoreHealth,
+    BatchOp, CountCrdt, CountStore, FasterKv, FasterKvConfig, Functions, HealthReason, OpError,
+    Outcome, StoreHealth,
 };
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
@@ -44,10 +45,16 @@ struct Oracle {
     deletes: u64,
 }
 
+/// On the CRDT counter (cold RMWs append deltas) and on the plain one
+/// (cold RMWs go pending).
 #[test]
 fn counter_identities_hold_under_concurrency() {
-    let store: FasterKv<u64, u64, CountStore> =
-        FasterKv::new(small_cfg(), CountStore, MemDevice::new(2));
+    counter_identities_hold(CountCrdt);
+    counter_identities_hold(CountStore);
+}
+
+fn counter_identities_hold<F: Functions<u64, u64, Input = u64, Output = u64>>(functions: F) {
+    let store = FasterKv::new(small_cfg(), functions, MemDevice::new(2));
     let barrier = Arc::new(Barrier::new(THREADS as usize));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -193,8 +200,8 @@ fn read_cache_hit_accounting_matches_session_classification() {
 
 #[test]
 fn batched_ops_keep_the_identities() {
-    let store: FasterKv<u64, u64, CountStore> =
-        FasterKv::new(small_cfg(), CountStore, MemDevice::new(2));
+    let store: FasterKv<u64, u64, CountCrdt> =
+        FasterKv::new(small_cfg(), CountCrdt, MemDevice::new(2));
     let session = store.start_session();
     let keys: Vec<u64> = (0..256u64).collect();
     let upserts: Vec<_> = keys.iter().map(|&key| BatchOp::Upsert { key, value: key * 2 }).collect();

@@ -2,7 +2,7 @@
 //! migration, record relinking, shared disk tails (grow) and merge
 //! meta-records (shrink) end to end (Appendix B).
 
-use faster_core::{CountStore, FasterKv, FasterKvConfig};
+use faster_core::{CountCrdt, CountStore, FasterKv, FasterKvConfig};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_integration_tests::{read_blocking, rmw_blocking};
@@ -239,8 +239,8 @@ proptest! {
         update_stride in 1u64..7,
         rmw_input in 1u64..1_000,
     ) {
-        let store: FasterKv<u64, u64, CountStore> =
-            FasterKv::new(cfg(), CountStore, MemDevice::new(2));
+        let store: FasterKv<u64, u64, CountCrdt> =
+            FasterKv::new(cfg(), CountCrdt, MemDevice::new(2));
         let session = store.start_session();
         let mut model = std::collections::HashMap::new();
         let rmw_all = |model: &mut std::collections::HashMap<u64, u64>| {

@@ -10,9 +10,9 @@
 //! encodes every window, and the reply bytes it expects, before counting
 //! starts, and reads replies into a preallocated buffer.
 //!
-//! INCR is left out: every INCR still ends an `execute_batch` segment so
-//! its read-back sees the store before later pipelined commands apply, so
-//! it pays a segment's two allocations per command by construction.
+//! INCR is left out: every INCR still ends an `execute_batch` segment,
+//! because its RMW may go pending and stall the commands pipelined behind
+//! it, so it pays a segment's two allocations per command by construction.
 
 use faster_core::{CountStore, FasterKv, FasterKvConfig, WalConfig};
 use faster_hlog::HLogConfig;

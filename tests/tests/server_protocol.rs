@@ -3,10 +3,11 @@
 //! Everything here talks to a real `faster-server` instance through a TCP
 //! socket — no store shortcuts — so the full stack is under test: frame
 //! parsing, pipelined batch execution, in-order reply emission across
-//! pending disk reads, WAL-durability-gated mutation acks, `-READONLY`
-//! degradation, acked-write recovery after killing the server mid
-//! pipeline (reusing the WAL crash harness's store configuration), and the
-//! workers' wake-cause accounting.
+//! pending disk reads and pending INCRs, INCR replies under cross-worker
+//! races, WAL-durability-gated mutation acks, `-READONLY` degradation,
+//! acked-write recovery after killing the server mid pipeline (reusing the
+//! WAL crash harness's store configuration), and the workers' wake-cause
+//! accounting.
 
 use faster_core::ckpt_manager::{self, CheckpointConfig};
 use faster_core::{CountStore, FasterKv, FasterKvConfig, StoreHealth, WalConfig};
@@ -20,7 +21,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ------------------------------------------------------------- test client
 
@@ -128,8 +129,9 @@ fn ping_and_quit() {
 /// The tentpole behavior: a seeded pipelined mixed workload over one
 /// connection, checked command-by-command against an oracle. Single
 /// connection ⇒ strictly serial store semantics, so every reply is exactly
-/// predictable, including INCR read-backs — even when cold GETs go pending
-/// and must not reorder the reply stream.
+/// predictable, including INCR counts — even when cold GETs go pending and
+/// must not reorder the reply stream, and cold INCRs go pending and must
+/// hold back every command pipelined behind them.
 #[test]
 fn pipelined_mixed_workload_matches_oracle() {
     let store = spilling_store();
@@ -197,6 +199,112 @@ fn pipelined_mixed_workload_matches_oracle() {
             let got = c.read_reply().expect("reply stream ended early");
             assert_eq!(&got, want, "pipelined op {i} of window ending at {sent}");
         }
+    }
+}
+
+/// An INCR answers the count its own RMW made, so connections on two
+/// workers pipelining INCRs of one key are told every count from 1 to the
+/// total exactly once.
+#[test]
+fn shared_key_incrs_across_workers_answer_every_count_once() {
+    const CONNS: usize = 4;
+    const WINDOWS: usize = 100;
+    const DEPTH: usize = 16;
+    let server =
+        Server::start(spilling_store(), "127.0.0.1:0", ServerConfig { workers: 2 }).unwrap();
+    let addr = server.local_addr();
+    let handles: Vec<_> = (0..CONNS)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr);
+                let window = "INCR 7\r\n".repeat(DEPTH);
+                let mut counts = Vec::with_capacity(WINDOWS * DEPTH);
+                for _ in 0..WINDOWS {
+                    c.send(window.as_bytes());
+                    for _ in 0..DEPTH {
+                        match c.read_reply() {
+                            Some(Reply::Int(n)) => counts.push(n),
+                            other => panic!("INCR answered {other:?}"),
+                        }
+                    }
+                }
+                counts
+            })
+        })
+        .collect();
+    let mut counts: Vec<u64> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    counts.sort_unstable();
+    let total = (CONNS * WINDOWS * DEPTH) as u64;
+    let repeated: Vec<u64> = counts.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect();
+    assert!(repeated.is_empty(), "counts told twice: {:?}", &repeated[..repeated.len().min(8)]);
+    assert_eq!(counts, (1..=total).collect::<Vec<_>>());
+}
+
+/// A pending INCR orders its connection. Each window starts with an INCR of
+/// a key evicted to the log device, so its RMW goes pending; the SET, GET
+/// and INCR pipelined behind it must wait until it applies. The window
+/// completes without waiting out an idle park: after the INCR's completion
+/// the worker still has to execute the rest and ask the WAL for the INCR's
+/// LSN, and nothing else would wake it. Every acked count survives recovery
+/// from the WAL.
+#[test]
+fn pending_incr_holds_back_its_connection_until_it_applies() {
+    const COLD: [u64; 3] = [1, 2, 3];
+    // A device read outlasts the worker's spin, so the read's CQE ends a
+    // park, and the pass that completes the INCR has spent that wake.
+    let slow_read = LatencyModel { fixed: Duration::from_millis(2), bytes_per_sec: 0 };
+    let log_dev: Arc<dyn Device> = MemDevice::with_latency(2, slow_read);
+    let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
+    let wal_dev: Arc<dyn Device> = MemDevice::new(1);
+    let store: Store =
+        FasterKv::new_with_wal(wal_harness_cfg(), CountStore, log_dev.clone(), wal_dev.clone());
+    {
+        let session = store.start_session();
+        for k in COLD {
+            session.upsert(&k, &(k * 100)).unwrap();
+        }
+        for k in 1_000..5_000u64 {
+            session.upsert(&k, &k).unwrap();
+        }
+        session.wait_wal_durable().unwrap();
+    }
+    store.log().flush_barrier().unwrap();
+    assert!(store.log().head_address().raw() > 1 << 12, "the cold keys must be evicted");
+    let server = Server::start(store.clone(), "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
+    let mut c = Client::connect(server.local_addr());
+    let mut fastest = Duration::MAX;
+    for k in COLD {
+        let (old, v) = (k * 100, k * 1_000);
+        let start = Instant::now();
+        c.send(format!("INCR {k}\r\nSET {k} {v}\r\nGET {k}\r\nINCR {k}\r\n").as_bytes());
+        assert_eq!(c.read_reply(), Some(Reply::Int(old + 1)), "cold INCR {k}");
+        assert_eq!(c.read_reply(), Some(Reply::Simple("OK".into())), "SET {k}");
+        assert_eq!(c.read_reply(), Some(Reply::Bulk(v.to_string())), "GET {k}");
+        assert_eq!(c.read_reply(), Some(Reply::Int(v + 1)), "hot INCR {k}");
+        fastest = fastest.min(start.elapsed());
+    }
+    // `IDLE_POLL_MS` is 200 ms: a window that needed an idle park to end
+    // would take at least that long, every time.
+    assert!(fastest < Duration::from_millis(100), "fastest window took {fastest:?}");
+    server.shutdown();
+    drop(server);
+    drop(c);
+    let t = store.metrics().sessions.totals;
+    assert!(t.io_issued >= COLD.len() as u64, "the cold INCRs must read the device: {t:?}");
+    drop(store);
+
+    let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountStore>(
+        wal_harness_cfg(),
+        CountStore,
+        log_dev,
+        ckpt_dev,
+        wal_dev,
+        CheckpointConfig::default(),
+    )
+    .expect("recovery after server shutdown");
+    let session = rec.store.start_session();
+    for k in COLD {
+        assert_eq!(faster_integration_tests::read_blocking(&session, k), Some(k * 1_000 + 1));
     }
 }
 
