@@ -447,7 +447,8 @@ pub struct RecoveredStoreWithWal<K: Pod, V: Pod, F: Functions<K, V>> {
 /// the recovered generation's cutoff, in LSN order, stopping at the first
 /// torn or checksum-failing record. The resumed WAL is attached only after
 /// replay, so replayed mutations never re-append. `store_cfg.wal` must be
-/// set.
+/// set, and `functions` must not be mergeable (as for
+/// [`FasterKv::new_with_wal`]).
 pub fn recover_store_with_wal<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
     store_cfg: FasterKvConfig,
     functions: F,
@@ -457,6 +458,7 @@ pub fn recover_store_with_wal<K: Pod + Eq, V: Pod, F: Functions<K, V>>(
     ckpt_cfg: CheckpointConfig,
 ) -> Result<RecoveredStoreWithWal<K, V, F>, CheckpointError> {
     let wal_cfg = store_cfg.wal.expect("recover_store_with_wal requires cfg.wal");
+    assert!(!functions.is_mergeable(), "a WAL store refuses mergeable functions");
     // Checkpoint arbitration first (fallback chain); a store that never
     // committed a generation recovers to empty and replays the whole WAL.
     let (manager, generation) =

@@ -144,7 +144,9 @@ pub trait Functions<K: Pod, V: Pod>: Send + Sync + 'static {
     // ---- CRDT (§6.3) ----
 
     /// Whether RMWs are mergeable (a CRDT): partial values can be computed
-    /// independently and merged later.
+    /// independently and merged later. A store with a WAL refuses mergeable
+    /// functions (its records are full post-images); without one, deltas
+    /// are made durable by checkpoints (§6.5).
     fn is_mergeable(&self) -> bool {
         false
     }

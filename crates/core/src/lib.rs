@@ -229,6 +229,9 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
 
     /// Creates a store over `device` with a group-committed WAL on
     /// `wal_device` (DESIGN.md §10). `cfg.wal` must be set.
+    ///
+    /// Panics if `functions` is mergeable: the WAL logs full post-images
+    /// only, and a CRDT delta (§6.3) is a partial value.
     pub fn new_with_wal(
         cfg: FasterKvConfig,
         functions: F,
@@ -236,6 +239,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> FasterKv<K, V, F> {
         wal_device: Arc<dyn Device>,
     ) -> Self {
         let wal_cfg = cfg.wal.expect("new_with_wal requires cfg.wal");
+        assert!(!functions.is_mergeable(), "a WAL store refuses mergeable functions");
         Self::build(cfg, functions, device, Some((wal_device, wal_cfg)), None)
     }
 

@@ -153,7 +153,7 @@ impl<K, V, I> BatchOp<K, V, I> {
 /// What a record handed to [`Session::publish`] is: the kind fixes its
 /// header bits, the write-identity bucket it counts into, the records it
 /// leaves dead, and its WAL redo record.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) enum WriteKind {
     /// First live version under its entry (fresh key, or a key re-created
     /// over a tombstone or an exhausted chain).
@@ -1389,7 +1389,7 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         kind: WriteKind,
         fill: impl FnOnce(&mut V) -> R,
     ) -> Option<R> {
-        use crate::walrec::{KIND_DELETE, KIND_DELTA, KIND_PUT};
+        use crate::walrec::{KIND_DELETE, KIND_PUT};
         let bits = match kind {
             WriteKind::Delta | WriteKind::Roll { delta: true } => DELTA_BIT,
             WriteKind::Tombstone => TOMBSTONE_BIT,
@@ -1415,16 +1415,18 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         let (bucket, dead, wal_kind) = match kind {
             WriteKind::Append => (&self.rec.appends, 0, KIND_PUT),
             WriteKind::Rcu => (&self.rec.rcu, 1, KIND_PUT),
-            WriteKind::Delta => (&self.rec.appends, 0, KIND_DELTA),
             // The shadowed version plus the tombstone itself are both
             // reclaimable by compaction.
             WriteKind::Tombstone => (&self.rec.appends, 2, KIND_DELETE),
+            // A WAL store refuses mergeable functions: no delta is logged.
+            WriteKind::Delta => {
+                self.count_write(&self.rec.appends);
+                self.rec.deltas.inc();
+                return Some(out);
+            }
             WriteKind::Roll { .. } => return Some(out),
         };
         self.count_write(bucket);
-        if kind == WriteKind::Delta {
-            self.rec.deltas.inc();
-        }
         if dead > 0 {
             self.note_dead(dead);
         }
@@ -1693,7 +1695,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         match op {
             crate::walrec::WalOp::Put { key, value } => self.replay_put(&key, &value),
             crate::walrec::WalOp::Delete { key } => self.delete_internal(&key, hash_key(&key)),
-            crate::walrec::WalOp::Delta { key, partial } => self.replay_delta(&key, &partial),
         }
         self.maybe_refresh();
     }
@@ -1708,28 +1709,6 @@ impl<K: Pod + Eq, V: Pod, F: Functions<K, V>> Session<K, V, F> {
         loop {
             let at = index.find_or_create_tag(hash, Some(&self.guard));
             if self.publish(at, key, WriteKind::Append, |v| *v = *value).is_some() {
-                return;
-            }
-        }
-    }
-
-    /// Redo of a CRDT delta: re-appends the partial atop the key's chain,
-    /// or folds it into a fresh full value when no chain exists anymore
-    /// (merge with the identity is exactly the partial's contribution).
-    fn replay_delta(&self, key: &K, partial: &V) {
-        let inner = &self.store.inner;
-        let f = &inner.functions;
-        let hash = hash_key(key);
-        loop {
-            let applied = match inner.index.find_or_create_tag(hash, Some(&self.guard)) {
-                found @ CreateOutcome::Found(_) => {
-                    self.publish(found, key, WriteKind::Delta, |v| *v = *partial)
-                }
-                created => self.publish(created, key, WriteKind::Append, |v| {
-                    *v = f.merge(&f.identity(), partial)
-                }),
-            };
-            if applied.is_some() {
                 return;
             }
         }

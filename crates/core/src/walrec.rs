@@ -1,32 +1,29 @@
 //! WAL payload codec (DESIGN.md §10).
 //!
 //! Each WAL record carries one logical redo operation as a flat byte
-//! payload: a one-byte kind tag, the `Pod` key bytes, and — for the kinds
-//! that write — the **post-image** value bytes. Post-image (physical redo)
-//! rather than the operation's input keeps replay independent of the
-//! user's `Functions::Input` type (which need not be `Pod`) and makes
-//! reapplying a record idempotent: replaying a suffix that partially
-//! overlaps a fuzzy checkpoint converges to the same state.
+//! payload: a one-byte kind tag, the `Pod` key bytes, and — for a put —
+//! the **post-image** value bytes. Post-image (physical redo) rather than
+//! the operation's input keeps replay independent of the user's
+//! `Functions::Input` type (which need not be `Pod`) and makes reapplying a
+//! record idempotent: replaying a suffix that partially overlaps a fuzzy
+//! checkpoint converges to the same state.
 //!
-//! CRDT deltas are the exception — their post-image is a *partial* value
-//! ([`crate::record::DELTA_BIT`] records), so they get their own kind and
-//! replay re-appends a delta (or folds into a fresh full value when the
-//! key's chain no longer exists).
+//! Every record is a full value or a tombstone. A CRDT delta (§6.3) holds a
+//! partial value that means nothing on its own, so a store with a WAL
+//! refuses mergeable `Functions` and no delta is ever logged; mergeable
+//! stores without a WAL make their deltas durable by checkpoint (§6.5).
 
 use faster_util::{bytes_of, pod_from_bytes, Pod};
 
-/// Full post-image write: upserts and completed (non-delta) RMWs.
+/// Full post-image write: upserts and RMWs.
 pub(crate) const KIND_PUT: u8 = 1;
 /// Tombstone append.
 pub(crate) const KIND_DELETE: u8 = 2;
-/// CRDT delta append: the value bytes are a partial (mergeable) value.
-pub(crate) const KIND_DELTA: u8 = 3;
 
 /// One decoded WAL operation, ready for replay.
 pub(crate) enum WalOp<K, V> {
     Put { key: K, value: V },
     Delete { key: K },
-    Delta { key: K, partial: V },
 }
 
 /// Payload bytes of a record that carries the key and, if `with_value`, a
@@ -52,15 +49,10 @@ pub(crate) fn decode<K: Pod, V: Pod>(payload: &[u8]) -> Option<WalOp<K, V>> {
     let ks = std::mem::size_of::<K>();
     let vs = std::mem::size_of::<V>();
     match kind {
-        KIND_PUT | KIND_DELTA if rest.len() == ks + vs => {
-            let key = pod_from_bytes::<K>(&rest[..ks]);
-            let value = pod_from_bytes::<V>(&rest[ks..]);
-            Some(if kind == KIND_PUT {
-                WalOp::Put { key, value }
-            } else {
-                WalOp::Delta { key, partial: value }
-            })
-        }
+        KIND_PUT if rest.len() == ks + vs => Some(WalOp::Put {
+            key: pod_from_bytes::<K>(&rest[..ks]),
+            value: pod_from_bytes::<V>(&rest[ks..]),
+        }),
         KIND_DELETE if rest.len() == ks => Some(WalOp::Delete { key: pod_from_bytes::<K>(rest) }),
         _ => None,
     }
@@ -85,8 +77,6 @@ mod tests {
         }
         let d = encode(KIND_DELETE, 7, None);
         assert!(matches!(decode::<u64, u64>(&d), Some(WalOp::Delete { key: 7 })));
-        let m = encode(KIND_DELTA, 7, Some(3));
-        assert!(matches!(decode::<u64, u64>(&m), Some(WalOp::Delta { key: 7, partial: 3 })));
     }
 
     #[test]

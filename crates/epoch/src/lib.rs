@@ -52,6 +52,8 @@
 //! assert!(fired.load(Ordering::SeqCst));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod drain;
 mod table;
 

@@ -30,6 +30,8 @@
 //! fuzzy, lock-free snapshot of all entries; recovery makes it consistent by
 //! replaying the log tail (handled in `faster-core`).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod bucket;
 mod checkpoint;
 mod entry;
@@ -124,10 +126,6 @@ pub struct HashIndex {
     run: RwLock<Option<Arc<ResizeRun>>>,
     metrics: Arc<IndexMetrics>,
 }
-
-// Safety: all interior state is atomics, locks, or pool-owned allocations.
-unsafe impl Send for HashIndex {}
-unsafe impl Sync for HashIndex {}
 
 /// One live index entry *as the probe observed it* (§3.2: a find returns the
 /// entry it saw, and every later CAS is against that value). The slot has no
@@ -352,6 +350,8 @@ impl HashIndex {
         if p.is_null() {
             return None;
         }
+        // SAFETY: a non-null version pointer came from `Box::into_raw`, and
+        // a retired table stays alive in the graveyard until the index drops.
         Some(unsafe { &*p })
     }
 

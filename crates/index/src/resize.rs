@@ -367,7 +367,9 @@ pub(crate) fn resize(
     if s.phase != Phase::Stable {
         return false;
     }
-    let old_arr = unsafe { &*index.versions_ptr(s.version).load(Ordering::SeqCst) };
+    // Null only if another resize retired this version since `status`: its
+    // run has claimed the flip this one would race for.
+    let Some(old_arr) = index.try_array(s.version) else { return false };
     let old_k = old_arr.k_bits();
     if !grow && old_k <= 1 {
         return false;
@@ -543,7 +545,12 @@ fn finish_chunk(index: &HashIndex, run: &Arc<ResizeRun>, chunk: usize) {
 /// migrator's epoch guard, threaded through to [`RecordAccess`] calls that
 /// may allocate (see [`RecordAccess::try_alloc_merge_meta`]).
 fn migrate_chunk(index: &HashIndex, run: &Arc<ResizeRun>, chunk: usize, guard: Option<&EpochGuard>) {
+    // SAFETY: the run stored its new table before publishing itself, and the
+    // old one is nulled only once the phase is stable again, after every
+    // chunk, this one included, has finished; retired tables are never freed
+    // while the index lives.
     let old_arr = unsafe { &*index.versions_ptr(run.old_version).load(Ordering::SeqCst) };
+    // SAFETY: as above.
     let new_arr = unsafe { &*index.versions_ptr(run.new_version).load(Ordering::SeqCst) };
     let start = chunk * run.chunk_size;
     let end = start + run.chunk_size;

@@ -18,6 +18,8 @@
 //! (all sessions drained) they are exact, which is what the
 //! counter-identity test asserts.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod counter;
 mod groups;
 mod histogram;

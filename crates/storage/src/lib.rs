@@ -26,6 +26,8 @@
 //! benchmark harness uses to measure log growth rate (Fig 12a) and sequential
 //! write bandwidth (§7.3).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod fault;
 mod file;
 mod mem;

@@ -169,10 +169,6 @@ pub struct CompletionRing {
     waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
-// Raw node pointers hide the auto traits; CQEs only carry owned bytes.
-unsafe impl Send for CompletionRing {}
-unsafe impl Sync for CompletionRing {}
-
 impl Default for CompletionRing {
     fn default() -> Self {
         Self::new()
@@ -258,15 +254,19 @@ impl CompletionRing {
         // The detached list is newest-first; reverse in place.
         let mut reversed: *mut Node = ptr::null_mut();
         while !node.is_null() {
-            // Safety: detached nodes are exclusively ours.
+            // SAFETY: `node` is a non-null node of the list the swap
+            // detached, so no other thread can reach it.
             let next = unsafe { (*node).next };
+            // SAFETY: as above: a detached node is exclusively ours.
             unsafe { (*node).next = reversed };
             reversed = node;
             node = next;
         }
         let before = out.len();
         while !reversed.is_null() {
-            // Safety: reclaiming a node we exclusively own.
+            // SAFETY: every node came from `Box::into_raw` in `push` and is
+            // exclusively ours once detached; a `Cqe` owns only `Send` data,
+            // so taking it on the reaping thread is sound.
             let boxed = unsafe { Box::from_raw(reversed) };
             reversed = boxed.next;
             out.push(boxed.cqe);

@@ -100,6 +100,8 @@
 //! last successfully acked LSN is ever reported durable. This is the other
 //! half of the `Device::flush_barrier() -> Result` contract.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use faster_metrics::WalMetrics;
 use faster_storage::{CompletionRing, Cqe, Device, IoError, Sqe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -3,23 +3,25 @@
 //! recovered state is a consistent prefix that holds everything made
 //! durable.
 //!
-//! **The rig.** A [`CountCrdt`] store over a log device, a
-//! [`CheckpointManager`] over a checkpoint device and, optionally, a WAL
-//! device. The mergeable counter puts delta records (§6.3) through every
-//! checkpoint, compaction and recovery the sweeps cut. Each is a
-//! [`FaultDevice`] in one [`FaultDomain`], so a crash point indexes the
-//! interleaved write (or flush-barrier) stream of all three, and the crash
-//! halts them together.
+//! **The rig.** A counter store over a log device, a [`CheckpointManager`]
+//! over a checkpoint device and, optionally, a WAL device. Without a WAL
+//! the counter is [`CountCrdt`], so delta records (§6.3) go through every
+//! checkpoint, compaction and recovery the sweeps cut. A WAL store refuses
+//! mergeable functions, so the WAL rig runs [`CountStore`], whose RMWs on
+//! cold keys go pending. Each device is a [`FaultDevice`] in one
+//! [`FaultDomain`], so a crash point indexes the interleaved write (or
+//! flush-barrier) stream of all three, and the crash halts them together.
 //!
 //! **The script.** [`run`] drives a list of [`Step`]s single-threaded
 //! against the rig: `Ops` (seeded upserts, RMWs, deletes and churn inserts
-//! from [`apply_op`]; on a WAL rig each op waits for its group commit, and
-//! the first refused wait ends the script), `Checkpoint` (through the
-//! manager), `DropWrite` (a write acked but never persisted), `Arm` (the
-//! crash point; the report's write and flush counts start here too) and
-//! `MaintWindow` (`run_tick` under a policy that compacts, then
-//! checkpoints). Single-threaded driving keeps the I/O schedule of the
-//! non-WAL rigs deterministic, which is what lets a dry run bound a sweep.
+//! from [`apply_op`], or churn inserts alone; on a WAL rig each op waits
+//! for its group commit, and the first refused wait ends the script),
+//! `Checkpoint` (through the manager), `DropWrite` (a write acked but never
+//! persisted), `Arm` (the crash point; the report's write, flush and
+//! pending counts start here too) and `MaintWindow` (`run_tick` under a
+//! policy that compacts, then checkpoints). Single-threaded driving keeps
+//! the I/O schedule of the non-WAL rigs deterministic, which is what lets a
+//! dry run bound a sweep.
 //!
 //! **The oracle.** The runner records the oracle after every op, recovers
 //! the surviving device images (`recover_latest` + `FasterKv::recover`, or
@@ -44,7 +46,9 @@
 //! - `ckpt_manager_faults`: 300 ops, checkpoint, 220 ops, arm, checkpoint.
 //! - `maintenance_faults`: 300 ops, checkpoint, 220 ops, arm, maintenance
 //!   window.
-//! - `wal_faults` (WAL rig): arm, 60 ops, checkpoint, 60 ops.
+//! - `wal_faults` (WAL rig): arm, 60 ops, checkpoint, 60 ops; and a cold
+//!   variant that first writes the keyspace and churns it out to the
+//!   device, so the swept RMWs go pending on a device read.
 //! - `storage_resilience` runs [`apply_op`]'s upsert-only mix directly.
 //!
 //! Each sweep is a [`dry_run`] (twice where the schedule must repeat)
@@ -54,7 +58,7 @@
 
 use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
 use faster_core::maintenance::{run_tick, MaintenanceStats, Policy, PolicyConfig};
-use faster_core::{CountCrdt, FasterKv, FasterKvConfig, Functions, OpError, Session};
+use faster_core::{CountCrdt, CountStore, FasterKv, FasterKvConfig, Functions, OpError, Session};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
 use faster_storage::{FaultDevice, FaultDomain, MemDevice, TornWrite};
@@ -78,8 +82,6 @@ pub const PHASE1B_OPS: u64 = 220;
 /// exercise the refuse-all path, few enough not to outrun the circular
 /// buffer of a log that can no longer flush.
 const POST_CRASH_OPS: u64 = 48;
-
-type Store = FasterKv<u64, u64, CountCrdt>;
 
 /// What one op did to the oracle: the key and its new value (`None` =
 /// deleted); `None` for an op the store refused.
@@ -130,6 +132,9 @@ pub enum Mix {
     /// Upserts over [`KEYSPACE`] only: value equality stays trivially
     /// checkable even when a scenario later loses a suffix of the log.
     Upserts,
+    /// Churn inserts above [`KEYSPACE`] only: pushes the keyspace's records
+    /// out of memory.
+    Churn,
 }
 
 /// Where the armed crash fires, counted from the `Arm` step across every
@@ -180,12 +185,17 @@ pub struct Report {
     /// Writes and flush barriers issued from the `Arm` step on.
     pub writes: u64,
     pub flushes: u64,
+    /// Pending work from the `Arm` step on, from the store's session
+    /// totals: device reads issued (one or more per op that went to the
+    /// device) plus fuzzy-region retries. Non-zero iff some op went pending.
+    pub pending: u64,
 }
 
 /// One seeded op against both the store and the oracle, mirroring a counter
-/// ([`CountCrdt`], `faster_core::CountStore`): upsert replaces, RMW adds its
-/// input (from 0), delete removes. Only applied ops are mirrored: a degraded
-/// store refuses mutations, and the oracle must not drift ahead of it.
+/// ([`CountCrdt`], [`CountStore`]): upsert replaces, RMW adds its input
+/// (from 0), delete removes. Only applied ops are mirrored: a degraded store
+/// refuses mutations, a pending RMW fails if its device read does, and the
+/// oracle must not drift ahead of the store.
 pub fn apply_op<F: Functions<u64, u64, Input = u64>>(
     session: &Session<u64, u64, F>,
     oracle: &mut HashMap<u64, u64>,
@@ -196,6 +206,7 @@ pub fn apply_op<F: Functions<u64, u64, Input = u64>>(
     let choice = match mix {
         Mix::All => rng.next_u64() % 8,
         Mix::Upserts => 0,
+        Mix::Churn => 7,
     };
     let mut upsert = |key: u64, value: u64| {
         session.upsert(&key, &value).ok()?;
@@ -206,10 +217,15 @@ pub fn apply_op<F: Functions<u64, u64, Input = u64>>(
         0..=2 => upsert(key, rng.next_u64() | 1),
         3..=4 => {
             let input = (rng.next_u64() % 1000) + 1;
-            match session.rmw(&key, &input) {
-                Ok(_) => {}
-                Err(OpError::Pending(_)) => drop(session.complete_pending(true)),
-                Err(_) => return None,
+            let applied = match session.rmw(&key, &input) {
+                Err(OpError::Pending(id)) => {
+                    let done = session.complete_pending(true);
+                    done.into_iter().any(|c| c.id == id && c.result.is_ok())
+                }
+                result => result.is_ok(),
+            };
+            if !applied {
+                return None;
             }
             let value = oracle.entry(key).or_insert(0);
             *value += input;
@@ -286,15 +302,29 @@ fn maint_window_policy() -> Policy {
 /// wherever it armed, recovers, and checks the oracle and every protocol
 /// check (module docs), panicking with the seed and script on a violation.
 pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
+    if wal {
+        run_rig(CountStore, seed, true, script)
+    } else {
+        run_rig(CountCrdt, seed, false, script)
+    }
+}
+
+/// [`run`] on a rig whose counter is `functions`.
+fn run_rig<F: Functions<u64, u64, Input = u64, Output = u64> + Clone>(
+    functions: F,
+    seed: u64,
+    wal: bool,
+    script: &[Step],
+) -> Report {
     let ctx = format!("seed={seed} wal={wal} script={script:?}");
     let domain = FaultDomain::new();
     let device = |lanes| FaultDevice::wrap_in_domain(MemDevice::new(lanes), &domain);
     let (log_dev, ckpt_dev, wal_dev) = (device(2), device(1), wal.then(|| device(1)));
-    let store: Store = match &wal_dev {
+    let store = match &wal_dev {
         Some(w) => {
-            FasterKv::new_with_wal(wal_harness_cfg(), CountCrdt, log_dev.clone(), w.clone())
+            FasterKv::new_with_wal(wal_harness_cfg(), functions.clone(), log_dev.clone(), w.clone())
         }
-        None => FasterKv::new(harness_cfg(), CountCrdt, log_dev.clone()),
+        None => FasterKv::new(harness_cfg(), functions.clone(), log_dev.clone()),
     };
     let mgr = Arc::new(CheckpointManager::new(ckpt_dev.clone(), CheckpointConfig::default()));
     let mut rng = XorShift64::new(seed);
@@ -307,7 +337,11 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
     let mut durable = (0u64, 0usize);
     let mut inflight: Vec<usize> = Vec::new();
     let (mut armed, mut halted) = (false, false);
-    let (mut w0, mut f0) = (0, 0);
+    let (mut w0, mut f0, mut p0) = (0, 0, 0);
+    let pending_work = || {
+        let totals = store.metrics().sessions.totals;
+        totals.io_issued + totals.fuzzy_pending
+    };
     for &step in script {
         let ops = changes.len();
         match step {
@@ -342,7 +376,7 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
             }
             Step::DropWrite(k) => domain.drop_write_at(k),
             Step::Arm(point) => {
-                (w0, f0) = (domain.writes_issued(), domain.flushes_issued());
+                (w0, f0, p0) = (domain.writes_issued(), domain.flushes_issued(), pending_work());
                 armed = point.is_some();
                 match point {
                     Some(CrashPoint::Write(k, torn)) => domain.arm_crash(k, torn),
@@ -393,6 +427,7 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
     report.crashed = domain.crashed();
     report.issued = changes.len();
     (report.writes, report.flushes) = (domain.writes_issued() - w0, domain.flushes_issued() - f0);
+    report.pending = pending_work() - p0;
     if !armed {
         assert!(
             !report.crashed && inflight.is_empty() && (!wal || report.acked == report.issued),
@@ -410,9 +445,9 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
         Some(w) => {
             let wal_img = w.inner();
             wal_img.flush_barrier().unwrap();
-            let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountCrdt>(
+            let rec = ckpt_manager::recover_store_with_wal(
                 wal_harness_cfg(),
-                CountCrdt,
+                functions,
                 log_img,
                 ckpt_img,
                 wal_img,
@@ -425,7 +460,7 @@ pub fn run(seed: u64, wal: bool, script: &[Step]) -> Report {
             let (mgr, rec) =
                 CheckpointManager::recover_latest(ckpt_img, CheckpointConfig::default())
                     .unwrap_or_else(|e| panic!("[{ctx}] recovery found no generation: {e}"));
-            (FasterKv::recover(harness_cfg(), CountCrdt, log_img, &rec.data), mgr, Some(rec), 0)
+            (FasterKv::recover(harness_cfg(), functions, log_img, &rec.data), mgr, Some(rec), 0)
         }
     };
     let g = gen.as_ref().map_or(0, |r| r.gen);

@@ -1,9 +1,12 @@
 //! CRDT (mergeable RMW) integration: delta records across regions and their
-//! reconciliation on reads (§6.3).
+//! reconciliation on reads (§6.3), and the WAL's refusal of a mergeable
+//! store (DESIGN.md §10).
 
+use faster_core::ckpt_manager::{self, CheckpointConfig};
 use faster_core::{CountCrdt, FasterKv, FasterKvConfig};
 use faster_hlog::HLogConfig;
 use faster_index::IndexConfig;
+use faster_integration_tests::fault_harness::wal_harness_cfg;
 use faster_integration_tests::{read_blocking, rmw_blocking};
 use faster_storage::MemDevice;
 use std::sync::{Arc, Barrier};
@@ -108,4 +111,27 @@ fn compaction_keeps_deltas_above_their_base() {
     store.log().flush_barrier().unwrap();
     store.compact_until(mid, &session);
     assert_eq!(read_blocking(&session, 7), Some(11));
+}
+
+/// A WAL logs full post-images only, and a delta is a partial value: a
+/// mergeable store is refused a WAL at construction.
+#[test]
+#[should_panic(expected = "a WAL store refuses mergeable functions")]
+fn new_with_wal_refuses_mergeable_functions() {
+    let (log_dev, wal_dev) = (MemDevice::new(2), MemDevice::new(1));
+    let _ = FasterKv::new_with_wal(wal_harness_cfg(), CountCrdt, log_dev, wal_dev);
+}
+
+/// ... and at recovery.
+#[test]
+#[should_panic(expected = "a WAL store refuses mergeable functions")]
+fn recover_store_with_wal_refuses_mergeable_functions() {
+    let _ = ckpt_manager::recover_store_with_wal::<u64, u64, CountCrdt>(
+        wal_harness_cfg(),
+        CountCrdt,
+        MemDevice::new(2),
+        MemDevice::new(1),
+        MemDevice::new(1),
+        CheckpointConfig::default(),
+    );
 }

@@ -13,12 +13,12 @@
 //! other fault sweeps; failures print their seed and script for replay.
 
 use faster_core::ckpt_manager::{self, CheckpointConfig, CheckpointManager};
-use faster_core::{CountStore, FasterKv};
+use faster_core::{CountStore, FasterKv, OpError, Outcome};
 use faster_integration_tests::fault_harness::{
     dry_run, fault_seed_range, run, sweep, wal_harness_cfg, Axis, CrashPoint, Mix, Step,
     KEYSPACE,
 };
-use faster_integration_tests::read_blocking as session_read;
+use faster_integration_tests::{read_blocking as session_read, rmw_blocking};
 use faster_metrics::WalMetrics;
 use faster_storage::{Device, FaultDevice, LatencyModel, MemDevice};
 use faster_wal::Wal;
@@ -34,6 +34,22 @@ const WAL_PHASE_OPS: u64 = 60;
 fn script(point: Option<CrashPoint>) -> Vec<Step> {
     let ops = Step::Ops { n: WAL_PHASE_OPS, mix: Mix::All };
     vec![Step::Arm(point), ops, Step::Checkpoint, ops]
+}
+
+/// Churn inserts after the keyspace is written: more records than the WAL
+/// rig's 8 KiB in-memory log holds, so every keyspace record is on the
+/// device when the crash is armed.
+const COLD_CHURN_OPS: u64 = 400;
+
+/// [`script`] over a cold keyspace: written, then churned out of memory
+/// before the crash is armed, so the swept RMWs go pending on a device
+/// read and log the post-image their continuation publishes.
+fn cold_script(point: Option<CrashPoint>) -> Vec<Step> {
+    let warm = [
+        Step::Ops { n: KEYSPACE, mix: Mix::Upserts },
+        Step::Ops { n: COLD_CHURN_OPS, mix: Mix::Churn },
+    ];
+    warm.into_iter().chain(script(point)).collect()
 }
 
 /// Background flush threads make exact write interleaving (and so whether
@@ -93,6 +109,32 @@ fn wal_flush_crash_sweep() {
     }
     assert!(cases >= 16, "flush sweep ran only {cases} cases");
     assert!(fired * 2 >= cases, "only {fired}/{cases} armed flush points fired");
+}
+
+/// Both axes over [`cold_script`]: RMWs that went pending on a device read
+/// recover under the same `acked ≤ N ≤ issued` oracle as the hot sweeps.
+#[test]
+fn wal_cold_rmw_crash_sweep() {
+    let (mut cases, mut fired, mut pending) = (0u64, 0u64, 0u64);
+    // One seed by default: each run first writes and churns ~500 records.
+    for seed in fault_seed_range(1) {
+        let dry = dry_run(seed, true, false, cold_script);
+        assert!(dry.pending > 0, "seed {seed}: no RMW went pending on the cold keyspace");
+        let axes = [
+            (Axis::Writes { torn_bytes: 4000 }, dry.writes),
+            (Axis::Flushes, dry.flushes),
+        ];
+        for (axis, count) in axes {
+            for (_, report) in sweep(seed, true, axis, strided(count), cold_script) {
+                cases += 1;
+                fired += report.crashed as u64;
+                pending += (report.pending > 0) as u64;
+            }
+        }
+    }
+    assert!(cases >= 32, "cold sweep ran only {cases} cases");
+    assert!(fired * 2 >= cases, "only {fired}/{cases} armed points fired");
+    assert!(pending > 0, "no swept run had an RMW go pending");
 }
 
 /// Fault-free restart: every acked op survives a clean shutdown with **no
@@ -256,6 +298,49 @@ fn failed_barrier_never_acks_a_group() {
     assert_eq!(m.wal.commits, 0, "a group committed across a failed barrier");
     assert!(m.wal.commit_failures >= 1);
     assert!(store.wal().unwrap().failure().is_some());
+}
+
+/// An RMW that goes to the device, then an in-place add on the record it
+/// published: both log full post-images, so recovery reads the sum.
+#[test]
+fn cold_rmw_then_in_place_add_recovers_the_sum() {
+    let log_dev: Arc<dyn Device> = MemDevice::new(2);
+    let ckpt_dev: Arc<dyn Device> = MemDevice::new(1);
+    let wal_dev: Arc<dyn Device> = MemDevice::new(1);
+    let store: FasterKv<u64, u64, CountStore> =
+        FasterKv::new_with_wal(wal_harness_cfg(), CountStore, log_dev.clone(), wal_dev.clone());
+    {
+        let session = store.start_session();
+        rmw_blocking(&session, 1, 100);
+        for k in 1000..5000u64 {
+            session.upsert(&k, &k).expect("writable");
+        }
+        store.log().flush_barrier().unwrap();
+        let before = store.metrics().sessions.totals;
+        let Err(OpError::Pending(id)) = session.rmw(&1, &10) else {
+            panic!("an RMW on an evicted key goes pending");
+        };
+        let done = session.complete_pending(true);
+        assert!(done.iter().any(|c| c.id == id && matches!(c.result, Ok(Outcome::Value(110)))));
+        let cold = store.metrics().sessions.totals;
+        assert_eq!(cold.io_issued - before.io_issued, 1, "one device read");
+        assert!(matches!(session.rmw(&1, &1), Ok(Outcome::Value(111))));
+        assert_eq!(store.metrics().sessions.totals.in_place - cold.in_place, 1, "in place");
+        session.wait_wal_durable().unwrap();
+    }
+    drop(store);
+    wal_dev.flush_barrier().unwrap();
+
+    let rec = ckpt_manager::recover_store_with_wal::<u64, u64, CountStore>(
+        wal_harness_cfg(),
+        CountStore,
+        log_dev,
+        ckpt_dev,
+        wal_dev,
+        CheckpointConfig::default(),
+    )
+    .expect("recovery");
+    assert_eq!(session_read(&rec.store.start_session(), 1), Some(111));
 }
 
 /// WAL order = apply order for in-place updates: two sessions increment one
