@@ -16,14 +16,28 @@
 //!   worker leads, pushed by the devices' I/O threads (plus durability
 //!   notices, when another session publishes the group that covers it).
 //!
-//! The worker waits on that set in two phases: after a pass that handled an
-//! event it spins, polling with a zero timeout for one WAL group commit's
-//! length (`SPIN`, 50 µs), and only then parks in `poll` with the idle
-//! bound. The paper's sessions poll for completions rather than sleep on
-//! them (§2.5); here the spin catches the round's sync CQE and the client's
-//! next window without the wake-up of a halted CPU, while a worker with
-//! nothing to do parks after one spin and never spins after a timed-out
-//! park. [`Server::wake_counts`] says how each pass began.
+//! A pass runs **execute → gather → lead → spin → park**:
+//!
+//! * *execute* reads, parses and executes the windows its `poll` reported;
+//! * *gather* — only in a pass about to ask the WAL for a group — waits for
+//!   the client's other windows of the round: it polls, with a zero timeout,
+//!   each connection that delivered in the previous lead interval (the
+//!   passes since the last ask) but not in this one, owes no reply and is
+//!   open, and executes what lands, until no one is awaited or the pass's
+//!   execute time plus the wait reaches half the worker's last measured
+//!   commit (capped at `SPIN`). A silent connection is never awaited, and
+//!   one that goes quiet is awaited once;
+//! * *lead*: `complete_pending` asks the WAL once for everything gated, so
+//!   the round's windows commit as one group;
+//! * *spin*: the worker polls its whole set with a zero timeout for one WAL
+//!   group commit's length (`SPIN`, 50 µs);
+//! * *park*: only then does it block in `poll` with the idle bound.
+//!
+//! The paper's sessions poll for completions rather than sleep on them
+//! (§2.5); here the spin catches the round's sync CQE and the client's next
+//! window without the wake-up of a halted CPU, while a worker with nothing
+//! to do parks after one spin and never spins after a timed-out park.
+//! [`Server::wake_counts`] says how each pass began and what its gather did.
 //!
 //! ## Pipelining → batching
 //!
@@ -115,20 +129,23 @@ type WorkerSession = Session<u64, u64, CountStore>;
 const IDLE_POLL_MS: c_int = 200;
 
 /// How long a worker keeps polling its set with a zero timeout, after a pass
-/// that handled an event, before it parks. The next event of a served round
-/// is usually the sync CQE of the WAL group the pass led, one group commit
+/// that handled an event, before it parks. A pass runs execute → gather →
+/// lead → spin → park (module doc), so the next event of a served round is
+/// usually the sync CQE of the WAL group the pass led, one group commit
 /// later: `wal.commit_us` reads 31–43 µs on the 20 µs NVMe device model.
 /// 50 µs covers that with margin. On `mem_a_d1`, 25 µs left the p50 of some
 /// runs at the parked value, and 100 µs bought nothing over 50 µs. An event
 /// inside the spin starts the next pass without a wake-up of a halted CPU;
-/// an idle worker pays the spin once, after its last event.
+/// an idle worker pays the spin once, after its last event. `SPIN` also caps
+/// a gather, whose own bound is half the last measured commit.
 const SPIN: Duration = Duration::from_micros(50);
 
 // ------------------------------------------------------------ wake causes
 
-/// How the passes of a server's workers began, summed by
-/// [`Server::wake_counts`]. Every pass begins exactly one way, so
-/// `passes == spun + woken + timeouts` once the workers have stopped.
+/// How the passes of a server's workers began, and what their gathers
+/// did, summed by [`Server::wake_counts`]. Every pass begins exactly one
+/// way, so `passes == spun + woken + timeouts` once the workers have
+/// stopped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WakeCounts {
     /// Event-loop passes.
@@ -140,6 +157,11 @@ pub struct WakeCounts {
     pub woken: u64,
     /// Parks that ran out `IDLE_POLL_MS` with nothing ready.
     pub timeouts: u64,
+    /// Windows that a gather executed: they joined the group the pass was
+    /// about to lead.
+    pub gathered: u64,
+    /// Leads that went ahead while an awaited connection was still silent.
+    pub gather_expired: u64,
 }
 
 /// One worker's wake causes, shared with the [`Server`] handle.
@@ -149,6 +171,8 @@ struct WakeCounters {
     spun: AtomicU64,
     woken: AtomicU64,
     timeouts: AtomicU64,
+    gathered: AtomicU64,
+    gather_expired: AtomicU64,
 }
 
 impl WakeCounters {
@@ -157,6 +181,8 @@ impl WakeCounters {
         sum.spun += self.spun.load(Ordering::Relaxed);
         sum.woken += self.woken.load(Ordering::Relaxed);
         sum.timeouts += self.timeouts.load(Ordering::Relaxed);
+        sum.gathered += self.gathered.load(Ordering::Relaxed);
+        sum.gather_expired += self.gather_expired.load(Ordering::Relaxed);
     }
 }
 
@@ -309,6 +335,8 @@ struct Conn {
     /// An `INCR` went pending: nothing queued behind it executes until its
     /// completion applies.
     stalled: bool,
+    /// The worker's lead interval in which a read last returned bytes.
+    delivered: Option<u64>,
 }
 
 impl Conn {
@@ -324,6 +352,7 @@ impl Conn {
             no_more_input: false,
             broken: false,
             stalled: false,
+            delivered: None,
         }
     }
 
@@ -335,8 +364,9 @@ impl Conn {
         seq.checked_sub(self.seq_base).and_then(|i| self.replies.get_mut(i as usize))
     }
 
-    /// Reads until the socket runs dry.
-    fn fill(&mut self) {
+    /// Reads until the socket runs dry; a read that returns bytes marks the
+    /// connection as delivered in lead interval `lead`.
+    fn fill(&mut self, lead: u64) {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match self.stream.read(&mut chunk) {
@@ -344,7 +374,10 @@ impl Conn {
                     self.no_more_input = true;
                     break;
                 }
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.inbuf.extend_from_slice(&chunk[..n]);
+                    self.delivered = Some(lead);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -413,6 +446,18 @@ impl Conn {
         self.inbuf.drain(..consumed);
     }
 
+    /// Whether the gather before lead interval `lead` ends waits for this
+    /// connection: it delivered in the previous interval and not yet in
+    /// this one, owes no reply, and is open — so its client is likely
+    /// sending the rest of a round.
+    fn awaited(&self, lead: u64) -> bool {
+        self.delivered == Some(lead - 1)
+            && self.replies.is_empty()
+            && self.outbuf.is_empty()
+            && !self.no_more_input
+            && !self.broken
+    }
+
     /// Everything owed has been sent and no more will be produced.
     fn finished(&self) -> bool {
         self.broken
@@ -444,6 +489,19 @@ struct Worker {
     batched: Vec<u64>,
     /// How this worker's passes began.
     counts: Arc<WakeCounters>,
+    /// The current lead interval: the passes since the last one that asked
+    /// the WAL for a group. Starts at 1, so no connection has delivered in
+    /// the one before it.
+    lead: u64,
+    /// The highest LSN [`Session::notify_wal_durable`] has promised.
+    wanted: u64,
+    /// The highest LSN a pass has asked the WAL for.
+    asked: u64,
+    /// The commit being timed: an asked LSN and when it was asked. The pass
+    /// whose `complete_pending` finds it durable sets `commit`.
+    probe: Option<(u64, Instant)>,
+    /// The last measured commit; zero until one has been.
+    commit: Duration,
 }
 
 /// `poll(2)` over `pfds`: how many are ready, 0 on timeout, < 0 on error
@@ -463,6 +521,9 @@ impl Worker {
         }
         let mut pfds: Vec<pollfd> = Vec::new();
         let mut slots: Vec<u64> = Vec::new();
+        // A gather's poll set and the connections it stands for.
+        let mut gather_pfds: Vec<pollfd> = Vec::new();
+        let mut awaited: Vec<u64> = Vec::new();
         // When the last pass that handled an event ended; `None` after a
         // timed-out park, so an idle worker never spins.
         let mut spin_from = None;
@@ -480,6 +541,7 @@ impl Worker {
             }
             // Disk reads and WAL acks wake us through the self-pipe.
             let event = self.wait(&mut pfds, spin_from);
+            let pass_from = Instant::now();
             self.counts.passes.fetch_add(1, Ordering::Relaxed);
             // Drain BEFORE clearing the dedupe flag. Once `armed` is false,
             // a wake() writes a byte that no drain consumes until after the
@@ -511,7 +573,7 @@ impl Worker {
             for (i, pfd) in pfds.iter().enumerate().skip(1) {
                 if pfd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
                     if let Some(c) = self.conns.get_mut(&slots[i - 1]) {
-                        c.fill();
+                        c.fill(self.lead);
                     }
                 }
             }
@@ -525,11 +587,25 @@ impl Worker {
                 self.execute_queued(id);
             }
 
+            // A pass about to ask the WAL for a group first takes in the
+            // round's other windows, so they share it.
+            if self.wanted > self.asked && self.session.poll_wal_durable(self.wanted).is_none() {
+                self.gather(&slots, pass_from, &mut gather_pfds, &mut awaited);
+                self.asked = self.wanted;
+                self.probe.get_or_insert_with(|| (self.asked, Instant::now()));
+                self.lead += 1;
+            }
             // One non-blocking pass drives continuations, publishes a WAL
             // group whose sync has landed (a failed group latches its error
             // into the session), and asks for this pass's mutations — so
             // they commit as one group, led from this worker.
             let done = self.session.complete_pending(false);
+            if let Some((lsn, asked_at)) = self.probe {
+                if self.session.poll_wal_durable(lsn).is_some() {
+                    self.commit = asked_at.elapsed();
+                    self.probe = None;
+                }
+            }
             // A resumed connection's queue and its INCR's WAL gate need the
             // next pass, and a stalled one may wait on a fuzzy retry, which
             // no CQE announces: either way, wake up instead of parking.
@@ -579,6 +655,58 @@ impl Worker {
         }
         self.counts.woken.fetch_add(1, Ordering::Relaxed);
         true
+    }
+
+    /// The gather step of a pass about to lead a group: polls, with a zero
+    /// timeout, every connection of `slots` that is [`Conn::awaited`], and
+    /// executes the windows that land, until no one is awaited or the pass
+    /// (begun at `pass_from`) has run half the last measured commit, capped
+    /// at [`SPIN`]. Waiting for a window delays the replies already gated
+    /// by its execute time and gives up the overlap of their client's read
+    /// with this commit; both grow as the pass's own execute time does, so
+    /// waiting pays only while twice that fits in one commit. Before any
+    /// commit has been measured the bound is zero, and a log whose commits
+    /// take no time never gathers.
+    fn gather(
+        &mut self,
+        slots: &[u64],
+        pass_from: Instant,
+        pfds: &mut Vec<pollfd>,
+        awaited: &mut Vec<u64>,
+    ) {
+        pfds.clear();
+        awaited.clear();
+        for &id in slots {
+            if let Some(c) = self.conns.get(&id).filter(|c| c.awaited(self.lead)) {
+                pfds.push(pollfd { fd: c.stream.as_raw_fd(), events: POLLIN, revents: 0 });
+                awaited.push(id);
+            }
+        }
+        let bound = (self.commit / 2).min(SPIN);
+        let mut silent = awaited.len();
+        while silent > 0 && pass_from.elapsed() < bound {
+            if poll(pfds, 0) <= 0 {
+                continue;
+            }
+            for (pfd, &id) in pfds.iter_mut().zip(awaited.iter()) {
+                if pfd.revents == 0 {
+                    continue;
+                }
+                // A negative fd drops out of later polls.
+                pfd.fd = -1;
+                silent -= 1;
+                let Some(c) = self.conns.get_mut(&id) else { continue };
+                c.fill(self.lead);
+                if c.delivered == Some(self.lead) {
+                    self.counts.gathered.fetch_add(1, Ordering::Relaxed);
+                }
+                c.parse_input();
+                self.execute_queued(id);
+            }
+        }
+        if silent > 0 {
+            self.counts.gather_expired.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Drains a connection's command queue in **segments**, each one
@@ -666,6 +794,7 @@ impl Worker {
             (BatchOp::Read { .. }, _) | (_, Err(_)) => None,
             _ => *gate.get_or_insert_with(|| self.session.notify_wal_durable()),
         };
+        self.wanted = self.wanted.max(wal.unwrap_or(0));
         let Some(c) = self.conns.get_mut(&conn_id) else { return };
         let Some(reply) = c.reply_mut(seq) else { return };
         reply.wal = wal;
@@ -690,6 +819,7 @@ impl Worker {
         let incr = matches!(op, BatchOp::Rmw { .. });
         if incr && result.is_ok() {
             reply.wal = self.session.notify_wal_durable();
+            self.wanted = self.wanted.max(reply.wal.unwrap_or(0));
         }
         reply.body = Body::of(&op, result);
         c.stalled &= !incr;
@@ -781,6 +911,11 @@ impl Server {
                         batch: Vec::new(),
                         batched: Vec::new(),
                         counts: counts2,
+                        lead: 1,
+                        wanted: 0,
+                        asked: 0,
+                        probe: None,
+                        commit: Duration::ZERO,
                     };
                     worker.run();
                 },
@@ -826,9 +961,9 @@ impl Server {
         self.local_addr
     }
 
-    /// How the workers' passes began, summed over workers. Read while they
-    /// run, the fields are each a relaxed load and need not add up; after
-    /// [`Server::shutdown`] they are exact.
+    /// How the workers' passes began and what their gathers did, summed
+    /// over workers. Read while they run, the fields are each a relaxed load
+    /// and need not add up; after [`Server::shutdown`] they are exact.
     pub fn wake_counts(&self) -> WakeCounts {
         let mut sum = WakeCounts::default();
         for c in &self.counts {

@@ -618,11 +618,15 @@ fn wake_causes_account_for_every_pass() {
         assert_eq!(c.read_reply(), Some(Reply::Simple("OK".into())), "SET {k}");
     }
     let after = server.wake_counts();
+    let per_cmd = |a: u64, b: u64| (a - b) as f64 / SETS as f64;
     println!(
-        "depth-1 SET loop: {:.2} woken, {:.2} spun, {:.2} passes per command",
-        (after.woken - before.woken) as f64 / SETS as f64,
-        (after.spun - before.spun) as f64 / SETS as f64,
-        (after.passes - before.passes) as f64 / SETS as f64,
+        "depth-1 SET loop: {:.2} woken, {:.2} spun, {:.2} passes, {:.2} gathered, \
+         {:.2} gathers expired per command",
+        per_cmd(after.woken, before.woken),
+        per_cmd(after.spun, before.spun),
+        per_cmd(after.passes, before.passes),
+        per_cmd(after.gathered, before.gathered),
+        per_cmd(after.gather_expired, before.gather_expired),
     );
 
     let mut rng = XorShift64::new(0xC0DE);

@@ -53,8 +53,10 @@ fn cold_script(point: Option<CrashPoint>) -> Vec<Step> {
 }
 
 /// Background flush threads make exact write interleaving (and so whether
-/// a far point fires) nondeterministic: sweep at most 64 points of an axis
-/// and assert aggregate coverage instead of per-case.
+/// a far point fires) nondeterministic: sweep a strided sample of an axis
+/// and assert aggregate coverage instead of per-case. The stride is
+/// `count / 64` rounded down, so an axis of fewer than 128 points is swept
+/// whole (up to 127 crash points), and a longer one at 64 to 96 of them.
 fn strided(count: u64) -> impl Iterator<Item = u64> {
     (0..count).step_by((count / 64).max(1) as usize)
 }
